@@ -3,15 +3,14 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
 )
 
-// This file renders the observability layer's data — stall attribution,
-// queue occupancy and the cycle-stamped event stream — as machine-readable
-// JSON and as a chrome://tracing (Trace Event Format) file.
+// This file renders the observability layer's run summary — stall
+// attribution and queue occupancy — as machine-readable JSON and as tables.
+// tef.go renders the cycle-stamped event stream.
 
 // Metrics is the machine-readable summary of one simulation run, the schema
 // behind `dvasim -metrics-json`.
@@ -162,101 +161,3 @@ func QueueTable(res *sim.Result) string {
 	}
 	return t.String()
 }
-
-// tefEvent is one entry of the Trace Event Format's traceEvents array
-// (the JSON schema understood by chrome://tracing and Perfetto).
-type tefEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// The bus gets its own timeline row below the per-processor ones.
-const busTid = int(sim.NumProcs)
-
-// WriteTraceEvents writes the recorded event stream of a run as a Trace
-// Event Format JSON file loadable in chrome://tracing or Perfetto. One
-// timeline thread per unit plus one for the address bus; queue occupancies
-// become counter tracks; bypasses and flushes become instant events.
-// Timestamps are simulated cycles (rendered as microseconds by the viewer).
-func WriteTraceEvents(w io.Writer, res *sim.Result, rec *sim.Recorder) error {
-	bw := &errWriter{w: w}
-	bw.writeString(`{"displayTimeUnit":"ns","traceEvents":[`)
-	first := true
-	emit := func(e tefEvent) {
-		if !first {
-			bw.writeString(",\n")
-		}
-		first = false
-		b, err := json.Marshal(e)
-		if err != nil {
-			bw.err = err
-			return
-		}
-		bw.write(b)
-	}
-
-	// Metadata: name the process after the run and each thread after its unit.
-	name := fmt.Sprintf("%s (%s)", res.Arch, res.Config.String())
-	emit(tefEvent{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]any{"name": name}})
-	for p := sim.Proc(0); p < sim.NumProcs; p++ {
-		emit(tefEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: int(p),
-			Args: map[string]any{"name": p.String()}})
-		emit(tefEvent{Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: int(p),
-			Args: map[string]any{"sort_index": int(p)}})
-	}
-	emit(tefEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: busTid,
-		Args: map[string]any{"name": "BUS"}})
-	emit(tefEvent{Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: busTid,
-		Args: map[string]any{"sort_index": busTid}})
-
-	for _, e := range rec.Events() {
-		switch e.Kind {
-		case sim.EvIssue:
-			emit(tefEvent{Name: e.Label, Ph: "X", Ts: e.Cycle, Dur: 1,
-				Pid: 1, Tid: int(e.Proc), Args: map[string]any{"seq": e.Seq}})
-		case sim.EvStall:
-			emit(tefEvent{Name: "stall " + e.Reason.String(), Ph: "X",
-				Ts: e.Cycle, Dur: e.N, Pid: 1, Tid: int(e.Proc)})
-		case sim.EvQueuePush, sim.EvQueuePop:
-			emit(tefEvent{Name: e.Queue, Ph: "C", Ts: e.Cycle, Pid: 1,
-				Args: map[string]any{"len": e.N}})
-		case sim.EvBusGrant:
-			emit(tefEvent{Name: "bus " + e.Proc.String(), Ph: "X",
-				Ts: e.Cycle, Dur: e.N, Pid: 1, Tid: busTid,
-				Args: map[string]any{"seq": e.Seq}})
-		case sim.EvBypass:
-			emit(tefEvent{Name: "bypass", Ph: "i", Ts: e.Cycle, Pid: 1,
-				Tid: int(e.Proc), S: "t",
-				Args: map[string]any{"seq": e.Seq, "elems": e.N}})
-		case sim.EvFlush:
-			emit(tefEvent{Name: "flush", Ph: "i", Ts: e.Cycle, Pid: 1,
-				Tid: int(e.Proc), S: "t", Args: map[string]any{"seq": e.Seq}})
-		}
-		if bw.err != nil {
-			return bw.err
-		}
-	}
-	bw.writeString("]}\n")
-	return bw.err
-}
-
-// errWriter is the usual sticky-error writer wrapper.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) write(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-func (e *errWriter) writeString(s string) { e.write([]byte(s)) }

@@ -190,7 +190,7 @@ func (s *StallCounts) Total() int64 {
 	return t
 }
 
-// Proc returns the stall cycles summed over the reasons of one unit.
+// ProcTotal returns the stall cycles summed over the reasons of one unit.
 func (s *StallCounts) ProcTotal(p Proc) int64 {
 	var t int64
 	for r, c := range s {
@@ -297,6 +297,9 @@ type Event struct {
 // Consecutive stalls of the same reason are coalesced into a single event
 // whose N grows, which keeps long waits (a 100-cycle memory latency) from
 // bloating the stream.
+//
+// Events are stored in fixed chunks of chunkLen, so a growing stream never
+// copies what it already holds and a reset recorder reuses its chunks.
 type Recorder struct {
 	// MaxEvents bounds the stored stream; 0 means unlimited. Events beyond
 	// the bound are counted in Dropped instead of stored. Stall coalescing
@@ -305,11 +308,17 @@ type Recorder struct {
 	// Dropped counts events discarded because of MaxEvents.
 	Dropped int64
 
-	events []Event
+	// chunks hold the stream: event i is chunks[i/chunkLen][i%chunkLen].
+	// Chunks past the one holding event n-1 are kept from before a Reset.
+	chunks [][]Event
+	n      int // stored events
 	// lastStall[r] is 1+index of the most recent EvStall event for reason r,
 	// used to coalesce consecutive stalled cycles. 0 means none.
 	lastStall [NumStallReasons]int
 }
+
+// chunkLen is the number of events per storage chunk (256 KiB of events).
+const chunkLen = 4096
 
 // NewRecorder returns an empty, unbounded recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -321,19 +330,38 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.Dropped = 0
-	r.events = r.events[:0]
+	r.n = 0
 	r.lastStall = [NumStallReasons]int{}
 }
 
 // Enabled reports whether the recorder is collecting (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Events returns the recorded stream in emission order.
-func (r *Recorder) Events() []Event {
+// Each calls fn on every stored event in emission order. It is the
+// copy-free way to walk the stream; the event pointers stay valid until the
+// next Reset.
+func (r *Recorder) Each(fn func(*Event)) {
 	if r == nil {
+		return
+	}
+	for c := 0; c*chunkLen < r.n; c++ {
+		chunk := r.chunks[c][:min(chunkLen, r.n-c*chunkLen)]
+		for i := range chunk {
+			fn(&chunk[i])
+		}
+	}
+}
+
+// Events returns a copy of the recorded stream in emission order, flattened
+// into one slice (nil when nothing is stored). Walking the stream with Each
+// avoids the copy.
+func (r *Recorder) Events() []Event {
+	if r == nil || r.n == 0 {
 		return nil
 	}
-	return r.events
+	out := make([]Event, 0, r.n)
+	r.Each(func(e *Event) { out = append(out, *e) })
+	return out
 }
 
 // Len returns the number of stored events.
@@ -341,7 +369,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
 // Count returns the number of stored events of one kind.
@@ -350,20 +378,35 @@ func (r *Recorder) Count(k EventKind) int64 {
 		return 0
 	}
 	var n int64
-	for i := range r.events {
-		if r.events[i].Kind == k {
+	r.Each(func(e *Event) {
+		if e.Kind == k {
 			n++
 		}
-	}
+	})
 	return n
 }
 
+// at returns the stored event with index i.
+func (r *Recorder) at(i int) *Event { return &r.chunks[i/chunkLen][i%chunkLen] }
+
+// full reports whether the MaxEvents bound forbids storing another event.
+func (r *Recorder) full() bool { return r.MaxEvents > 0 && r.n >= r.MaxEvents }
+
+// push stores e as the newest event, adding a chunk when the last is full.
+func (r *Recorder) push(e Event) {
+	if r.n/chunkLen == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, chunkLen))
+	}
+	*r.at(r.n) = e
+	r.n++
+}
+
 func (r *Recorder) record(e Event) {
-	if r.MaxEvents > 0 && len(r.events) >= r.MaxEvents {
+	if r.full() {
 		r.Dropped++
 		return
 	}
-	r.events = append(r.events, e)
+	r.push(e)
 }
 
 // Issue records that proc issued the instruction with sequence number seq.
@@ -381,20 +424,7 @@ func (r *Recorder) Stall(cycle int64, reason StallReason) {
 	if r == nil {
 		return
 	}
-	if i := r.lastStall[reason]; i > 0 {
-		e := &r.events[i-1]
-		if e.Cycle+e.N == cycle {
-			e.N++
-			return
-		}
-	}
-	ev := Event{Cycle: cycle, Kind: EvStall, Proc: reason.Proc(), Reason: reason, N: 1}
-	if r.MaxEvents > 0 && len(r.events) >= r.MaxEvents {
-		r.Dropped++
-		return
-	}
-	r.events = append(r.events, ev)
-	r.lastStall[reason] = len(r.events)
+	r.StallSpan(cycle, reason, 1)
 }
 
 // StallSpan records n consecutive stalled cycles starting at cycle as a
@@ -411,18 +441,18 @@ func (r *Recorder) StallSpan(cycle int64, reason StallReason, n int64) {
 		return
 	}
 	if i := r.lastStall[reason]; i > 0 {
-		e := &r.events[i-1]
+		e := r.at(i - 1)
 		if e.Cycle+e.N == cycle {
 			e.N += n
 			return
 		}
 	}
-	if r.MaxEvents > 0 && len(r.events) >= r.MaxEvents {
+	if r.full() {
 		r.Dropped++
 		return
 	}
-	r.events = append(r.events, Event{Cycle: cycle, Kind: EvStall, Proc: reason.Proc(), Reason: reason, N: n})
-	r.lastStall[reason] = len(r.events)
+	r.push(Event{Cycle: cycle, Kind: EvStall, Proc: reason.Proc(), Reason: reason, N: n})
+	r.lastStall[reason] = r.n
 }
 
 // StallN records n consecutive stalled cycles starting at cycle (used by the

@@ -154,3 +154,107 @@ func TestRecorderCountsAndKinds(t *testing.T) {
 		t.Errorf("issue event fields wrong: %+v", ev)
 	}
 }
+
+func TestEachNilAndOrder(t *testing.T) {
+	var nilRec *Recorder
+	nilRec.Each(func(*Event) { t.Error("nil recorder yielded an event") })
+
+	r := NewRecorder()
+	const n = 2*chunkLen + 3
+	for i := int64(0); i < n; i++ {
+		r.Issue(i, ProcAP, i, "x")
+	}
+	var next int64
+	r.Each(func(e *Event) {
+		if e.Seq != next {
+			t.Fatalf("Each yielded seq %d at position %d", e.Seq, next)
+		}
+		next++
+	})
+	if next != n || r.Len() != n || len(r.Events()) != n {
+		t.Errorf("walked %d, Len %d, Events %d; want %d", next, r.Len(), len(r.Events()), n)
+	}
+}
+
+// fillIssues stores n issue events at cycles 0..n-1.
+func fillIssues(r *Recorder, n int) {
+	for i := 0; i < n; i++ {
+		r.Issue(int64(i), ProcFP, int64(i), "x")
+	}
+}
+
+// A stall stored as the last event of a full chunk keeps coalescing after
+// later events open the next chunk.
+func TestStallCoalescesAcrossChunkBoundary(t *testing.T) {
+	r := NewRecorder()
+	fillIssues(r, chunkLen-1)
+	r.Stall(100, StallAPBus) // event chunkLen-1, the last of chunk 0
+	r.Issue(100, ProcVP, 0, "y")
+	r.Stall(101, StallAPBus)
+	r.StallSpan(102, StallAPBus, 5)
+	if r.Len() != chunkLen+1 {
+		t.Fatalf("Len = %d, want %d", r.Len(), chunkLen+1)
+	}
+	ev := r.Events()
+	if e := ev[chunkLen-1]; e.Kind != EvStall || e.Cycle != 100 || e.N != 7 {
+		t.Errorf("boundary stall = %+v, want cycle 100 N 7", e)
+	}
+	if e := ev[chunkLen]; e.Kind != EvIssue || e.Label != "y" {
+		t.Errorf("first event of chunk 1 = %+v", e)
+	}
+}
+
+// MaxEvents equal to the chunk size stops storing exactly at the chunk's
+// end, while coalescing into the full chunk continues.
+func TestMaxEventsAtChunkSize(t *testing.T) {
+	r := NewRecorder()
+	r.MaxEvents = chunkLen
+	fillIssues(r, chunkLen-1)
+	r.StallSpan(100, StallVPData, 2)
+	r.Issue(102, ProcFP, 0, "dropped")
+	r.Stall(102, StallVPData)       // coalesces: N 3
+	r.Stall(200, StallVPData)       // gap: dropped
+	r.StallSpan(300, StallAPBus, 9) // new reason: dropped as one
+	r.StallN(400, StallAPBus, 4)
+	if r.Len() != chunkLen || r.Dropped != 4 {
+		t.Errorf("Len %d Dropped %d, want %d and 4", r.Len(), r.Dropped, chunkLen)
+	}
+	if len(r.chunks) != 1 {
+		t.Errorf("bounded recorder allocated %d chunks, want 1", len(r.chunks))
+	}
+	if e := r.Events()[chunkLen-1]; e.Cycle != 100 || e.N != 3 {
+		t.Errorf("last stored stall = %+v, want cycle 100 N 3", e)
+	}
+}
+
+// Recording into a reset recorder reuses its chunks and records exactly
+// what a fresh recorder does.
+func TestResetReusesChunks(t *testing.T) {
+	const n = 3*chunkLen + 5
+	record := func(r *Recorder) {
+		for i := 0; i < n; i++ {
+			r.Issue(int64(2*i), ProcSP, int64(i), "x")
+			r.Stall(int64(2*i), StallSPData)
+		}
+	}
+	r := NewRecorder()
+	record(r)
+	allocs := testing.AllocsPerRun(5, func() {
+		r.Reset()
+		record(r)
+	})
+	if allocs != 0 {
+		t.Errorf("recording into a reset recorder allocated %.0f times, want 0", allocs)
+	}
+	fresh := NewRecorder()
+	record(fresh)
+	got, want := r.Events(), fresh.Events()
+	if len(got) != len(want) {
+		t.Fatalf("reset recorder stored %d events, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: reset %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+}

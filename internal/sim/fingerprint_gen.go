@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:b7eb976d6296d2d4eadf491be07cdf7d302399d35fe0d81b795192ad5ef0fba5"
+const ModelFingerprint = "mh1:b1d50e0faf41b6ee35a84786a2306ded1bfd50daa254c8d79882fb1400fa271d"
