@@ -142,10 +142,10 @@ func TestOOOArenaReuseEquivalence(t *testing.T) {
 // different program under the identical config — must not inherit any of it
 // (a stale wake time would let a unit oversleep, a stale dirty bit would
 // step it spuriously, stale stall debt would corrupt the counters).
-// Alternating recorder-off and recorder-on runs crosses the two stall
-// accounting regimes on the same pooled machine: the off-run leaves debt
-// bookkeeping (lastStep) behind, the on-run leaves replayed per-cycle
-// streams, and each must reset away byte-exactly for the other.
+// Alternating recorder-off and recorder-on runs on the same pooled machine
+// checks that the debt bookkeeping (lastStep) a run leaves behind resets
+// away byte-exactly whether or not the next run also settles its debt into
+// an event stream.
 func TestDVAWakeWheelStaleStateReuse(t *testing.T) {
 	progs := workload.Simulated()
 	if len(progs) < 2 {
@@ -161,7 +161,7 @@ func TestDVAWakeWheelStaleStateReuse(t *testing.T) {
 		src := p.CachedTrace(equivalenceScale)
 		name := testName(p.Name, 30, round)
 		if round%2 == 0 {
-			// Recorder-off: bulk stall-debt accounting.
+			// Recorder-off: stall debt settles into the counters only.
 			fresh, err := dva.Run(src, cfg)
 			if err != nil {
 				t.Fatalf("%s: fresh run: %v", name, err)
@@ -172,7 +172,8 @@ func TestDVAWakeWheelStaleStateReuse(t *testing.T) {
 			}
 			assertPooledIdentical(t, name+"/rec-off", fresh, &pooled)
 		} else {
-			// Recorder-on: per-cycle replay, event streams compared too.
+			// Recorder-on: stall debt also settles as spans into the
+			// event stream, compared too.
 			freshRec := sim.NewRecorder()
 			fresh, err := dva.RunRecorded(src, cfg, freshRec)
 			if err != nil {

@@ -1,6 +1,7 @@
 package decvec_test
 
 import (
+	"reflect"
 	"testing"
 
 	"decvec"
@@ -103,5 +104,53 @@ func TestRunSourceCached(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits != 1 || st.Verified != 1 {
 		t.Errorf("warm stats = %+v, want 1 hit / 1 verified", st)
+	}
+}
+
+// TestRunSourceArchAnyCase pins that architecture names resolve in any
+// letter case: a mixed-case spelling runs the same machine as the
+// upper-case name through RunSource, and hits the entry the upper-case
+// name wrote through RunSourceCached.
+func TestRunSourceArchAnyCase(t *testing.T) {
+	store, err := decvec.OpenCache(t.TempDir(), decvec.CacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := decvec.LoadWorkload("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Trace(benchScale)
+	cfg := decvec.DefaultConfig(30)
+
+	for i, c := range []struct{ upper, mixed string }{
+		{"DVA", "Dva"}, {"BYP", "byp"}, {"REF", "ReF"},
+	} {
+		want, err := decvec.RunSource(src, c.upper, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decvec.RunSource(src, c.mixed, cfg)
+		if err != nil {
+			t.Fatalf("RunSource(%q): %v", c.mixed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RunSource(%q) differs from RunSource(%q)", c.mixed, c.upper)
+		}
+
+		if _, err := decvec.RunSourceCached(store, src, c.upper, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		cached, err := decvec.RunSourceCached(store, src, c.mixed, cfg, 0)
+		if err != nil {
+			t.Fatalf("RunSourceCached(%q): %v", c.mixed, err)
+		}
+		if st := store.Stats(); st.Writes != int64(i+1) || st.Hits != int64(i+1) {
+			t.Errorf("%s: stats = %+v, want %d writes and %d hits: %q must share %q's key",
+				c.mixed, st, i+1, i+1, c.mixed, c.upper)
+		}
+		if cached.Arch != want.Arch || cached.Cycles != want.Cycles {
+			t.Errorf("cached %q = %s/%d cycles, want %s/%d", c.mixed, cached.Arch, cached.Cycles, want.Arch, want.Cycles)
+		}
 	}
 }

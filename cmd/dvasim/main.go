@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dvasim -prog BDNA -arch DVA -latency 50 [-bypass] [-loadq 256] [-storeq 16] [-iq 16]
+//	dvasim -prog BDNA -arch DVA -latency 50 [-loadq 256] [-storeq 16] [-iq 16]
 //
 // Observability modes:
 //
@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"decvec"
+	"decvec/internal/sim"
 )
 
 // errQuiet marks machine-readable-output runs that suppress the human
@@ -83,10 +84,11 @@ func run() error {
 	cfg.VADQSize = *storeQ
 	cfg.IQSize = *iq
 	cfg.LatencyJitter = *jitter
-	archName := strings.ToUpper(*arch)
-	if archName == "BYP" {
-		cfg.Bypass = true
+	archName, bypass, err := sim.ParseArch(*arch)
+	if err != nil {
+		return usageError{err}
 	}
+	cfg.Bypass = bypass
 
 	// Recording is only paid for when an event trace was requested; the
 	// metrics summary comes from the Result itself.
@@ -151,7 +153,6 @@ func run() error {
 		}()
 	}
 	var res *decvec.Result
-	var err error
 	if store != nil {
 		res, err = decvec.RunSourceCached(store, src, archName, cfg, *cacheVerify)
 	} else {

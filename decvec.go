@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"decvec/internal/dva"
 	"decvec/internal/experiments"
@@ -208,7 +207,7 @@ func IdealCyclesOf(src trace.Source) int64 {
 }
 
 // RunSource simulates an arbitrary trace source (for example one built
-// with the tracegen kernels) on REF or DVA.
+// with the tracegen kernels) on REF, DVA or BYP, named in any letter case.
 func RunSource(src trace.Source, arch string, cfg Config) (*Result, error) {
 	return RunSourceRecorded(src, arch, cfg, nil)
 }
@@ -216,17 +215,15 @@ func RunSource(src trace.Source, arch string, cfg Config) (*Result, error) {
 // RunSourceRecorded is RunSource with an event recorder attached; pass nil
 // to disable recording (equivalent to RunSource).
 func RunSourceRecorded(src trace.Source, arch string, cfg Config, rec *Recorder) (*Result, error) {
-	switch arch {
-	case "REF", "ref":
-		return ref.RunRecorded(src, cfg, rec)
-	case "DVA", "dva", "BYP", "byp":
-		if arch == "BYP" || arch == "byp" {
-			cfg.Bypass = true
-		}
-		return dva.RunRecorded(src, cfg, rec)
-	default:
-		return nil, fmt.Errorf("decvec: unknown architecture %q (want REF, DVA or BYP)", arch)
+	core, bypass, err := sim.ParseArch(arch)
+	if err != nil {
+		return nil, fmt.Errorf("decvec: %w", err)
 	}
+	if core == "REF" {
+		return ref.RunRecorded(src, cfg, rec)
+	}
+	cfg.Bypass = cfg.Bypass || bypass
+	return dva.RunRecorded(src, cfg, rec)
 }
 
 // MetricsJSON renders a result — cycle counts, state breakdown, stall
@@ -282,15 +279,15 @@ func RunSourceCached(store *CacheStore, src trace.Source, arch string, cfg Confi
 	if store == nil {
 		return simulate()
 	}
-	// BYP is DVA with the bypass bit set: canonicalize so a -arch BYP run
-	// shares its entry with the equivalent DVA+Bypass run (and with the
-	// entries dvabench writes).
-	keyArch := strings.ToUpper(arch)
-	keyCfg := cfg
-	if keyArch == "BYP" {
-		keyArch = "DVA"
-		keyCfg.Bypass = true
+	// BYP parses to DVA with the bypass bit set, so a -arch BYP run shares
+	// its entry with the equivalent DVA+Bypass run (and with the entries
+	// dvabench writes).
+	keyArch, bypass, err := sim.ParseArch(arch)
+	if err != nil {
+		return nil, fmt.Errorf("decvec: %w", err)
 	}
+	keyCfg := cfg
+	keyCfg.Bypass = cfg.Bypass || bypass
 	th, err := simcache.TraceHash(src)
 	if err != nil {
 		return simulate()

@@ -64,9 +64,9 @@ func assertIdentical(t *testing.T, fast, slow *sim.Result) {
 }
 
 // assertSameEvents fails the test unless both recorders saw the same stream.
-// The fast path records a skipped idle window by extending the stall events
-// of the window's first cycle, which must reproduce the per-cycle coalescing
-// exactly.
+// The fast path records a sleeping unit's stalls as one span per reason when
+// the unit wakes (or the run ends), extending the event the unit emitted
+// before it slept, which must reproduce the per-cycle coalescing exactly.
 func assertSameEvents(t *testing.T, fast, slow *sim.Recorder) {
 	t.Helper()
 	fe, se := fast.Events(), slow.Events()

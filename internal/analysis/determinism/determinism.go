@@ -10,22 +10,17 @@
 //   - the globally-seeded math/rand functions (rand.Intn, rand.Int63, ...;
 //     an explicitly seeded rand.New(rand.NewSource(seed)) is fine),
 //   - spawning goroutines (scheduling order is nondeterministic, and the
-//     per-cycle tick/issue paths must stay single-threaded),
-//   - importing the persistent result cache (internal/simcache) or the
-//     simulation server (internal/server): both sit above the models —
-//     simcache serializes model results and the server schedules runs — so
-//     a model depending on either would invert the layering, and external
-//     state leaking into a simulation would break reproducibility in ways
-//     no local check could see.
+//     per-cycle tick/issue paths must stay single-threaded).
 //
 // Concurrency and randomness belong in the packages above the models
-// (experiments, tracegen), which seed and order their work explicitly.
+// (experiments, tracegen), which seed and order their work explicitly. That
+// the models import nothing above them — the result cache, the server —
+// is the layerdag analyzer's rule, not this one's.
 package determinism
 
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 
 	"decvec/internal/analysis"
 )
@@ -68,7 +63,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		checkImports(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
@@ -82,30 +76,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// upperLayers maps package basenames that sit above the models — and must
-// never be imported by them — to the reason the dependency is inverted.
-var upperLayers = map[string]string{
-	"simcache": "the result cache depends on the models, never the reverse",
-	"server":   "the serving layer schedules model runs, never the reverse",
-}
-
-// checkImports flags model packages that import a layer above them (the
-// persistent result cache or the simulation server). Those layers depend on
-// the models; the reverse dependency would be a layering inversion, and any
-// external state feeding back into a simulation would silently break
-// bit-reproducibility.
-func checkImports(pass *analysis.Pass, file *ast.File) {
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		if reason, ok := upperLayers[analysis.PathBase(path)]; ok {
-			pass.Reportf(imp.Pos(), "model package %s imports %s: %s", pass.Pkg.Name(), path, reason)
-		}
-	}
 }
 
 func checkRange(pass *analysis.Pass, rs *ast.RangeStmt) {

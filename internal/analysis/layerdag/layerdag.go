@@ -1,7 +1,7 @@
 // Package layerdag implements the declint analyzer that enforces the
-// repository's package-layer DAG on every import edge. It generalizes the
-// determinism analyzer's ad-hoc "models must not import simcache/server"
-// bans into a complete declared architecture, and is the gate for the
+// repository's package-layer DAG on every import edge. It is the one owner
+// of import rules — "models must not import simcache or server" included —
+// as a complete declared architecture, and is the gate for the
 // planned pkg/ engine split: a package that is not assigned to a layer is
 // itself a diagnostic, so new packages must take a position in the DAG
 // before they can land.

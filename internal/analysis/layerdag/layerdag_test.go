@@ -9,5 +9,5 @@ import (
 
 func TestLayerDAG(t *testing.T) {
 	analysis.RunTest(t, "../testdata", layerdag.Analyzer,
-		"layers/isa", "layers/server", "layers/sim", "layers/dva", "layers/mystery")
+		"layers/isa", "layers/server", "layers/simcache", "layers/sim", "layers/dva", "layers/mystery")
 }

@@ -5,9 +5,6 @@ package dva
 import (
 	"math/rand"
 	"time"
-
-	"server"   // want "model package dva imports server: the serving layer schedules model runs, never the reverse"
-	"simcache" // want "model package dva imports simcache: the result cache depends on the models, never the reverse"
 )
 
 type state struct {
@@ -46,14 +43,6 @@ func seededRand(seed int64) int {
 
 func spawn(ch chan<- int) {
 	go func() { ch <- 1 }() // want "goroutine spawned in model package dva"
-}
-
-func persist() error {
-	return simcache.Open("/nonexistent")
-}
-
-func serve() error {
-	return server.New()
 }
 
 func suppressed() time.Time {

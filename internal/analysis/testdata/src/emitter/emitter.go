@@ -72,7 +72,7 @@ func (m *machine) cheapNote() {
 	m.rec.Note("tick")
 }
 
-// bulkSpan mirrors the idle-skip accounting call sites: pre-built payloads
+// bulkSpan mirrors the stall-debt settlement call sites: pre-built payloads
 // and integer weights are cheap arguments, so no guard is required.
 func (m *machine) bulkSpan(p sim.Payload, skipped int64) {
 	m.rec.EmitSpan(p, skipped)
@@ -84,8 +84,8 @@ func (m *machine) bulkSpanUnguarded(lo, hi int64) {
 	m.rec.EmitSpan(sim.Payload{A: lo}, hi-lo) // want "composite-literal payload built in a Recorder call"
 }
 
-// bulkSpanGuarded is the same site with the guard hoisted, as the machines'
-// skipTo helpers do.
+// bulkSpanGuarded is the same site with the guard hoisted, the shape any
+// emission that builds its payload at the call must take.
 func (m *machine) bulkSpanGuarded(lo, hi int64) {
 	if m.rec != nil {
 		m.rec.EmitSpan(sim.Payload{A: lo}, hi-lo)

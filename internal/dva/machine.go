@@ -76,9 +76,9 @@ type machine struct {
 	sReady [isa.NumSRegs]int64
 
 	// Vector processor.
-	vRegs   [isa.NumVRegs]vreg
-	fu1Busy int64
-	fu2Busy int64
+	vRegs    [isa.NumVRegs]vreg
+	fu1Busy  int64
+	fu2Busy  int64
 	qmovBusy []int64
 	// drains is a fixed ring of in-flight AVDQ→V-register QMOV completions,
 	// FIFO by drainHead/drainLen. Every drain owns the AVDQ slot it is
@@ -104,12 +104,11 @@ type machine struct {
 	rec *sim.Recorder
 
 	lastProgress int64
-	// cycleStalls[:nCycleStalls] lists the stall reasons recorded during the
-	// current cycle, in emission order. On a cycle with no progress every
-	// later cycle up to the event horizon repeats them exactly, so the
-	// idle-skip fast path replays this list over the whole skipped span. A
-	// fixed array: each unit stalls at most once per cycle, so the hot
-	// stall() path is two stores instead of an append.
+	// cycleStalls[:nCycleStalls] lists the stall reasons emitted by the units
+	// that stepped during the current cycle, in emission order. The run loop
+	// tallies them once per cycle, and the wake wheel caches each unit's
+	// share as the reasons it owes for every cycle it then sleeps. A fixed
+	// array, so the hot stall() path is two stores instead of an append.
 	cycleStalls  [8]sim.StallReason
 	nCycleStalls int32
 	// mutated marks a cycle that changed machine state without making
@@ -133,16 +132,15 @@ type machine struct {
 	// step this cycle; high half: step next cycle, covering queue-entry
 	// visibility) raised by queue mutations through the queues' wake
 	// wiring. stallCache[u][:stallN[u]] holds the stall reasons a sleeping
-	// unit replays on every skipped cycle. Fixed-size arrays throughout: the
+	// unit owes for every slept cycle. Fixed-size arrays throughout: the
 	// scheduler adds no allocation to the hot path.
 	wake       [numUnits]int64
 	dirty      uint32
 	stallCache [numUnits][2]sim.StallReason
 	stallN     [numUnits]int8
-	// lastStep[u] is the cycle unit u last stepped at; recorder-off fast
-	// runs use it to settle a woken unit's slept-cycle stall counts in one
-	// multiplication instead of replaying them per cycle (see tickUnit and
-	// settleStallDebt).
+	// lastStep[u] is the cycle unit u last stepped at; the fast path uses it
+	// to settle a woken unit's slept-cycle stalls in one multiplication and
+	// one recorder span instead of replaying them per cycle (see settleStall).
 	lastStep [numUnits]int64
 	// progressCount counts progress() calls; tickUnit diffs it across one
 	// step to detect that the unit acted (a store start, for instance,
@@ -287,8 +285,8 @@ func (m *machine) run() error {
 		// pressure, so a long load streak cannot starve stores into
 		// overflowing their queues. The unit order is identical in both
 		// modes; the fast path merely replaces each step call with a wake-
-		// wheel tick that replays the unit's cached stalls instead of
-		// stepping it when nothing it reads has changed (see sched.go).
+		// wheel tick that leaves the unit asleep, owing its cached stalls,
+		// when nothing it reads has changed (see sched.go).
 		if fast {
 			m.tickUnit(uFP)
 			if m.storePressure() {
@@ -329,7 +327,7 @@ func (m *machine) run() error {
 			m.stalls[r]++
 		}
 		if m.finished() {
-			if fast && m.rec == nil {
+			if fast {
 				m.settleStallDebt()
 			}
 			return nil
@@ -364,26 +362,15 @@ func (m *machine) run() error {
 }
 
 // skipTo bulk-accounts the idle span [m.now, h) and jumps m.now to h. During
-// the span every cycle repeats the cycle just simulated: its stalls recur
-// verbatim (replayed from cycleStalls into the counters and, as one span
-// event, into the recorder), the (FU2, FU1, LD) state and the data-queue
-// occupancies are constant. The queues' own occupancy integrals need no
-// help: they accumulate lazily from timestamped push/pop deltas, so a time
-// jump composes exactly.
+// the span every cycle repeats the cycle just simulated: the (FU2, FU1, LD)
+// state and the data-queue occupancies are constant. Its stalls need no
+// accounting here: every unit sleeps across the span, and stall-debt
+// settlement charges each one's cached reasons for the whole sleep when it
+// next steps (tickUnit) or at end of run (settleStallDebt). The queues' own
+// occupancy integrals accumulate lazily from timestamped push/pop deltas, so
+// a time jump composes exactly.
 func (m *machine) skipTo(h int64) {
 	n := h - m.now
-	if m.rec != nil {
-		// With a recorder the counters track the replayed event stream cycle
-		// for cycle, so the skipped span is added here in bulk. Recorder-off
-		// runs leave this to stall-debt settlement: every unit is asleep
-		// across the span, and its cached reasons are charged for the whole
-		// sleep when it next steps (tickUnit) or at end of run
-		// (settleStallDebt) — adding them here too would double-count.
-		for _, r := range m.cycleStalls[:m.nCycleStalls] {
-			m.stalls.Add(r, n)
-			m.rec.StallSpan(m.now, r, n)
-		}
-	}
 	fu2 := m.now < m.fu2Busy
 	fu1 := m.now < m.fu1Busy
 	ld := m.bus.BusyAt(m.now)
@@ -458,8 +445,8 @@ func (m *machine) sample() {
 // when recording, emits the matching event. The reason is noted in
 // cycleStalls; the run loop batches the counter increments once per cycle
 // (keeping this, the most-called function of the stalled phases, under the
-// inlining budget) and the idle-skip fast path replays the same list over a
-// skipped span.
+// inlining budget), and a unit that goes to sleep on the stall owes the same
+// reason for every slept cycle (see settleStall).
 func (m *machine) stall(r sim.StallReason) {
 	m.cycleStalls[m.nCycleStalls] = r
 	m.nCycleStalls++

@@ -229,11 +229,7 @@ func (m *machine) queueStatsInto(qs []sim.QueueStat) []sim.QueueStat {
 // overwriting every field. Histograms are copied out of the machine (not
 // aliased) so res stays valid after the machine's next run.
 func (m *machine) assembleResult(res *sim.Result) {
-	arch := "DVA"
-	if m.cfg.Bypass {
-		arch = "BYP"
-	}
-	res.Arch = arch
+	res.Arch = sim.ArchName("DVA", m.cfg.Bypass)
 	res.Config = m.cfg
 	res.Cycles = m.now
 	res.States = m.states

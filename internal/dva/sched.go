@@ -6,10 +6,12 @@ package dva
 // unit's step function only executes when the unit is *due* (the cycle
 // reached its wake time) or *dirty* (a queue its decisions read mutated
 // since it last stepped). A unit that steps without acting goes back to
-// sleep: its stall reasons are cached and replayed verbatim on every
-// skipped cycle, so the stall counters and the recorded event stream stay
-// bit-identical to the SlowTick reference, and its wake time is recomputed
-// as the earliest strictly-future timestamp its decision predicates read.
+// sleep: its stall reasons are cached, and when it next steps (or the run
+// ends) they are charged for every slept cycle at once — to the counters and
+// as one recorder span per reason — so the stall counters and the recorded
+// event stream stay bit-identical to the SlowTick reference. Its wake time
+// is recomputed as the earliest strictly-future timestamp its decision
+// predicates read.
 // The whole-machine idle skip is the degenerate all-units-asleep case: on a
 // cycle with no progress and no mutation every dirty bit is provably clear
 // (every queue mutation lives inside a progressing step), so the machine
@@ -31,8 +33,9 @@ package dva
 //   - cross-unit timestamps only grow (bus reservations extend busy spans,
 //     never shrink them), and the one cross-unit predicate without a dirty
 //     bit — the bus — is checked last in every step function, after every
-//     stall it could mask, so a unit sleeping on an earlier stall replays
-//     it correctly no matter what the bus does meanwhile.
+//     stall it could mask, so a unit sleeping on an earlier stall owes
+//     exactly that stall for every slept cycle, whatever the bus does
+//     meanwhile.
 //
 // Register scoreboards (aReady, sReady, vRegs), functional units, QMOV
 // units, the bypass unit, the store engine and the disambiguation memo are
@@ -119,30 +122,17 @@ func (m *machine) wireWake() {
 }
 
 // tickUnit runs unit u's slot of the current cycle: step it when due or
-// dirty, otherwise replay its cached stall reasons (each replayed reason
-// goes through stall(), so counters and the recorder see exactly what a
-// stepped re-stall would have emitted). Recorder-off runs skip even the
-// replay — a sleeping unit costs two loads and a branch — and settle the
-// slept cycles' stall counts in bulk when the unit next steps (the cached
-// reasons are exactly what every slept cycle would have emitted, so
-// count × cycles is exact); see settleStallDebt for the end-of-run flush.
+// dirty, otherwise leave it asleep — a sleeping unit costs two loads and a
+// branch. The slept cycles are settled in bulk when the unit next steps:
+// its cached stall reasons are exactly what every slept cycle would have
+// emitted, so charging each reason once per slept cycle is exact (see
+// settleStall, and settleStallDebt for the end-of-run flush).
 // declint:hotpath
 func (m *machine) tickUnit(u int) {
 	if m.dirty&(1<<u) == 0 && m.now < m.wake[u] {
-		if m.rec != nil {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stall(m.stallCache[u][i])
-			}
-		}
 		return
 	}
-	if m.rec == nil {
-		if d := m.now - m.lastStep[u] - 1; d > 0 {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stalls.Add(m.stallCache[u][i], d)
-			}
-		}
-	}
+	m.settleStall(u, m.now-m.lastStep[u]-1)
 	m.lastStep[u] = m.now
 	wasDirty := m.dirty&(1<<u) != 0
 	m.dirty &^= 1 << u
@@ -190,19 +180,32 @@ func (m *machine) tickUnit(u int) {
 	m.wake[u] = m.unitWake(u)
 }
 
+// settleStall charges unit u's cached stall reasons for the d cycles it
+// slept after its last step, to the counters and, as one span per reason,
+// to the recorder. The span starts at lastStep+1, where the event the unit
+// emitted at lastStep ends, so the recorder coalesces it into that event
+// and the stream stays bit-identical to the per-cycle SlowTick reference.
+// declint:hotpath
+func (m *machine) settleStall(u int, d int64) {
+	if d <= 0 {
+		return
+	}
+	for i := int8(0); i < m.stallN[u]; i++ {
+		r := m.stallCache[u][i]
+		m.stalls.Add(r, d)
+		m.rec.StallSpan(m.lastStep[u]+1, r, d)
+	}
+}
+
 // settleStallDebt flushes every unit's outstanding stall debt at the end of
-// a recorder-off fast run. A unit asleep since its last step would, in the
-// reference mode, have stepped and re-stalled with its cached reasons on
-// every cycle through the terminal one, so each reason is owed
-// now-lastStep cycles (the stall at lastStep itself was batched normally
-// that cycle). Units that stepped on the terminal cycle owe nothing.
+// a fast run. A unit asleep since its last step would, in the reference
+// mode, have stepped and re-stalled with its cached reasons on every cycle
+// through the terminal one, so each reason is owed now-lastStep cycles (the
+// stall at lastStep itself was batched normally that cycle). Units that
+// stepped on the terminal cycle owe nothing.
 func (m *machine) settleStallDebt() {
 	for u := 0; u < numUnits; u++ {
-		if d := m.now - m.lastStep[u]; d > 0 {
-			for i := int8(0); i < m.stallN[u]; i++ {
-				m.stalls.Add(m.stallCache[u][i], d)
-			}
-		}
+		m.settleStall(u, m.now-m.lastStep[u])
 	}
 }
 

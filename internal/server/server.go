@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +38,7 @@ import (
 	"decvec/internal/report"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
+	"decvec/internal/sweep"
 	"decvec/internal/trace"
 	"decvec/internal/workload"
 )
@@ -300,6 +300,12 @@ func (req *SimulateRequest) config() (sim.Config, experiments.Arch, error) {
 	if req.Latency <= 0 {
 		return sim.Config{}, "", fmt.Errorf("latency must be positive, got %d", req.Latency)
 	}
+	// BYP parses to DVA with the bypass bit set, so the request shares cache
+	// entries and coalescing with the equivalent DVA run.
+	core, bypass, err := sim.ParseArch(req.Arch)
+	if err != nil {
+		return sim.Config{}, "", err
+	}
 	cfg := sim.DefaultConfig(req.Latency)
 	if req.LoadQ > 0 {
 		cfg.AVDQSize = req.LoadQ
@@ -313,22 +319,8 @@ func (req *SimulateRequest) config() (sim.Config, experiments.Arch, error) {
 	if req.Jitter > 0 {
 		cfg.LatencyJitter = req.Jitter
 	}
-	if req.Bypass {
-		cfg.Bypass = true
-	}
-	// BYP is DVA with the bypass bit set: canonicalize so the request
-	// shares cache entries and coalescing with the equivalent DVA run.
-	arch := experiments.Arch(strings.ToUpper(req.Arch))
-	if arch == "BYP" {
-		arch = experiments.DVA
-		cfg.Bypass = true
-	}
-	switch arch {
-	case experiments.REF, experiments.DVA:
-		return cfg, arch, nil
-	default:
-		return sim.Config{}, "", fmt.Errorf("unknown architecture %q (want REF, DVA or BYP)", req.Arch)
-	}
+	cfg.Bypass = req.Bypass || bypass
+	return cfg, experiments.Arch(core), nil
 }
 
 // requestContext derives the request's work context: the server timeout,
@@ -473,17 +465,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // SweepRequest is the /v1/sweep body: a (program × arch × latency × queue)
-// grid, or an explicit cell list. Empty grid dimensions take the paper
-// defaults (simulated programs, both architectures, the Figure 3-5 latency
+// grid, or an explicit cell list. The grid is a sweep.GridSpec and expands
+// through sweep.Plan, the expander dvasweep uses: empty dimensions take the
+// paper defaults (simulated programs, REF and DVA, the Figure 3-5 latency
 // sweep, default queues).
 type SweepRequest struct {
-	Programs  []string `json:"programs,omitempty"`
-	Archs     []string `json:"archs,omitempty"`
-	Latencies []int64  `json:"latencies,omitempty"`
-	LoadQs    []int    `json:"loadqs,omitempty"`
-	StoreQs   []int    `json:"storeqs,omitempty"`
+	sweep.GridSpec
 	// Cells lists explicit cells instead of a grid (the dvasweep shard
-	// protocol); mutually exclusive with the dimensions above.
+	// protocol); mutually exclusive with the grid dimensions.
 	Cells []SweepCell `json:"cells,omitempty"`
 	// Stream selects the NDJSON streaming response (one SweepRow per cell
 	// in completion order, then a Done trailer) instead of the buffered
@@ -564,92 +553,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// gridPoints computes the point count of a sweep request from its dimension
-// lengths alone (empty dimensions take their default sizes), so an oversized
-// grid is rejected before any program or spec expansion work is spent on it.
-func gridPoints(req *SweepRequest) int {
-	dim := func(n, def int) int {
-		if n == 0 {
-			return def
-		}
-		return n
-	}
-	return dim(len(req.Programs), len(workload.Simulated())) *
-		dim(len(req.Archs), 2) *
-		dim(len(req.Latencies), len(experiments.DefaultLatencies)) *
-		dim(len(req.LoadQs), 1) *
-		dim(len(req.StoreQs), 1)
-}
-
-// sweepGrid expands a sweep request into its program set and run specs,
-// enforcing the grid-size bound — from the request's dimension counts, up
-// front, so an oversized request is refused before it burns allocation and
-// expansion work on a grid that was never going to run.
-func (s *Server) sweepGrid(req *SweepRequest) ([]*workload.Program, []experiments.RunSpec, error) {
-	if points := gridPoints(req); points > s.cfg.MaxSweepPoints {
-		return nil, nil, fmt.Errorf("sweep grid has %d points, cap is %d", points, s.cfg.MaxSweepPoints)
-	}
-	var progs []*workload.Program
-	if len(req.Programs) == 0 {
-		progs = workload.Simulated()
-	} else {
-		for _, name := range req.Programs {
-			p, err := workload.Get(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			progs = append(progs, p)
-		}
-	}
-	archs := req.Archs
-	if len(archs) == 0 {
-		archs = []string{"REF", "DVA"}
-	}
-	lats := req.Latencies
-	if len(lats) == 0 {
-		lats = experiments.DefaultLatencies
-	}
-	loadQs := req.LoadQs
-	if len(loadQs) == 0 {
-		loadQs = []int{0}
-	}
-	storeQs := req.StoreQs
-	if len(storeQs) == 0 {
-		storeQs = []int{0}
-	}
-	var specs []experiments.RunSpec
-	for _, a := range archs {
-		arch := experiments.Arch(strings.ToUpper(a))
-		bypass := false
-		if arch == "BYP" {
-			arch = experiments.DVA
-			bypass = true
-		}
-		if arch != experiments.REF && arch != experiments.DVA {
-			return nil, nil, fmt.Errorf("unknown architecture %q (want REF, DVA or BYP)", a)
-		}
-		for _, l := range lats {
-			if l <= 0 {
-				return nil, nil, fmt.Errorf("latency must be positive, got %d", l)
-			}
-			for _, lq := range loadQs {
-				for _, sq := range storeQs {
-					cfg := sim.DefaultConfig(l)
-					if lq > 0 {
-						cfg.AVDQSize = lq
-					}
-					if sq > 0 {
-						cfg.VADQSize = sq
-					}
-					cfg.Bypass = bypass
-					specs = append(specs, experiments.RunSpec{Arch: arch, Cfg: cfg})
-				}
-			}
-		}
-	}
-	return progs, specs, nil
 }
 
 // Compile-time checks: the gates satisfy the suite's admission interface.

@@ -15,6 +15,7 @@ import (
 
 	"decvec/internal/report"
 	"decvec/internal/simcache"
+	"decvec/internal/sweep"
 	"decvec/internal/trace"
 	"decvec/internal/workload"
 )
@@ -425,11 +426,11 @@ func TestShutdownRunsFinalGC(t *testing.T) {
 
 func TestStatszAndSweep(t *testing.T) {
 	srv, ts := testServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{
 		Programs:  []string{"BDNA", "TRFD"},
 		Archs:     []string{"REF", "DVA"},
 		Latencies: []int64{1, 50},
-	})
+	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep: %s: %s", resp.Status, body)
 	}
@@ -480,11 +481,11 @@ func TestStatszAndSweep(t *testing.T) {
 
 func TestSweepGridCap(t *testing.T) {
 	_, ts := testServer(t, Config{MaxSweepPoints: 4})
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{
 		Programs:  []string{"BDNA"},
 		Archs:     []string{"REF", "DVA"},
 		Latencies: []int64{1, 10, 20},
-	})
+	}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized sweep: %s (%s), want 400", resp.Status, body)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"decvec/internal/experiments"
 	"decvec/internal/simcache"
+	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
 
@@ -43,7 +44,9 @@ type SweepRow struct {
 }
 
 // sweepJobs expands a sweep request — explicit cells or a rectangular grid —
-// into batch jobs, enforcing the point cap before any expansion.
+// into batch jobs, enforcing the point cap before any expansion. A grid
+// compiles to a sweep.Plan, which counts its points from the dimension
+// lengths alone, and its jobs come out in plan order.
 func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
 	if len(req.Cells) > 0 {
 		if len(req.Programs)+len(req.Archs)+len(req.Latencies)+len(req.LoadQs)+len(req.StoreQs) > 0 {
@@ -67,15 +70,16 @@ func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
 		}
 		return jobs, nil
 	}
-	progs, specs, err := s.sweepGrid(req)
+	plan, err := sweep.NewPlan(req.GridSpec)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]experiments.BatchJob, 0, len(progs)*len(specs))
-	for _, p := range progs {
-		for _, spec := range specs {
-			jobs = append(jobs, experiments.BatchJob{Program: p, Arch: spec.Arch, Cfg: spec.Cfg})
-		}
+	if n := plan.Points(); n > s.cfg.MaxSweepPoints {
+		return nil, fmt.Errorf("sweep grid has %d points, cap is %d", n, s.cfg.MaxSweepPoints)
+	}
+	jobs := make([]experiments.BatchJob, plan.Points())
+	for i := range jobs {
+		jobs[i] = plan.Cell(i).Job()
 	}
 	return jobs, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"decvec/internal/sim"
+	"decvec/internal/sweep"
 )
 
 // Explicit cells are the dvasweep shard protocol: arbitrary cell lists,
@@ -41,7 +43,7 @@ func TestSweepCellsMode(t *testing.T) {
 func TestSweepCellsExclusiveWithGrid(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
-		Programs: []string{"BDNA"},
+		GridSpec: sweep.GridSpec{Programs: []string{"BDNA"}},
 		Cells:    []SweepCell{{Program: "BDNA", Arch: "DVA", Latency: 1}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -87,12 +89,96 @@ func TestSweepGridCapComputedFromDimensions(t *testing.T) {
 	_, ts := testServer(t, Config{MaxSweepPoints: 4})
 	// No explicit programs or archs: the defaults (6 programs × 2 archs)
 	// must still count toward the product.
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Latencies: []int64{1}})
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{Latencies: []int64{1}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("default-dimension grid of 12 points under cap 4: %s, want 400", resp.Status)
 	}
 	if !strings.Contains(string(body), "12 points") {
 		t.Errorf("rejection does not carry the computed count: %s", body)
+	}
+}
+
+// Grid mode runs on sweep.Plan, the expander dvasweep uses: points come back
+// in plan.Cell(i) order under the plan's defaults, with BYP resolved to the
+// bypassing DVA and the plan's validation. Negative loadqs/storeqs therefore
+// answer 400 — NewPlan rejects them, where dvad's former grid expander
+// silently fell back to the default queues.
+func TestSweepGridMatchesPlanOrder(t *testing.T) {
+	srv, ts := testServer(t, Config{MaxSweepPoints: 12})
+	for _, tc := range []struct {
+		spec sweep.GridSpec
+		body any // the wire form, when it should be spelled out
+	}{
+		// Default programs and archs: 6 × 2 × 1 = 12 points, at the cap.
+		{spec: sweep.GridSpec{Latencies: []int64{1}}},
+		{
+			spec: sweep.GridSpec{
+				Programs: []string{"TRFD", "BDNA"}, Archs: []string{"byp", "REF"},
+				Latencies: []int64{50}, LoadQs: []int{4, 0}, StoreQs: []int{8},
+			},
+			body: map[string]any{
+				"programs": []string{"TRFD", "BDNA"}, "archs": []string{"byp", "REF"},
+				"latencies": []int64{50}, "loadqs": []int{4, 0}, "storeqs": []int{8},
+			},
+		},
+	} {
+		plan, err := sweep.NewPlan(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := tc.body
+		if body == nil {
+			body = SweepRequest{GridSpec: tc.spec}
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/sweep", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("grid %+v: %s (%s)", tc.spec, resp.Status, raw)
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(raw, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if len(sr.Points) != plan.Points() {
+			t.Fatalf("grid %+v: %d points, plan has %d", tc.spec, len(sr.Points), plan.Points())
+		}
+		for i, p := range sr.Points {
+			c := plan.Cell(i)
+			want := SweepPoint{
+				Program: c.Program.Name, Arch: string(c.Arch), Latency: c.Cfg.MemLatency,
+				LoadQ: c.Cfg.AVDQSize, StoreQ: c.Cfg.VADQSize, Cycles: p.Cycles, IPC: p.IPC,
+			}
+			if p != want || p.Cycles <= 0 {
+				t.Errorf("grid %+v point %d = %+v, want plan cell %+v", tc.spec, i, p, want)
+			}
+		}
+		// Every plan cell, at its exact config (bypass bit included), is
+		// already in the suite's cache: the sweep ran these cells and no
+		// others.
+		before := srv.Suite().Simulations()
+		for i := 0; i < plan.Points(); i++ {
+			c := plan.Cell(i)
+			if _, err := srv.Suite().RunCtx(context.Background(), c.Program, c.Arch, c.Cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := srv.Suite().Simulations() - before; n != 0 {
+			t.Errorf("grid %+v: %d plan cells were not the cells the sweep ran", tc.spec, n)
+		}
+	}
+
+	for _, spec := range []sweep.GridSpec{
+		{Programs: []string{"BDNA"}, Latencies: []int64{1}, LoadQs: []int{-1}},
+		{Programs: []string{"BDNA"}, Latencies: []int64{1}, StoreQs: []int{-4}},
+	} {
+		if resp, raw := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: spec}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("negative queue grid %+v: %s (%s), want 400", spec, resp.Status, raw)
+		}
+	}
+
+	_, capped := testServer(t, Config{MaxSweepPoints: 11})
+	resp, raw := postJSON(t, capped.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{Latencies: []int64{1}}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "12 points") {
+		t.Errorf("12-point grid under cap 11: %s (%s), want 400 naming 12 points", resp.Status, raw)
 	}
 }
 

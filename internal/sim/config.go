@@ -4,6 +4,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"decvec/internal/isa"
 )
@@ -159,14 +160,35 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// ParseArch resolves an architecture name, in any letter case, to the core
+// that simulates it: "REF" or "DVA". The §7 bypass machine BYP is not a
+// third core but the DVA with Config.Bypass set, so it parses to ("DVA",
+// true); every spelling of one machine then shares its cache key.
+func ParseArch(name string) (core string, bypass bool, err error) {
+	switch strings.ToUpper(name) {
+	case "REF":
+		return "REF", false, nil
+	case "DVA":
+		return "DVA", false, nil
+	case "BYP":
+		return "DVA", true, nil
+	}
+	return "", false, fmt.Errorf("unknown architecture %q (want REF, DVA or BYP)", name)
+}
+
+// ArchName is the inverse of ParseArch: the name of core with the bypass
+// unit on or off, "BYP" for a bypassing DVA and core itself otherwise.
+func ArchName(core string, bypass bool) string {
+	if bypass && core == "DVA" {
+		return "BYP"
+	}
+	return core
+}
+
 // String names the configuration in the paper's style, e.g. "DVA 256/16" or
 // "BYP 4/8 L=30".
 func (c *Config) String() string {
-	kind := "DVA"
-	if c.Bypass {
-		kind = "BYP"
-	}
-	return fmt.Sprintf("%s %d/%d L=%d", kind, c.AVDQSize, c.VADQSize, c.MemLatency)
+	return fmt.Sprintf("%s %d/%d L=%d", ArchName("DVA", c.Bypass), c.AVDQSize, c.VADQSize, c.MemLatency)
 }
 
 // AccessLatency returns the effective memory latency of a load issued with

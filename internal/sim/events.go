@@ -429,13 +429,13 @@ func (r *Recorder) Stall(cycle int64, reason StallReason) {
 
 // StallSpan records n consecutive stalled cycles starting at cycle as a
 // single span, coalescing with the reason's most recent stall event when the
-// span is contiguous with it. It is the bulk emitter of the idle-skip fast
-// path: a skipped idle window repeats the stall pattern of its first cycle,
-// and StallSpan extends the already-recorded events so the stream stays
-// bit-identical to the per-cycle (SlowTick) mode, which coalesces the same
-// cycles one at a time. The only divergence is the Dropped counter of a
-// bounded recorder, which counts one discarded span instead of n discarded
-// cycles.
+// span is contiguous with it. It is the bulk emitter of the DVA wake wheel:
+// a unit that slept repeated its last stall on every slept cycle, and
+// settling that debt with StallSpan extends the event the unit recorded
+// before sleeping, so the stream stays bit-identical to the per-cycle
+// (SlowTick) mode, which coalesces the same cycles one at a time. The only
+// divergence is the Dropped counter of a bounded recorder, which counts one
+// discarded span instead of n discarded cycles.
 func (r *Recorder) StallSpan(cycle int64, reason StallReason, n int64) {
 	if r == nil || n <= 0 {
 		return

@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:b1d50e0faf41b6ee35a84786a2306ded1bfd50daa254c8d79882fb1400fa271d"
+const ModelFingerprint = "mh1:3b8e12b61ebbf1110d74196baa7efaab4fcefd9dbc23b68359bb8710f59178b1"

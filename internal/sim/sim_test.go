@@ -40,6 +40,51 @@ func TestBypassConfig(t *testing.T) {
 	}
 }
 
+// TestParseArch pins the one architecture parser: every letter case of the
+// three names, BYP as the bypassing DVA, ArchName as the exact inverse, and
+// the one error text for anything else.
+func TestParseArch(t *testing.T) {
+	cases := []struct {
+		name   string
+		core   string
+		bypass bool
+		canon  string
+	}{
+		{"REF", "REF", false, "REF"},
+		{"ref", "REF", false, "REF"},
+		{"ReF", "REF", false, "REF"},
+		{"DVA", "DVA", false, "DVA"},
+		{"dva", "DVA", false, "DVA"},
+		{"Dva", "DVA", false, "DVA"},
+		{"BYP", "DVA", true, "BYP"},
+		{"byp", "DVA", true, "BYP"},
+		{"bYp", "DVA", true, "BYP"},
+	}
+	for _, c := range cases {
+		core, bypass, err := ParseArch(c.name)
+		if err != nil {
+			t.Errorf("ParseArch(%q): %v", c.name, err)
+			continue
+		}
+		if core != c.core || bypass != c.bypass {
+			t.Errorf("ParseArch(%q) = (%q, %v), want (%q, %v)", c.name, core, bypass, c.core, c.bypass)
+		}
+		if got := ArchName(core, bypass); got != c.canon {
+			t.Errorf("ArchName(ParseArch(%q)) = %q, want %q", c.name, got, c.canon)
+		}
+	}
+	if got := ArchName("REF", true); got != "REF" {
+		t.Errorf(`ArchName("REF", true) = %q: the bypass unit belongs to the DVA`, got)
+	}
+	for _, bad := range []string{"", "OOO", "DVA ", "BYPASS"} {
+		_, _, err := ParseArch(bad)
+		want := `unknown architecture "` + bad + `" (want REF, DVA or BYP)`
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseArch(%q) error = %v, want %q", bad, err, want)
+		}
+	}
+}
+
 func TestEffVSAQSize(t *testing.T) {
 	cfg := DefaultConfig(1)
 	if cfg.EffVSAQSize() != cfg.VADQSize {

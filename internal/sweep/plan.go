@@ -18,7 +18,6 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 
 	"decvec/internal/experiments"
 	"decvec/internal/sim"
@@ -78,15 +77,11 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 		archs = []string{"REF", "DVA"}
 	}
 	for _, a := range archs {
-		as := archSpec{arch: experiments.Arch(strings.ToUpper(a))}
-		if as.arch == "BYP" {
-			as.arch = experiments.DVA
-			as.bypass = true
+		core, bypass, err := sim.ParseArch(a)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		if as.arch != experiments.REF && as.arch != experiments.DVA {
-			return nil, fmt.Errorf("sweep: unknown architecture %q (want REF, DVA or BYP)", a)
-		}
-		p.archs = append(p.archs, as)
+		p.archs = append(p.archs, archSpec{arch: experiments.Arch(core), bypass: bypass})
 	}
 	p.lats = spec.Latencies
 	if len(p.lats) == 0 {
@@ -142,14 +137,13 @@ type Cell struct {
 	Latency int64
 	LoadQ   int
 	StoreQ  int
-	Bypass  bool
 }
 
 // Cell decodes the i-th cell of plan order: programs outermost, then
-// architectures, latencies, load queues, store queues innermost — the same
-// nesting the dvad grid mode and experiments.WarmCtx enumerate, so a
-// distributed merge compares row-for-row with a local batch of the same
-// grid.
+// architectures, latencies, load queues, store queues innermost — the
+// nesting experiments.WarmCtx enumerates and the order dvad's grid mode
+// answers in, so a distributed merge compares row-for-row with a local batch
+// of the same grid.
 func (p *Plan) Cell(i int) Cell {
 	n := i
 	sq := p.storeQs[n%len(p.storeQs)]
@@ -178,7 +172,6 @@ func (p *Plan) Cell(i int) Cell {
 		Latency: lat,
 		LoadQ:   lq,
 		StoreQ:  sq,
-		Bypass:  a.bypass,
 	}
 }
 

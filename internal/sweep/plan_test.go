@@ -72,8 +72,8 @@ func TestPlanBypassCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.Cell(0)
-	if c.Arch != experiments.DVA || !c.Bypass || !c.Cfg.Bypass {
-		t.Errorf("BYP cell = arch %s bypass %v cfg.Bypass %v, want DVA true true", c.Arch, c.Bypass, c.Cfg.Bypass)
+	if c.Arch != experiments.DVA || !c.Cfg.Bypass {
+		t.Errorf("BYP cell = arch %s cfg.Bypass %v, want DVA true", c.Arch, c.Cfg.Bypass)
 	}
 }
 

@@ -162,13 +162,9 @@ func (r *Remote) Stats() ExecutorStats {
 }
 
 func wireCellOf(c Cell) wireCell {
-	arch := string(c.Arch)
-	if c.Bypass {
-		arch = "BYP"
-	}
 	return wireCell{
 		Program: c.Program.Name,
-		Arch:    arch,
+		Arch:    sim.ArchName(string(c.Arch), c.Cfg.Bypass),
 		Latency: c.Latency,
 		LoadQ:   c.LoadQ,
 		StoreQ:  c.StoreQ,

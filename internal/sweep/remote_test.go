@@ -1,4 +1,4 @@
-package sweep
+package sweep_test
 
 import (
 	"bytes"
@@ -15,12 +15,14 @@ import (
 	"decvec/internal/server"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
+	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
 
 // dvadServer spins a real in-process dvad for the remote executor to talk
 // to; only the test file imports internal/server (test files sit outside
-// the layer DAG).
+// the layer DAG). The server itself imports this package for sweep.Plan,
+// hence the external test package.
 func dvadServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	s := server.New(server.Config{Scale: 0.05})
@@ -38,7 +40,7 @@ func dvadServer(t *testing.T) *httptest.Server {
 
 // canonical is the cell's result as the local suite computes and encodes
 // it — the byte-identity reference for whatever the wire returns.
-func canonical(t *testing.T, suite *experiments.Suite, c Cell) []byte {
+func canonical(t *testing.T, suite *experiments.Suite, c sweep.Cell) []byte {
 	t.Helper()
 	res, err := suite.RunCtx(context.Background(), c.Program, c.Arch, c.Cfg)
 	if err != nil {
@@ -49,6 +51,25 @@ func canonical(t *testing.T, suite *experiments.Suite, c Cell) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// planCells returns every cell of a one-program, one-arch plan of n
+// latencies, in plan order.
+func planCells(t *testing.T, n int) []sweep.Cell {
+	t.Helper()
+	lats := make([]int64, n)
+	for i := range lats {
+		lats[i] = int64(i + 1)
+	}
+	plan, err := sweep.NewPlan(sweep.GridSpec{Programs: []string{"BDNA"}, Archs: []string{"DVA"}, Latencies: lats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]sweep.Cell, plan.Points())
+	for i := range cells {
+		cells[i] = plan.Cell(i)
+	}
+	return cells
 }
 
 func encodeOf(t *testing.T, r *sim.Result) []byte {
@@ -78,12 +99,8 @@ func TestRemoteRetriesAfter429(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 6)
-	cells := make([]Cell, plan.Points())
-	for i := range cells {
-		cells[i] = plan.Cell(i)
-	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 5, Backoff: time.Millisecond})
+	cells := planCells(t, 6)
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 5, Backoff: time.Millisecond})
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -142,12 +159,8 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 6)
-	cells := make([]Cell, plan.Points())
-	for i := range cells {
-		cells[i] = plan.Cell(i)
-	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 3, Backoff: time.Millisecond})
+	cells := planCells(t, 6)
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 3, Backoff: time.Millisecond})
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -170,9 +183,8 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 // same canonical bytes.
 func TestRemoteSingleCellRawPath(t *testing.T) {
 	ts := dvadServer(t)
-	plan := testPlan(t, 3)
-	rr := NewRemote(ts.URL, RemoteOptions{Retries: 2, Backoff: time.Millisecond})
-	cells := []Cell{plan.Cell(1)}
+	rr := sweep.NewRemote(ts.URL, sweep.RemoteOptions{Retries: 2, Backoff: time.Millisecond})
+	cells := planCells(t, 3)[1:2]
 	out, err := rr.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
@@ -189,14 +201,10 @@ func TestRemoteDeadWorkerReportsDown(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from here on
 
-	plan := testPlan(t, 4)
-	cells := make([]Cell, plan.Points())
-	for i := range cells {
-		cells[i] = plan.Cell(i)
-	}
-	rr := NewRemote(dead.URL, RemoteOptions{Retries: 1, Backoff: time.Millisecond})
+	cells := planCells(t, 4)
+	rr := sweep.NewRemote(dead.URL, sweep.RemoteOptions{Retries: 1, Backoff: time.Millisecond})
 	_, err := rr.Run(context.Background(), cells)
-	if !errors.Is(err, ErrWorkerDown) {
+	if !errors.Is(err, sweep.ErrWorkerDown) {
 		t.Fatalf("dead worker error = %v, want ErrWorkerDown", err)
 	}
 }
@@ -213,14 +221,10 @@ func TestRemoteBadRequestIsPermanent(t *testing.T) {
 	}))
 	defer front.Close()
 
-	plan := testPlan(t, 4)
-	cells := make([]Cell, plan.Points())
-	for i := range cells {
-		cells[i] = plan.Cell(i)
-	}
-	rr := NewRemote(front.URL, RemoteOptions{Retries: 3, Backoff: time.Millisecond})
+	cells := planCells(t, 4)
+	rr := sweep.NewRemote(front.URL, sweep.RemoteOptions{Retries: 3, Backoff: time.Millisecond})
 	_, err := rr.Run(context.Background(), cells)
-	if err == nil || errors.Is(err, ErrWorkerDown) {
+	if err == nil || errors.Is(err, sweep.ErrWorkerDown) {
 		t.Fatalf("400 must be a permanent non-down error, got %v", err)
 	}
 	if calls.Load() != 1 {
