@@ -1,6 +1,7 @@
 package decvec_test
 
 import (
+	"context"
 	"testing"
 
 	"decvec"
@@ -22,7 +23,7 @@ func benchExperiment(b *testing.B, name string) {
 	var sims int64
 	for i := 0; i < b.N; i++ {
 		s := decvec.NewSuite(benchScale)
-		if _, err := decvec.RunExperimentWithSuite(s, name); err != nil {
+		if _, err := decvec.RunExperimentCtx(context.Background(), s, name); err != nil {
 			b.Fatal(err)
 		}
 		sims += s.Simulations()
@@ -148,7 +149,7 @@ func BenchmarkFigure3CacheCold(b *testing.B) {
 		b.StartTimer()
 		s := decvec.NewSuite(benchScale)
 		s.Disk = store
-		if _, err := decvec.RunExperimentWithSuite(s, "fig3"); err != nil {
+		if _, err := decvec.RunExperimentCtx(context.Background(), s, "fig3"); err != nil {
 			b.Fatal(err)
 		}
 		sims += s.Simulations()
@@ -175,7 +176,7 @@ func BenchmarkFigure3CacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := decvec.RunExperimentWithSuite(s, "fig3"); err != nil {
+	if _, err := decvec.RunExperimentCtx(context.Background(), s, "fig3"); err != nil {
 		b.Fatal(err)
 	}
 	var sims int64
@@ -185,7 +186,7 @@ func BenchmarkFigure3CacheWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decvec.RunExperimentWithSuite(s, "fig3"); err != nil {
+		if _, err := decvec.RunExperimentCtx(context.Background(), s, "fig3"); err != nil {
 			b.Fatal(err)
 		}
 		sims += s.Simulations()

@@ -1,10 +1,15 @@
 package decvec_test
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"decvec"
+	"decvec/internal/experiments"
+	"decvec/internal/simcache"
+	"decvec/internal/workload"
 )
 
 // cacheSuite returns a fresh suite backed by a store at dir, as dvabench
@@ -34,7 +39,7 @@ func TestCacheEndToEnd(t *testing.T) {
 	cold := cacheSuite(t, dir)
 	want := make(map[string]string)
 	for _, name := range exps {
-		out, err := decvec.RunExperimentWithSuite(cold, name)
+		out, err := decvec.RunExperimentCtx(context.Background(), cold, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +51,7 @@ func TestCacheEndToEnd(t *testing.T) {
 
 	warm := cacheSuite(t, dir)
 	for _, name := range exps {
-		out, err := decvec.RunExperimentWithSuite(warm, name)
+		out, err := decvec.RunExperimentCtx(context.Background(), warm, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +66,7 @@ func TestCacheEndToEnd(t *testing.T) {
 	audit := cacheSuite(t, dir)
 	audit.VerifyFraction = 1.0
 	for _, name := range exps {
-		if _, err := decvec.RunExperimentWithSuite(audit, name); err != nil {
+		if _, err := decvec.RunExperimentCtx(context.Background(), audit, name); err != nil {
 			t.Fatalf("%s: full cache verification failed: %v", name, err)
 		}
 	}
@@ -104,6 +109,84 @@ func TestRunSourceCached(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits != 1 || st.Verified != 1 {
 		t.Errorf("warm stats = %+v, want 1 hit / 1 verified", st)
+	}
+}
+
+// TestRunSourceCachedSharesSuiteEntries pins that dvasim and dvabench share
+// cache entries: a workload run the Suite stored as DVA+Bypass is a hit for
+// RunSourceCached on the same trace spelled "byp".
+func TestRunSourceCachedSharesSuiteEntries(t *testing.T) {
+	store, err := decvec.OpenCache(t.TempDir(), decvec.CacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.Get("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := decvec.DefaultConfig(30)
+	bypCfg := cfg
+	bypCfg.Bypass = true
+	s := decvec.NewSuite(1)
+	s.Disk = store
+	want, err := s.RunCtx(context.Background(), p, experiments.DVA, bypCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := decvec.LoadWorkload("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decvec.RunSourceCached(store, w.Trace(1), "byp", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Writes != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want the Suite's write hit by RunSourceCached", st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("cached result differs from the Suite's run")
+	}
+}
+
+// TestRunSourceCachedVerifyDetectsTamper pins that RunSourceCached's verify
+// fraction audits hits: a stored result no model produces fails loudly.
+func TestRunSourceCachedVerifyDetectsTamper(t *testing.T) {
+	store, err := decvec.OpenCache(t.TempDir(), decvec.CacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := decvec.LoadWorkload("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Trace(benchScale)
+	cfg := decvec.DefaultConfig(30)
+	r, err := decvec.RunSource(src, "DVA", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := *r
+	tampered.Cycles++
+	th, err := simcache.TraceHash(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(store.Key(th, "DVA", cfg, ""), &tampered); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := decvec.RunSourceCached(store, src, "DVA", cfg, 1); err == nil || !strings.Contains(err.Error(), "cache verification FAILED") {
+		t.Fatalf("verified run of a tampered entry: err = %v, want cache verification FAILED", err)
+	}
+	// Unverified, the checksummed entry is served as stored.
+	blind, err := decvec.RunSourceCached(store, src, "DVA", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.Cycles != tampered.Cycles {
+		t.Errorf("blind cycles = %d, want the tampered %d", blind.Cycles, tampered.Cycles)
 	}
 }
 

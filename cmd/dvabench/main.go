@@ -27,12 +27,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -67,6 +69,27 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "dvabench: -cache-max-mb must be >= 0 (0 = unbounded), got %d\n", *cacheMaxMB)
 		return 2
 	}
+	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "dvabench: -cache-verify must be a fraction in [0, 1], got %v\n", *cacheVerify)
+		return 2
+	}
+	// Reject a misspelled experiment before any other one spends its run.
+	names := decvec.ExperimentNames()
+	if *exps != "all" {
+		known := names
+		names = nil
+		for _, name := range strings.Split(*exps, ",") {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				continue
+			}
+			if !slices.Contains(known, name) {
+				fmt.Fprintf(os.Stderr, "dvabench: unknown experiment %q in -exp (available: %s)\n", name, strings.Join(known, ","))
+				return 2
+			}
+			names = append(names, name)
+		}
+	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -90,10 +113,6 @@ func run() int {
 		}()
 	}
 
-	names := decvec.ExperimentNames()
-	if *exps != "all" {
-		names = strings.Split(*exps, ",")
-	}
 	suite := decvec.NewSuite(*scale)
 	suite.SlowTick = *slowTick
 	suite.VerifyFraction = *cacheVerify
@@ -123,12 +142,8 @@ func run() int {
 	// Put, so the store must still be brought back under its cap.
 	var runErr error
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
 		start := time.Now()
-		out, err := decvec.RunExperimentWithSuite(suite, name)
+		out, err := decvec.RunExperimentCtx(context.Background(), suite, name)
 		if err != nil {
 			runErr = err
 			break

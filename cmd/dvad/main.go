@@ -51,6 +51,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dvad: -cache-max-mb must be >= 0 (0 = unbounded), got %d\n", *cacheMaxMB)
 		os.Exit(2)
 	}
+	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "dvad: -cache-verify must be a fraction in [0, 1], got %v\n", *cacheVerify)
+		os.Exit(2)
+	}
 
 	var store *decvec.CacheStore
 	if *cacheMode != "off" {

@@ -78,6 +78,9 @@ func run() error {
 	if *cacheMaxMB < 0 {
 		return usageError{fmt.Errorf("-cache-max-mb must be >= 0 (0 = unbounded), got %d", *cacheMaxMB)}
 	}
+	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
+		return usageError{fmt.Errorf("-cache-verify must be a fraction in [0, 1], got %v", *cacheVerify)}
+	}
 
 	cfg := decvec.DefaultConfig(*latency)
 	cfg.AVDQSize = *loadQ

@@ -1,9 +1,10 @@
 // Package decvec is a cycle-accurate simulation study of Decoupled Vector
 // Architectures (Espasa & Valero, HPCA 1996).
 //
-// It provides three machine models — the reference Convex C3400-like
-// vector architecture (REF), the decoupled vector architecture (DVA) and
-// its store-to-load bypass variant (BYP) — driven by synthetic traces
+// It provides the reference Convex C3400-like vector architecture (REF),
+// the decoupled vector architecture (DVA) with its store-to-load bypass
+// variant (BYP), the out-of-order register-renaming extension of REF (OOO)
+// and the five-resource IDEAL lower bound, driven by synthetic traces
 // modeled on the Perfect Club benchmark suite, plus the full experiment
 // harness that regenerates every table and figure of the paper.
 //
@@ -17,7 +18,6 @@
 package decvec
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -163,13 +163,6 @@ func (w *Workload) RunDVA(cfg Config) (*Result, error) {
 	return dva.Run(w.p.CachedTrace(1), cfg)
 }
 
-// RunRecorded simulates the workload on the named architecture (REF, DVA or
-// BYP) with an event recorder attached; pass nil to disable recording.
-// Recording never changes the simulated cycle counts.
-func (w *Workload) RunRecorded(arch string, cfg Config, rec *Recorder) (*Result, error) {
-	return RunSourceRecorded(w.p.CachedTrace(1), arch, cfg, rec)
-}
-
 // RunOOO simulates the workload on the out-of-order, register-renaming
 // extension of the reference architecture (the paper's §8 comparison) with
 // the given issue-window and physical vector-register pool sizes.
@@ -184,15 +177,18 @@ func (w *Workload) IdealCycles() int64 {
 }
 
 // WriteTrace serializes a trace to w in the compact binary format (the
-// role Dixie trace files played in the paper's methodology). Only
-// in-memory traces (as produced by Workload.Trace and tracegen) can be
-// serialized.
+// role Dixie trace files played in the paper's methodology). A source that
+// is not already in memory is materialized first.
 func WriteTrace(w io.Writer, src trace.Source) error {
-	s, ok := src.(*trace.Slice)
-	if !ok {
-		s = trace.Materialize(src.Name(), src.Stream())
+	return trace.Write(w, materialize(src))
+}
+
+// materialize returns src as an in-memory trace, draining it if needed.
+func materialize(src trace.Source) *trace.Slice {
+	if s, ok := src.(*trace.Slice); ok {
+		return s
 	}
-	return trace.Write(w, s)
+	return trace.Materialize(src.Name(), src.Stream())
 }
 
 // ReadTrace deserializes a trace written by WriteTrace.
@@ -251,11 +247,6 @@ type CacheOptions = simcache.Options
 // CacheStats are a store's lifetime counters.
 type CacheStats = simcache.Stats
 
-// ModelFingerprint identifies the simulator model sources this build was
-// compiled from (generated by `make generate`); it is part of every cache
-// key, so results cached by a different model can never be served.
-const ModelFingerprint = sim.ModelFingerprint
-
 // OpenCache creates (if needed) and opens the persistent result cache
 // rooted at dir.
 func OpenCache(dir string, opts CacheOptions) (*CacheStore, error) {
@@ -273,51 +264,18 @@ func CacheTable(st CacheStats) string { return report.CacheTable(st) }
 // skip simulation, misses simulate and persist. verify re-simulates that
 // fraction of hits (deterministically sampled per key) and returns a hard
 // error if the stored bytes differ from the fresh encoding. A nil store
-// simulates uncached.
+// simulates uncached. BYP is keyed as DVA with the bypass bit set, so a
+// run shares its entry with the equivalent Suite run (the entries dvabench
+// and dvad write).
 func RunSourceCached(store *CacheStore, src trace.Source, arch string, cfg Config, verify float64) (*Result, error) {
-	simulate := func() (*Result, error) { return RunSource(src, arch, cfg) }
-	if store == nil {
-		return simulate()
-	}
-	// BYP parses to DVA with the bypass bit set, so a -arch BYP run shares
-	// its entry with the equivalent DVA+Bypass run (and with the entries
-	// dvabench writes).
-	keyArch, bypass, err := sim.ParseArch(arch)
+	core, bypass, err := sim.ParseArch(arch)
 	if err != nil {
 		return nil, fmt.Errorf("decvec: %w", err)
 	}
-	keyCfg := cfg
-	keyCfg.Bypass = cfg.Bypass || bypass
-	th, err := simcache.TraceHash(src)
-	if err != nil {
-		return simulate()
-	}
-	key := store.Key(th, keyArch, keyCfg, "")
-	if r, payload, ok := store.GetBytes(key); ok {
-		if simcache.VerifySample(key, verify) {
-			store.CountVerified()
-			fresh, err := simulate()
-			if err != nil {
-				return nil, err
-			}
-			freshBytes, err := simcache.EncodeResultBytes(fresh)
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(freshBytes, payload) {
-				return nil, fmt.Errorf("decvec: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", keyArch, cfg.String(), src.Name(), key[:16], store.Dir())
-			}
-		}
-		return r, nil
-	}
-	r, err := simulate()
-	if err != nil {
-		return nil, err
-	}
-	// Persistence is best-effort: a read-only or full store must not fail a
-	// simulation that already succeeded.
-	_ = store.Put(key, r)
-	return r, nil
+	cfg.Bypass = cfg.Bypass || bypass
+	s := experiments.NewSuite(1)
+	s.Disk, s.VerifyFraction = store, verify
+	return s.RunSourceCtx(context.Background(), materialize(src), experiments.Arch(core), cfg)
 }
 
 // Server is the dvad simulation daemon: an HTTP/JSON front end over an
@@ -337,13 +295,6 @@ type ServerStats = report.ServerMetric
 // Shutdown the server to stop its background GC loop and run the final
 // cache GC.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// Serve runs a simulation daemon on addr until the process ends — the
-// one-line embedding of dvad. For graceful shutdown use NewServer and wire
-// Shutdown yourself (as cmd/dvad does).
-func Serve(addr string, cfg ServerConfig) error {
-	return server.New(cfg).ListenAndServe(addr)
-}
 
 // ServerTable renders the daemon counters as an ASCII table (the shutdown
 // summary companion to CacheTable).
@@ -372,120 +323,58 @@ func ExperimentNames() []string {
 	return names
 }
 
-var experimentRunners = map[string]func(ctx context.Context, s *experiments.Suite) (string, error){
-	"table1": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Table1(ctx, s)
+// experiment runs one paper experiment on a suite and renders its report.
+type experiment func(ctx context.Context, s *Suite) (string, error)
+
+// rendered pairs an experiment driver with the renderer of its result.
+func rendered[R any](run func(context.Context, *Suite) (R, error), render func(R) string) experiment {
+	return func(ctx context.Context, s *Suite) (string, error) {
+		r, err := run(ctx, s)
 		if err != nil {
 			return "", err
 		}
-		return report.Table1(r), nil
-	},
-	"fig1": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Figure1(ctx, s)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure1(r), nil
-	},
-	"fig3": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Sweep(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure3(r), nil
-	},
-	"fig4": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Sweep(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure4(r), nil
-	},
-	"fig5": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Sweep(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure5(r), nil
-	},
-	"fig6": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Figure6(ctx, s)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure6(r), nil
-	},
-	"fig7": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Figure7(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure7(r), nil
-	},
-	"fig8": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.Figure8(ctx, s, 30)
-		if err != nil {
-			return "", err
-		}
-		return report.Figure8(r), nil
-	},
-	"extension-conflicts": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.ExtensionConflicts(ctx, s, 20, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.ExtensionConflicts(r), nil
-	},
-	"extension-ports": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.ExtensionPorts(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.ExtensionPorts(r), nil
-	},
-	"extension-ooo": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.ExtensionOOO(ctx, s, nil)
-		if err != nil {
-			return "", err
-		}
-		return report.ExtensionOOO(r), nil
-	},
-	"ablation-iq": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.AblationIQ(ctx, s, 50)
-		if err != nil {
-			return "", err
-		}
-		return report.Ablation(r), nil
-	},
-	"ablation-vsq": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.AblationVSQ(ctx, s, 50)
-		if err != nil {
-			return "", err
-		}
-		return report.Ablation(r), nil
-	},
-	"ablation-avdq": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.AblationAVDQ(ctx, s, 50)
-		if err != nil {
-			return "", err
-		}
-		return report.Ablation(r), nil
-	},
-	"ablation-qmov": func(ctx context.Context, s *experiments.Suite) (string, error) {
-		r, err := experiments.AblationQMov(ctx, s, 50)
-		if err != nil {
-			return "", err
-		}
-		return report.Ablation(r), nil
-	},
+		return render(r), nil
+	}
 }
 
-// RunExperiment regenerates one paper experiment by name (see
-// ExperimentNames) at the given trace scale and returns the rendered
-// report. It is the facade convenience over RunExperimentCtx with a fresh
-// suite and the process root context.
-func RunExperiment(name string, scale float64) (string, error) {
-	return RunExperimentWithSuite(NewSuite(scale), name)
+var experimentRunners = map[string]experiment{
+	"table1": rendered(experiments.Table1, report.Table1),
+	"fig1":   rendered(experiments.Figure1, report.Figure1),
+	"fig3":   rendered(defaultSweep, report.Figure3),
+	"fig4":   rendered(defaultSweep, report.Figure4),
+	"fig5":   rendered(defaultSweep, report.Figure5),
+	"fig6":   rendered(experiments.Figure6, report.Figure6),
+	"fig7": rendered(func(ctx context.Context, s *Suite) (*experiments.Figure7Result, error) {
+		return experiments.Figure7(ctx, s, nil)
+	}, report.Figure7),
+	"fig8": rendered(func(ctx context.Context, s *Suite) (*experiments.Figure8Result, error) {
+		return experiments.Figure8(ctx, s, 30)
+	}, report.Figure8),
+	"extension-conflicts": rendered(func(ctx context.Context, s *Suite) (*experiments.ConflictsResult, error) {
+		return experiments.ExtensionConflicts(ctx, s, 20, nil)
+	}, report.ExtensionConflicts),
+	"extension-ports": rendered(func(ctx context.Context, s *Suite) (*experiments.PortsResult, error) {
+		return experiments.ExtensionPorts(ctx, s, nil)
+	}, report.ExtensionPorts),
+	"extension-ooo": rendered(func(ctx context.Context, s *Suite) (*experiments.ExtensionOOOResult, error) {
+		return experiments.ExtensionOOO(ctx, s, nil)
+	}, report.ExtensionOOO),
+	"ablation-iq":   ablationAt50(experiments.AblationIQ),
+	"ablation-vsq":  ablationAt50(experiments.AblationVSQ),
+	"ablation-avdq": ablationAt50(experiments.AblationAVDQ),
+	"ablation-qmov": ablationAt50(experiments.AblationQMov),
+}
+
+// defaultSweep is the latency sweep figures 3, 4 and 5 share.
+func defaultSweep(ctx context.Context, s *Suite) (*experiments.SweepResult, error) {
+	return experiments.Sweep(ctx, s, nil)
+}
+
+// ablationAt50 runs a queue-sizing ablation at the paper's 50-cycle latency.
+func ablationAt50(run func(context.Context, *Suite, int64) (*experiments.AblationResult, error)) experiment {
+	return rendered(func(ctx context.Context, s *Suite) (*experiments.AblationResult, error) {
+		return run(ctx, s, 50)
+	}, report.Ablation)
 }
 
 // Suite caches simulation runs across experiments.
@@ -493,11 +382,6 @@ type Suite = experiments.Suite
 
 // NewSuite returns a fresh experiment suite at the given trace scale.
 func NewSuite(scale float64) *Suite { return experiments.NewSuite(scale) }
-
-// RunExperimentWithSuite is RunExperiment against a shared suite.
-func RunExperimentWithSuite(s *Suite, name string) (string, error) {
-	return RunExperimentCtx(context.Background(), s, name)
-}
 
 // RunExperimentCtx regenerates one paper experiment against a shared
 // suite, honoring context cancellation: every simulation, warm fan-out and
@@ -557,37 +441,11 @@ func RunSweep(ctx context.Context, plan *SweepPlan, execs []SweepExecutor, opts 
 	return sweep.Run(ctx, plan, execs, opts)
 }
 
-// sweepMetricOf converts the coordinator's stats into the report schema.
-func sweepMetricOf(st SweepStats) report.SweepMetric {
-	m := report.SweepMetric{
-		Points:    st.Points,
-		Completed: st.Completed,
-		Resharded: st.Resharded,
-		Rounds:    st.Rounds,
-		Workers:   make([]report.SweepWorkerMetric, len(st.Workers)),
-	}
-	for i, w := range st.Workers {
-		m.Workers[i] = report.SweepWorkerMetric{
-			Name:        w.Name,
-			Cells:       w.Cells,
-			CacheHits:   w.CacheHits,
-			CacheMisses: w.CacheMisses,
-			HitRatio:    w.HitRatio,
-			Retries:     w.Retries,
-			Failed:      w.Failed,
-			LastError:   w.LastError,
-		}
-	}
-	return m
-}
-
 // SweepTable renders a sweep summary as ASCII tables, one row per worker.
-func SweepTable(st SweepStats) string { return report.SweepTable(sweepMetricOf(st)) }
+func SweepTable(st SweepStats) string { return report.SweepTable(st) }
 
 // SweepStatsJSON renders a sweep summary as indented JSON.
-func SweepStatsJSON(st SweepStats) ([]byte, error) {
-	return report.SweepJSON(sweepMetricOf(st))
-}
+func SweepStatsJSON(st SweepStats) ([]byte, error) { return report.SweepJSON(st) }
 
 // EncodeResult writes the canonical binary result encoding — the format
 // the persistent cache stores and the sweep protocol streams, and the one

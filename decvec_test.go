@@ -2,6 +2,7 @@ package decvec_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -115,26 +116,27 @@ func TestExperimentNames(t *testing.T) {
 }
 
 func TestRunExperiment(t *testing.T) {
-	out, err := decvec.RunExperiment("table1", 0.3)
+	s := decvec.NewSuite(0.3)
+	out, err := decvec.RunExperimentCtx(context.Background(), s, "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "ARC2D") {
 		t.Error("table1 output incomplete")
 	}
-	if _, err := decvec.RunExperiment("fig99", 0.3); err == nil {
+	if _, err := decvec.RunExperimentCtx(context.Background(), s, "fig99"); err == nil {
 		t.Error("expected unknown-experiment error")
 	}
 }
 
 func TestSharedSuiteReuse(t *testing.T) {
 	s := decvec.NewSuite(0.3)
-	if _, err := decvec.RunExperimentWithSuite(s, "fig4"); err != nil {
+	if _, err := decvec.RunExperimentCtx(context.Background(), s, "fig4"); err != nil {
 		t.Fatal(err)
 	}
 	// fig5 reuses the same sweep; this should be nearly instant and must
 	// succeed.
-	out, err := decvec.RunExperimentWithSuite(s, "fig5")
+	out, err := decvec.RunExperimentCtx(context.Background(), s, "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, name := range decvec.ExperimentNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			out, err := decvec.RunExperimentWithSuite(s, name)
+			out, err := decvec.RunExperimentCtx(context.Background(), s, name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package decvec_test
 
 import (
+	"context"
 	"fmt"
 
 	"decvec"
@@ -35,9 +36,9 @@ func ExampleBypassConfig() {
 	// Output: DYFESM: 576 bypasses, traffic cut 27%
 }
 
-// ExampleRunExperiment regenerates one of the paper's figures as text.
-func ExampleRunExperiment() {
-	out, err := decvec.RunExperiment("fig8", 0.5)
+// ExampleRunExperimentCtx regenerates one of the paper's figures as text.
+func ExampleRunExperimentCtx() {
+	out, err := decvec.RunExperimentCtx(context.Background(), decvec.NewSuite(0.5), "fig8")
 	if err != nil {
 		panic(err)
 	}

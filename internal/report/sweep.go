@@ -3,53 +3,28 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+
+	"decvec/internal/sweep"
 )
 
-// SweepWorkerMetric is one worker's slice of a distributed sweep: how many
-// cells it completed, how its disk tier performed, how often its requests
-// had to be retried, and whether it died along the way.
-type SweepWorkerMetric struct {
-	Name        string  `json:"name"`
-	Cells       int64   `json:"cells"`
-	CacheHits   int64   `json:"cacheHits"`
-	CacheMisses int64   `json:"cacheMisses"`
-	HitRatio    float64 `json:"hitRatio"`
-	Retries     int64   `json:"retries"`
-	Failed      bool    `json:"failed,omitempty"`
-	LastError   string  `json:"lastError,omitempty"`
-}
-
-// SweepMetric is the machine-readable outcome summary of a coordinated
-// sweep — the dvasweep end-of-run report. The facade converts
-// sweep.Stats into this shape (report deliberately stays independent of
-// the sweep engine so the serving layer — whose tests drive real sweeps —
-// can depend on report without a cycle).
-type SweepMetric struct {
-	Points    int                 `json:"points"`
-	Completed int64               `json:"completed"`
-	Resharded int64               `json:"resharded"`
-	Rounds    int                 `json:"rounds"`
-	Workers   []SweepWorkerMetric `json:"workers"`
-}
-
 // SweepJSON renders the sweep summary as indented JSON.
-func SweepJSON(m SweepMetric) ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
+func SweepJSON(st sweep.Stats) ([]byte, error) {
+	return json.MarshalIndent(st, "", "  ")
 }
 
 // SweepTable renders the sweep summary as ASCII tables: one sweep-level
 // row, then one row per worker with its cache-hit ratio — the number that
 // tells you whether cache-affine sharding is landing cells on the workers
 // that already hold them.
-func SweepTable(m SweepMetric) string {
+func SweepTable(st sweep.Stats) string {
 	t := NewTable("dvasweep",
 		"points", "completed", "resharded", "rounds", "workers")
-	t.AddRowf(m.Points, m.Completed, m.Resharded, m.Rounds, len(m.Workers))
+	t.AddRowf(st.Points, st.Completed, st.Resharded, st.Rounds, len(st.Workers))
 	out := t.String()
 
 	wt := NewTable("workers",
 		"worker", "cells", "hits", "misses", "hit%", "retries", "state")
-	for _, w := range m.Workers {
+	for _, w := range st.Workers {
 		state := "ok"
 		if w.Failed {
 			state = "down"

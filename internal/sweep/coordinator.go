@@ -64,25 +64,28 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// WorkerStats is one worker's slice of a sweep's Stats.
+// WorkerStats is one worker's slice of a sweep's Stats: how many cells it
+// completed, how its disk tier performed, how often its requests had to be
+// retried, and whether it died along the way.
 type WorkerStats struct {
-	Name        string
-	Cells       int64 // cells this worker completed
-	CacheHits   int64
-	CacheMisses int64
-	HitRatio    float64 // CacheHits / (CacheHits + CacheMisses)
-	Retries     int64
-	Failed      bool   // worker went down during the sweep
-	LastError   string // the failure that took it down, if any
+	Name        string  `json:"name"`
+	Cells       int64   `json:"cells"` // cells this worker completed
+	CacheHits   int64   `json:"cacheHits"`
+	CacheMisses int64   `json:"cacheMisses"`
+	HitRatio    float64 `json:"hitRatio"` // CacheHits / (CacheHits + CacheMisses)
+	Retries     int64   `json:"retries"`
+	Failed      bool    `json:"failed,omitempty"`    // worker went down during the sweep
+	LastError   string  `json:"lastError,omitempty"` // the failure that took it down, if any
 }
 
-// Stats is the sweep-level outcome summary.
+// Stats is the sweep-level outcome summary; its JSON form is the dvasweep
+// end-of-run report.
 type Stats struct {
-	Points    int   // plan cells
-	Completed int64 // cells with results
-	Resharded int64 // cells moved to surviving workers after a death
-	Rounds    int   // dispatch rounds (1 = no failover needed)
-	Workers   []WorkerStats
+	Points    int           `json:"points"`    // plan cells
+	Completed int64         `json:"completed"` // cells with results
+	Resharded int64         `json:"resharded"` // cells moved to surviving workers after a death
+	Rounds    int           `json:"rounds"`    // dispatch rounds (1 = no failover needed)
+	Workers   []WorkerStats `json:"workers"`
 }
 
 // indexedErr keeps a permanent cell error with its plan position, so the

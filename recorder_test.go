@@ -19,12 +19,12 @@ func TestRecordingDoesNotPerturbResults(t *testing.T) {
 	for _, arch := range []string{"REF", "DVA", "BYP"} {
 		t.Run(arch, func(t *testing.T) {
 			cfg := decvec.DefaultConfig(30)
-			plain, err := w.RunRecorded(arch, cfg, nil)
+			plain, err := decvec.RunSourceRecorded(w.Trace(1), arch, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := decvec.NewRecorder()
-			recorded, err := w.RunRecorded(arch, cfg, rec)
+			recorded, err := decvec.RunSourceRecorded(w.Trace(1), arch, cfg, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestRecordedStreamMatchesCounters(t *testing.T) {
 	}
 	cfg := decvec.DefaultConfig(30)
 	rec := decvec.NewRecorder()
-	res, err := w.RunRecorded("BYP", cfg, rec)
+	res, err := decvec.RunSourceRecorded(w.Trace(1), "BYP", cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTraceEventsValidJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := decvec.NewRecorder()
-	res, err := w.RunRecorded("DVA", decvec.DefaultConfig(30), rec)
+	res, err := decvec.RunSourceRecorded(w.Trace(1), "DVA", decvec.DefaultConfig(30), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

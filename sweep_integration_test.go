@@ -204,14 +204,20 @@ func TestDistributedSweepSurvivesWorkerDeath(t *testing.T) {
 	}
 }
 
-// The facade plumbing: table and JSON renderings of sweep stats.
+// The facade plumbing: table and JSON renderings of sweep stats. The JSON
+// is the dvasweep -json report, so its bytes are pinned whole, including
+// the omitted-when-healthy failure fields and HTML-escaped error text.
 func TestSweepStatsRendering(t *testing.T) {
 	st := sweep.Stats{
-		Points: 10, Completed: 10, Rounds: 1,
-		Workers: []sweep.WorkerStats{{Name: "w1", Cells: 10, CacheHits: 8, CacheMisses: 2, HitRatio: 0.8}},
+		Points: 10, Completed: 10, Resharded: 3, Rounds: 2,
+		Workers: []sweep.WorkerStats{
+			{Name: "w1", Cells: 7, CacheHits: 8, CacheMisses: 2, HitRatio: 0.8},
+			{Name: "w2", Cells: 3, CacheMisses: 3, Retries: 2, Failed: true,
+				LastError: `worker <http://w2> down: & "gone"`},
+		},
 	}
 	table := decvec.SweepTable(st)
-	for _, want := range []string{"dvasweep", "w1", "80.0"} {
+	for _, want := range []string{"dvasweep", "w1", "80.0", "down"} {
 		if !bytes.Contains([]byte(table), []byte(want)) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -220,7 +226,33 @@ func TestSweepStatsRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(b, []byte(`"hitRatio": 0.8`)) {
-		t.Errorf("JSON missing hit ratio: %s", b)
+	const want = `{
+  "points": 10,
+  "completed": 10,
+  "resharded": 3,
+  "rounds": 2,
+  "workers": [
+    {
+      "name": "w1",
+      "cells": 7,
+      "cacheHits": 8,
+      "cacheMisses": 2,
+      "hitRatio": 0.8,
+      "retries": 0
+    },
+    {
+      "name": "w2",
+      "cells": 3,
+      "cacheHits": 0,
+      "cacheMisses": 3,
+      "hitRatio": 0,
+      "retries": 2,
+      "failed": true,
+      "lastError": "worker \u003chttp://w2\u003e down: \u0026 \"gone\""
+    }
+  ]
+}`
+	if string(b) != want {
+		t.Errorf("SweepStatsJSON =\n%s\nwant\n%s", b, want)
 	}
 }
