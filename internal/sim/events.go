@@ -298,8 +298,11 @@ type Event struct {
 // whose N grows, which keeps long waits (a 100-cycle memory latency) from
 // bloating the stream.
 //
-// Events are stored in fixed chunks of chunkLen, so a growing stream never
-// copies what it already holds and a reset recorder reuses its chunks.
+// Events are stored packed, one 32-byte slot each, in fixed chunks of
+// chunkLen, so a growing stream never copies what it already holds and a
+// reset recorder reuses its chunks. A slot names its queue or label by an
+// index into the recorder's table of interned names; Each and Events decode
+// the slots back into Events.
 type Recorder struct {
 	// MaxEvents bounds the stored stream; 0 means unlimited. Events beyond
 	// the bound are counted in Dropped instead of stored. Stall coalescing
@@ -310,21 +313,55 @@ type Recorder struct {
 
 	// chunks hold the stream: event i is chunks[i/chunkLen][i%chunkLen].
 	// Chunks past the one holding event n-1 are kept from before a Reset.
-	chunks [][]Event
+	chunks [][]slot
 	n      int // stored events
 	// lastStall[r] is 1+index of the most recent EvStall event for reason r,
 	// used to coalesce consecutive stalled cycles. 0 means none.
 	lastStall [NumStallReasons]int
+
+	// names is an open-addressed table of interned names: the name at
+	// position p has index p+1, and index 0 is "". It holds at most nameCap
+	// names and survives Reset, so a reused recorder interns the static
+	// queue and instruction-class names once.
+	names  [nameSlots]string
+	nNames int
+	// last is the most recently interned name, lastIdx its index.
+	last    string
+	lastIdx uint32
+	// more holds the names interned once names is at capacity (index
+	// nameSlots+1+i) and moreIdx finds them. Reset empties both.
+	more    []string
+	moreIdx map[string]uint32
+
+	// cur is the Event that Each decodes every slot into.
+	cur Event
 }
 
-// chunkLen is the number of events per storage chunk (256 KiB of events).
-const chunkLen = 4096
+// slot is the packed form of an Event. No event carries both a Queue and a
+// Label, so they share name, an index into the recorder's interned names.
+type slot struct {
+	cycle, seq, n int64
+	name          uint32
+	kind          EventKind
+	proc          Proc
+	reason        StallReason
+}
+
+const (
+	// chunkLen is the number of slots per storage chunk (128 KiB of slots).
+	chunkLen = 4096
+	// nameSlots is the size of the interned-name table. It is filled to
+	// nameCap names at most, so a probe soon meets an empty position.
+	nameSlots = 128
+	nameCap   = nameSlots / 2
+)
 
 // NewRecorder returns an empty, unbounded recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Reset empties the recorder for reuse, keeping MaxEvents and the event
-// storage. A reset recorder records exactly like a fresh one.
+// Reset empties the recorder for reuse, keeping MaxEvents, the event
+// storage and the interned names. A reset recorder records exactly like a
+// fresh one.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -332,14 +369,19 @@ func (r *Recorder) Reset() {
 	r.Dropped = 0
 	r.n = 0
 	r.lastStall = [NumStallReasons]int{}
+	r.last, r.lastIdx = "", 0
+	r.more = r.more[:0]
+	clear(r.moreIdx)
 }
 
 // Enabled reports whether the recorder is collecting (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Each calls fn on every stored event in emission order. It is the
-// copy-free way to walk the stream; the event pointers stay valid until the
-// next Reset.
+// Each calls fn on every stored event in emission order. It walks the
+// stream without copying it: every slot is decoded into one Event
+// the recorder reuses, so the *Event is valid only during fn's call and a
+// caller that keeps an event must copy it. For the same reason two walks of
+// one recorder (Each, Events) must not overlap, nested or concurrent.
 func (r *Recorder) Each(fn func(*Event)) {
 	if r == nil {
 		return
@@ -347,7 +389,8 @@ func (r *Recorder) Each(fn func(*Event)) {
 	for c := 0; c*chunkLen < r.n; c++ {
 		chunk := r.chunks[c][:min(chunkLen, r.n-c*chunkLen)]
 		for i := range chunk {
-			fn(&chunk[i])
+			r.decode(&r.cur, &chunk[i])
+			fn(&r.cur)
 		}
 	}
 }
@@ -378,35 +421,107 @@ func (r *Recorder) Count(k EventKind) int64 {
 		return 0
 	}
 	var n int64
-	r.Each(func(e *Event) {
-		if e.Kind == k {
+	for i := 0; i < r.n; i++ {
+		if r.at(i).kind == k {
 			n++
 		}
-	})
+	}
 	return n
 }
 
-// at returns the stored event with index i.
-func (r *Recorder) at(i int) *Event { return &r.chunks[i/chunkLen][i%chunkLen] }
+// decode unpacks a stored slot into e field by field, which is cheaper than
+// building an Event and copying it.
+func (r *Recorder) decode(e *Event, s *slot) {
+	e.Cycle, e.Kind, e.Proc, e.Reason, e.Seq, e.N = s.cycle, s.kind, s.proc, s.reason, s.seq, s.n
+	e.Queue, e.Label = "", r.name(s.name)
+	if s.kind == EvQueuePush || s.kind == EvQueuePop {
+		e.Queue, e.Label = e.Label, ""
+	}
+}
+
+// intern returns the index of name, adding the name if it is new. It
+// allocates only once the table holds nameCap names.
+func (r *Recorder) intern(name string) uint32 {
+	if name == r.last {
+		return r.lastIdx
+	}
+	idx := r.lookup(name)
+	r.last, r.lastIdx = name, idx
+	return idx
+}
+
+// lookup finds or adds name in the table, by FNV-1a hash and linear probing.
+func (r *Recorder) lookup(name string) uint32 {
+	if name == "" {
+		return 0
+	}
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	for p := h % nameSlots; ; p = (p + 1) % nameSlots {
+		if r.names[p] == name {
+			return p + 1
+		}
+		if r.names[p] != "" {
+			continue
+		}
+		if r.nNames == nameCap {
+			return r.lookupMore(name)
+		}
+		r.names[p] = name
+		r.nNames++
+		return p + 1
+	}
+}
+
+// lookupMore finds or adds a name that found the table at capacity.
+func (r *Recorder) lookupMore(name string) uint32 {
+	if idx, ok := r.moreIdx[name]; ok {
+		return idx
+	}
+	if r.moreIdx == nil {
+		r.moreIdx = make(map[string]uint32)
+	}
+	r.more = append(r.more, name)
+	idx := uint32(nameSlots + len(r.more))
+	r.moreIdx[name] = idx
+	return idx
+}
+
+// name returns the interned name with index idx.
+func (r *Recorder) name(idx uint32) string {
+	switch {
+	case idx == 0:
+		return ""
+	case idx <= nameSlots:
+		return r.names[idx-1]
+	default:
+		return r.more[idx-nameSlots-1]
+	}
+}
+
+// at returns the stored slot with index i.
+func (r *Recorder) at(i int) *slot { return &r.chunks[i/chunkLen][i%chunkLen] }
 
 // full reports whether the MaxEvents bound forbids storing another event.
 func (r *Recorder) full() bool { return r.MaxEvents > 0 && r.n >= r.MaxEvents }
 
-// push stores e as the newest event, adding a chunk when the last is full.
-func (r *Recorder) push(e Event) {
+// push stores s as the newest event, adding a chunk when the last is full.
+func (r *Recorder) push(s slot) {
 	if r.n/chunkLen == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]Event, chunkLen))
+		r.chunks = append(r.chunks, make([]slot, chunkLen))
 	}
-	*r.at(r.n) = e
+	*r.at(r.n) = s
 	r.n++
 }
 
-func (r *Recorder) record(e Event) {
+func (r *Recorder) record(s slot) {
 	if r.full() {
 		r.Dropped++
 		return
 	}
-	r.push(e)
+	r.push(s)
 }
 
 // Issue records that proc issued the instruction with sequence number seq.
@@ -415,7 +530,7 @@ func (r *Recorder) Issue(cycle int64, p Proc, seq int64, label string) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Cycle: cycle, Kind: EvIssue, Proc: p, Seq: seq, Label: label})
+	r.record(slot{cycle: cycle, kind: EvIssue, proc: p, seq: seq, name: r.intern(label)})
 }
 
 // Stall records one stalled cycle for the reason, coalescing runs of
@@ -441,9 +556,9 @@ func (r *Recorder) StallSpan(cycle int64, reason StallReason, n int64) {
 		return
 	}
 	if i := r.lastStall[reason]; i > 0 {
-		e := r.at(i - 1)
-		if e.Cycle+e.N == cycle {
-			e.N += n
+		s := r.at(i - 1)
+		if s.cycle+s.n == cycle {
+			s.n += n
 			return
 		}
 	}
@@ -451,7 +566,7 @@ func (r *Recorder) StallSpan(cycle int64, reason StallReason, n int64) {
 		r.Dropped++
 		return
 	}
-	r.push(Event{Cycle: cycle, Kind: EvStall, Proc: reason.Proc(), Reason: reason, N: n})
+	r.push(slot{cycle: cycle, kind: EvStall, proc: reason.Proc(), reason: reason, n: n})
 	r.lastStall[reason] = r.n
 }
 
@@ -461,7 +576,7 @@ func (r *Recorder) StallN(cycle int64, reason StallReason, n int64) {
 	if r == nil || n <= 0 {
 		return
 	}
-	r.record(Event{Cycle: cycle, Kind: EvStall, Proc: reason.Proc(), Reason: reason, N: n})
+	r.record(slot{cycle: cycle, kind: EvStall, proc: reason.Proc(), reason: reason, n: n})
 }
 
 // BusGrant records that proc reserved the address bus for n cycles.
@@ -469,7 +584,7 @@ func (r *Recorder) BusGrant(cycle int64, p Proc, seq, n int64) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Cycle: cycle, Kind: EvBusGrant, Proc: p, Seq: seq, N: n})
+	r.record(slot{cycle: cycle, kind: EvBusGrant, proc: p, seq: seq, n: n})
 }
 
 // Bypass records a load serviced by the VADQ->AVDQ bypass unit.
@@ -477,7 +592,7 @@ func (r *Recorder) Bypass(cycle, seq, vl int64) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Cycle: cycle, Kind: EvBypass, Proc: ProcAP, Seq: seq, N: vl})
+	r.record(slot{cycle: cycle, kind: EvBypass, proc: ProcAP, seq: seq, n: vl})
 }
 
 // Flush records a hazard-forced store-queue drain; seq is the youngest
@@ -486,7 +601,7 @@ func (r *Recorder) Flush(cycle, seq int64) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Cycle: cycle, Kind: EvFlush, Proc: ProcAP, Seq: seq})
+	r.record(slot{cycle: cycle, kind: EvFlush, proc: ProcAP, seq: seq})
 }
 
 // QueueEvent records a push or pop with the queue's new length. It
@@ -499,5 +614,5 @@ func (r *Recorder) QueueEvent(cycle int64, name string, push bool, newLen int) {
 	if push {
 		k = EvQueuePush
 	}
-	r.record(Event{Cycle: cycle, Kind: k, Queue: name, N: int64(newLen)})
+	r.record(slot{cycle: cycle, kind: k, n: int64(newLen), name: r.intern(name)})
 }

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 func TestStallReasonTablesComplete(t *testing.T) {
 	for r := StallReason(0); r < NumStallReasons; r++ {
@@ -231,10 +237,13 @@ func TestMaxEventsAtChunkSize(t *testing.T) {
 // what a fresh recorder does.
 func TestResetReusesChunks(t *testing.T) {
 	const n = 3*chunkLen + 5
+	labels := []string{"salu", "vload", "", "branch"}
+	queues := []string{"AVDQ", "VADQ", "SFBQ"}
 	record := func(r *Recorder) {
 		for i := 0; i < n; i++ {
-			r.Issue(int64(2*i), ProcSP, int64(i), "x")
+			r.Issue(int64(2*i), ProcSP, int64(i), labels[i%len(labels)])
 			r.Stall(int64(2*i), StallSPData)
+			r.QueueEvent(int64(2*i), queues[i%len(queues)], i%2 == 0, i%7)
 		}
 	}
 	r := NewRecorder()
@@ -256,5 +265,147 @@ func TestResetReusesChunks(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("event %d: reset %+v, fresh %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// recordMixed records issues, stalls, queue pushes and pops and bus grants
+// until r stores events events.
+func recordMixed(r *Recorder, events int) {
+	labels := []string{"salu", "vload", "vstore", "", "ld", "exec"}
+	queues := []string{"AVDQ", "VADQ", "ASDQ", "VSAQ", "APIQ"}
+	for c := int64(0); r.Len() < events; c++ {
+		switch c % 5 {
+		case 0:
+			r.Issue(c, Proc(c%int64(NumProcs)), c, labels[c%int64(len(labels))])
+		case 1:
+			r.Stall(c, StallReason(c%int64(NumStallReasons)))
+			r.Stall(c+1, StallReason(c%int64(NumStallReasons))) // coalesces
+		case 2, 3:
+			r.QueueEvent(c, queues[c%int64(len(queues))], c%5 == 2, int(c%9))
+		case 4:
+			r.BusGrant(c, ProcAP, c, 8)
+		}
+	}
+}
+
+// A stored event costs its 32-byte slot and next to nothing else: chunk
+// rounding and the chunk index stay under one byte per event at 100k.
+func TestBytesPerStoredEvent(t *testing.T) {
+	const events = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewRecorder()
+	recordMixed(r, events)
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Len())
+	t.Logf("%.3f B per event", perEvent)
+	if perEvent > 33 {
+		t.Errorf("recording %d events allocated %.2f B per event, want at most 33", r.Len(), perEvent)
+	}
+	for k := EventKind(0); k < NumEventKinds; k++ {
+		if k != EvBypass && k != EvFlush && r.Count(k) == 0 {
+			t.Errorf("mixed stream holds no %s event", k)
+		}
+	}
+}
+
+// sameStream records fn into a fresh Recorder and the oracle and checks the
+// recorder decodes exactly what the oracle stored, with the given bound.
+func sameStream(t *testing.T, maxEvents int, fn func(s eventSink)) *Recorder {
+	t.Helper()
+	r, o := NewRecorder(), &oracle{max: maxEvents}
+	r.MaxEvents = maxEvents
+	fn(r)
+	fn(o)
+	checkAgainst(t, r, o)
+	return r
+}
+
+// More distinct labels than the interned-name table holds still round-trip,
+// the first nameCap without allocating, and so do they after a Reset that
+// follows a name past capacity.
+func TestInternPastCapacity(t *testing.T) {
+	labels := make([]string, 3*nameCap)
+	for i := range labels {
+		labels[i] = "L" + strconv.Itoa(i)
+	}
+	record := func(s eventSink) {
+		for round := 0; round < 2; round++ {
+			for i, l := range labels {
+				s.Issue(int64(i), ProcVP, int64(round), l)
+				s.QueueEvent(int64(i), l, true, i)
+			}
+		}
+	}
+	r := sameStream(t, 0, record)
+	if r.nNames != nameCap || len(r.more) != len(labels)-nameCap {
+		t.Errorf("table holds %d names and %d more, want %d and %d",
+			r.nNames, len(r.more), nameCap, len(labels)-nameCap)
+	}
+	reversed := func(s eventSink) {
+		for i := len(labels) - 1; i >= 0; i-- {
+			s.Issue(int64(i), ProcVP, 2, labels[i])
+		}
+	}
+	o := &oracle{}
+	r.Reset()
+	reversed(r)
+	reversed(o)
+	checkAgainst(t, r, o)
+
+	small := NewRecorder()
+	if allocs := testing.AllocsPerRun(5, func() {
+		small.Reset()
+		for _, l := range labels[:nameCap] {
+			small.Issue(0, ProcVP, 0, l)
+		}
+	}); allocs != 0 {
+		t.Errorf("interning %d names allocated %.0f times, want 0", nameCap, allocs)
+	}
+}
+
+// The empty name round-trips as a label and as a queue name, also next to
+// events that carry neither.
+func TestInternEmptyName(t *testing.T) {
+	sameStream(t, 0, func(s eventSink) {
+		s.Issue(1, ProcFP, 1, "")
+		s.QueueEvent(2, "", true, 1)
+		s.Issue(3, ProcFP, 2, "salu")
+		s.Issue(4, ProcFP, 3, "")
+		s.Flush(5, 3)
+		s.QueueEvent(6, "", false, 0)
+	})
+}
+
+// The same text in two string headers is one interned name.
+func TestInternSameTextTwoHeaders(t *testing.T) {
+	a := "AVDQ"
+	b := strings.Clone(a)
+	if unsafe.StringData(a) == unsafe.StringData(b) {
+		t.Fatal("strings.Clone shared the bytes")
+	}
+	r := sameStream(t, 0, func(s eventSink) {
+		s.QueueEvent(1, a, true, 1)
+		s.Issue(2, ProcAP, 1, b)
+		s.QueueEvent(3, b, false, 0)
+		s.Issue(4, ProcAP, 2, a)
+	})
+	if r.nNames != 1 {
+		t.Errorf("one text interned as %d names", r.nNames)
+	}
+}
+
+// Events dropped at the MaxEvents bound leave the stored stream intact,
+// also while the names they carry overflow the table.
+func TestInternAtMaxEvents(t *testing.T) {
+	for _, max := range []int{1, nameCap - 1, nameCap + 1, 2 * nameCap} {
+		sameStream(t, max, func(s eventSink) {
+			for i := 0; i < 3*nameCap; i++ {
+				s.Issue(int64(i), ProcSP, int64(i), "issue"+strconv.Itoa(i))
+				s.Stall(int64(i), StallSPData)
+				s.QueueEvent(int64(i), "q"+strconv.Itoa(i%(nameCap+3)), i%2 == 0, i)
+			}
+		})
 	}
 }

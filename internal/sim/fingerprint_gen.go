@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:3b8e12b61ebbf1110d74196baa7efaab4fcefd9dbc23b68359bb8710f59178b1"
+const ModelFingerprint = "mh1:eb1f1781e561f82183d29d704494c14e09dbe3ee7addbd5393870f3ce889d5f4"
