@@ -319,22 +319,16 @@ type Recorder struct {
 	// used to coalesce consecutive stalled cycles. 0 means none.
 	lastStall [NumStallReasons]int
 
-	// names is an open-addressed table of interned names: the name at
-	// position p has index p+1, and index 0 is "". It holds at most nameCap
-	// names and survives Reset, so a reused recorder interns the static
-	// queue and instruction-class names once.
-	names  [nameSlots]string
+	// names is an open-addressed table of interned names, hashed into
+	// positions 1 to nameSlots: a name's index is its position, and position
+	// 0 holds "", index 0. It holds at most nameCap names, so the static
+	// queue and instruction-class names intern without allocating.
+	names  [nameSlots + 1]string
 	nNames int
-	// last is the most recently interned name, lastIdx its index.
-	last    string
-	lastIdx uint32
 	// more holds the names interned once names is at capacity (index
-	// nameSlots+1+i) and moreIdx finds them. Reset empties both.
+	// nameSlots+1+i) and moreIdx finds them.
 	more    []string
 	moreIdx map[string]uint32
-
-	// cur is the Event that Each decodes every slot into.
-	cur Event
 }
 
 // slot is the packed form of an Event. No event carries both a Queue and a
@@ -359,9 +353,8 @@ const (
 // NewRecorder returns an empty, unbounded recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Reset empties the recorder for reuse, keeping MaxEvents, the event
-// storage and the interned names. A reset recorder records exactly like a
-// fresh one.
+// Reset empties the recorder for reuse, keeping MaxEvents and the event
+// storage. A reset recorder records exactly like a fresh one.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -369,7 +362,7 @@ func (r *Recorder) Reset() {
 	r.Dropped = 0
 	r.n = 0
 	r.lastStall = [NumStallReasons]int{}
-	r.last, r.lastIdx = "", 0
+	r.names, r.nNames = [nameSlots + 1]string{}, 0
 	r.more = r.more[:0]
 	clear(r.moreIdx)
 }
@@ -378,19 +371,19 @@ func (r *Recorder) Reset() {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Each calls fn on every stored event in emission order. It walks the
-// stream without copying it: every slot is decoded into one Event
-// the recorder reuses, so the *Event is valid only during fn's call and a
-// caller that keeps an event must copy it. For the same reason two walks of
-// one recorder (Each, Events) must not overlap, nested or concurrent.
+// stream without copying it: every slot is decoded into one Event the walk
+// reuses, so the *Event is valid only during fn's call and a caller that
+// keeps an event must copy it.
 func (r *Recorder) Each(fn func(*Event)) {
 	if r == nil {
 		return
 	}
+	var e Event
 	for c := 0; c*chunkLen < r.n; c++ {
 		chunk := r.chunks[c][:min(chunkLen, r.n-c*chunkLen)]
 		for i := range chunk {
-			r.decode(&r.cur, &chunk[i])
-			fn(&r.cur)
+			r.decode(&e, &chunk[i])
+			fn(&e)
 		}
 	}
 }
@@ -439,19 +432,10 @@ func (r *Recorder) decode(e *Event, s *slot) {
 	}
 }
 
-// intern returns the index of name, adding the name if it is new. It
-// allocates only once the table holds nameCap names.
+// intern returns the index of name, adding the name if it is new. It finds
+// the name by FNV-1a hash and linear probing, and allocates only once the
+// table holds nameCap names.
 func (r *Recorder) intern(name string) uint32 {
-	if name == r.last {
-		return r.lastIdx
-	}
-	idx := r.lookup(name)
-	r.last, r.lastIdx = name, idx
-	return idx
-}
-
-// lookup finds or adds name in the table, by FNV-1a hash and linear probing.
-func (r *Recorder) lookup(name string) uint32 {
 	if name == "" {
 		return 0
 	}
@@ -459,24 +443,24 @@ func (r *Recorder) lookup(name string) uint32 {
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint32(name[i])) * 16777619
 	}
-	for p := h % nameSlots; ; p = (p + 1) % nameSlots {
+	for p := 1 + h%nameSlots; ; p = 1 + p%nameSlots {
 		if r.names[p] == name {
-			return p + 1
+			return p
 		}
 		if r.names[p] != "" {
 			continue
 		}
 		if r.nNames == nameCap {
-			return r.lookupMore(name)
+			return r.internMore(name)
 		}
 		r.names[p] = name
 		r.nNames++
-		return p + 1
+		return p
 	}
 }
 
-// lookupMore finds or adds a name that found the table at capacity.
-func (r *Recorder) lookupMore(name string) uint32 {
+// internMore finds or adds a name that found the table at capacity.
+func (r *Recorder) internMore(name string) uint32 {
 	if idx, ok := r.moreIdx[name]; ok {
 		return idx
 	}
@@ -491,14 +475,10 @@ func (r *Recorder) lookupMore(name string) uint32 {
 
 // name returns the interned name with index idx.
 func (r *Recorder) name(idx uint32) string {
-	switch {
-	case idx == 0:
-		return ""
-	case idx <= nameSlots:
-		return r.names[idx-1]
-	default:
-		return r.more[idx-nameSlots-1]
+	if idx <= nameSlots {
+		return r.names[idx]
 	}
+	return r.more[idx-nameSlots-1]
 }
 
 // at returns the stored slot with index i.

@@ -324,7 +324,7 @@ func sameStream(t *testing.T, maxEvents int, fn func(s eventSink)) *Recorder {
 
 // More distinct labels than the interned-name table holds still round-trip,
 // the first nameCap without allocating, and so do they after a Reset that
-// follows a name past capacity.
+// follows a name past capacity, which interns them as a fresh recorder does.
 func TestInternPastCapacity(t *testing.T) {
 	labels := make([]string, 3*nameCap)
 	for i := range labels {
@@ -348,11 +348,16 @@ func TestInternPastCapacity(t *testing.T) {
 			s.Issue(int64(i), ProcVP, 2, labels[i])
 		}
 	}
-	o := &oracle{}
+	o, fresh := &oracle{}, NewRecorder()
 	r.Reset()
 	reversed(r)
 	reversed(o)
+	reversed(fresh)
 	checkAgainst(t, r, o)
+	if r.names != fresh.names || len(r.more) != len(fresh.more) {
+		t.Errorf("reset recorder interned %d names and %d more, a fresh one %d and %d",
+			r.nNames, len(r.more), fresh.nNames, len(fresh.more))
+	}
 
 	small := NewRecorder()
 	if allocs := testing.AllocsPerRun(5, func() {
