@@ -344,8 +344,9 @@ type slot struct {
 const (
 	// chunkLen is the number of slots per storage chunk (128 KiB of slots).
 	chunkLen = 4096
-	// nameSlots is the size of the interned-name table. It is filled to
-	// nameCap names at most, so a probe soon meets an empty position.
+	// nameSlots is the number of hashed positions in the interned-name
+	// table. It is filled to nameCap names at most, so a probe soon meets
+	// an empty position.
 	nameSlots = 128
 	nameCap   = nameSlots / 2
 )

@@ -161,6 +161,8 @@ func TestRecorderCountsAndKinds(t *testing.T) {
 	}
 }
 
+// Each yields the stored events in order, also while a nested walk of the
+// same recorder runs inside its callback.
 func TestEachNilAndOrder(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Each(func(*Event) { t.Error("nil recorder yielded an event") })
@@ -172,6 +174,9 @@ func TestEachNilAndOrder(t *testing.T) {
 	}
 	var next int64
 	r.Each(func(e *Event) {
+		if next%chunkLen == 0 {
+			r.Events()
+		}
 		if e.Seq != next {
 			t.Fatalf("Each yielded seq %d at position %d", e.Seq, next)
 		}

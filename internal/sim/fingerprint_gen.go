@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:bc907e033536c1adf8ea1d202d584fc28f1954b75746edd6837475ddd7edf007"
+const ModelFingerprint = "mh1:11730f44b234ea800b88013ff019052861adeaae53df8abcacd5309fd368b0a0"
