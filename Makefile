@@ -22,9 +22,9 @@ vet:
 
 # lint runs declint, the custom static-analysis suite that enforces the
 # simulator invariants (enum exhaustiveness, determinism, queue discipline,
-# recorder hygiene, the package-layer DAG, context discipline, concurrency
-# discipline, hot-path allocation hygiene). Exits 0 clean / 1 findings /
-# 2 analysis failure. See DESIGN.md "Checked invariants".
+# the package-layer DAG, context discipline, hot-path allocation hygiene).
+# Exits 0 clean / 1 findings / 2 analysis failure. See DESIGN.md "Checked
+# invariants".
 lint:
 	$(GO) run ./cmd/declint ./...
 

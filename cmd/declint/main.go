@@ -4,8 +4,7 @@
 // Usage:
 //
 //	go run ./cmd/declint ./...
-//	go run ./cmd/declint -list
-//	go run ./cmd/declint -json internal/dva internal/ref
+//	go run ./cmd/declint internal/dva internal/ref
 //
 // Exit-code contract (stable; CI and editor integrations rely on it):
 //
@@ -14,30 +13,27 @@
 //	2  the analysis itself failed (unresolvable patterns, parse or
 //	   type-check errors, bad flags)
 //
-// In the default text mode each diagnostic is one line,
-// "file:line:col: analyzer: message", with the file path relative to the
-// module root — the format .github/declint-problem-matcher.json teaches
-// GitHub Actions to annotate. With -json the diagnostics are emitted as a
-// single JSON object on stdout instead. See DESIGN.md ("Checked
-// invariants") for the analyzers and the // declint: escape-hatch syntax.
+// Each diagnostic is one line, "file:line:col: analyzer: message", with the
+// file path relative to the module root — the format
+// .github/declint-problem-matcher.json teaches GitHub Actions to annotate.
+// See DESIGN.md ("Checked invariants") for the six analyzers, the tests
+// that carry the retired recorder and concurrency checks, and the
+// // declint: escape-hatch syntax.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"decvec/internal/analysis"
-	"decvec/internal/analysis/concdiscipline"
 	"decvec/internal/analysis/ctxdiscipline"
 	"decvec/internal/analysis/determinism"
 	"decvec/internal/analysis/exhaustive"
 	"decvec/internal/analysis/hotalloc"
 	"decvec/internal/analysis/layerdag"
 	"decvec/internal/analysis/queuediscipline"
-	"decvec/internal/analysis/recorderhygiene"
 )
 
 func analyzers() []*analysis.Analyzer {
@@ -45,50 +41,24 @@ func analyzers() []*analysis.Analyzer {
 		exhaustive.Analyzer,
 		determinism.Analyzer,
 		queuediscipline.Analyzer,
-		recorderhygiene.Analyzer,
 		layerdag.Analyzer,
 		ctxdiscipline.Analyzer,
-		concdiscipline.Analyzer,
 		hotalloc.Analyzer,
 	}
 }
 
-// finding is the machine-readable form of one diagnostic.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// report is the top-level -json document.
-type report struct {
-	Findings []finding `json:"findings"`
-	Count    int       `json:"count"`
-}
-
 func main() {
-	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON document instead of text lines")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: declint [-list] [-json] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: declint [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the simulator-invariant analyzers over the module.\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Exits 0 when clean, 1 on diagnostics, 2 on analysis errors.\n")
-		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *list {
-		for _, an := range analyzers() {
-			fmt.Printf("%-16s %s\n", an.Name, an.Doc)
-		}
-		return
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	violations, err := run(patterns, *jsonOut)
+	violations, err := run(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "declint:", err)
 		os.Exit(2)
@@ -100,7 +70,7 @@ func main() {
 
 // run loads the packages, applies every analyzer and prints the surviving
 // diagnostics; it returns how many there were.
-func run(patterns []string, jsonOut bool) (int, error) {
+func run(patterns []string) (int, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return 0, err
@@ -118,34 +88,16 @@ func run(patterns []string, jsonOut bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	findings := make([]finding, 0, len(diags))
 	for _, d := range diags {
 		pos := loader.Fset.Position(d.Pos)
 		file := pos.Filename
 		if rel, err := filepath.Rel(modDir, file); err == nil {
 			file = filepath.ToSlash(rel)
 		}
-		findings = append(findings, finding{
-			File:     file,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+		fmt.Printf("%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report{Findings: findings, Count: len(findings)}); err != nil {
-			return 0, err
-		}
-		return len(findings), nil
+	if len(diags) > 0 {
+		fmt.Printf("declint: %d violation(s)\n", len(diags))
 	}
-	for _, f := range findings {
-		fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-	}
-	if len(findings) > 0 {
-		fmt.Printf("declint: %d violation(s)\n", len(findings))
-	}
-	return len(findings), nil
+	return len(diags), nil
 }

@@ -20,7 +20,10 @@
 //   - fmt calls and non-constant string concatenation off the error
 //     paths — formatting allocates, so it stays behind failures;
 //   - function literals inside loops that capture surrounding state:
-//     each iteration allocates a fresh closure.
+//     each iteration allocates a fresh closure;
+//   - defer statements outside an if: a hot function defers only behind
+//     a guard, as the cores' deferred Recorder emissions sit behind
+//     `if m.rec != nil`, so recording off pays no deferred call per cycle.
 //
 // make/new are deliberately not flagged: amortized growth of a reused
 // buffer (arena chunks, scratch capacity doubling) is the legitimate way
@@ -359,6 +362,14 @@ func checkHotFunc(pass *analysis.Pass, info *fnInfo, root string) {
 				pass.Reportf(n.Pos(),
 					"string concatenation in hot path %s: formatting allocates; keep it on error paths", root)
 			}
+		case *ast.DeferStmt:
+			for _, a := range stack {
+				if _, ok := a.(*ast.IfStmt); ok {
+					return
+				}
+			}
+			pass.Reportf(n.Pos(),
+				"unconditional defer in hot path %s: it runs on every call; put it behind the guard that enables it (if m.rec != nil)", root)
 		case *ast.FuncLit:
 			inLoop := false
 			for _, a := range stack {

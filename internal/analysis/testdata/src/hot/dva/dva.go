@@ -60,7 +60,14 @@ func (m *machine) step(i int) {
 	if i < 0 {
 		panic(fmt.Sprintf("dva: negative cycle %d", i)) // clean: panic argument
 	}
+
+	if m.n > 0 {
+		defer m.note(i) // clean: paid only when the guard enables it
+	}
+	defer m.note(i) // want "unconditional defer in hot path run"
 }
+
+func (m *machine) note(int) {}
 
 // route appends to its parameter, the scratch-threading idiom.
 func route(ps []int, i int) []int {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"decvec/internal/sim"
 	"decvec/internal/workload"
@@ -39,7 +40,7 @@ func TestSuiteRunSingleflight(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	wg.Wait()
+	waitWithin(t, 20*time.Second, "the callers' Run calls (wg.Wait)", wg.Wait)
 
 	if got := s.Simulations(); got != 1 {
 		t.Errorf("Simulations() = %d, want 1 for %d identical concurrent calls", got, callers)
@@ -48,6 +49,23 @@ func TestSuiteRunSingleflight(t *testing.T) {
 		if r != results[0] {
 			t.Errorf("caller %d got a different result object", i)
 		}
+	}
+}
+
+// waitWithin fails the test if wait has not returned within d, naming what
+// it waited for. A lock held across the flight wait deadlocks every caller;
+// this turns that hang into a prompt failure instead of the package timeout.
+func waitWithin(t *testing.T, d time.Duration, what string, wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v: deadlock", what, d)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,11 +195,21 @@ func TestCoalescing(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	srv, ts := testServer(t, Config{MaxConcurrent: 2, MaxQueue: 2 * n})
-	var once sync.Once
+	var once, releaseOnce sync.Once
 	srv.simHook = func() {
 		once.Do(func() { close(entered) })
 		<-release
 	}
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	// A failed wait leaves requests stuck in the server. Release the hook
+	// and cut the client connections, which cancels the handlers' contexts,
+	// so the server's cleanup can drain.
+	t.Cleanup(func() {
+		if t.Failed() {
+			unblock()
+			ts.CloseClientConnections()
+		}
+	})
 
 	var wg sync.WaitGroup
 	var okCount, failCount atomic.Int64
@@ -225,12 +236,14 @@ func TestCoalescing(t *testing.T) {
 	}
 	// Wait until the winner is inside its simulation slot and every request
 	// goroutine has launched, then let the simulation finish.
-	<-entered
-	for i := 0; i < n; i++ {
-		<-launched
-	}
-	close(release)
-	wg.Wait()
+	waitWithin(t, 20*time.Second, "the winner's slot and the request launches", func() {
+		<-entered
+		for i := 0; i < n; i++ {
+			<-launched
+		}
+	})
+	unblock()
+	waitWithin(t, 20*time.Second, "the coalesced requests (wg.Wait)", wg.Wait)
 
 	if got := okCount.Load(); got != n {
 		t.Errorf("%d/%d requests succeeded (%d failed)", got, n, failCount.Load())
@@ -241,6 +254,24 @@ func TestCoalescing(t *testing.T) {
 	st := srv.Stats()
 	if st.Coalesced < n-1 {
 		t.Errorf("Stats().Coalesced = %d, want >= %d", st.Coalesced, n-1)
+	}
+}
+
+// waitWithin fails the test if wait has not returned within d, naming what
+// it waited for. A lock held across the suite's flight wait deadlocks every
+// coalesced request; this turns that hang into a prompt failure instead of
+// the package timeout.
+func waitWithin(t *testing.T, d time.Duration, what string, wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v: deadlock", what, d)
 	}
 }
 
@@ -383,6 +414,7 @@ func TestShutdownDrains(t *testing.T) {
 	// Shutdown must wait for the in-flight run, not race past it.
 	select {
 	case err := <-shutdownDone:
+		close(release) // let the request finish, or the deferred ts.Close hangs
 		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
 	case <-time.After(100 * time.Millisecond):
 	}
@@ -518,6 +550,38 @@ func TestPeriodicGC(t *testing.T) {
 			t.Fatal("periodic GC never evicted the over-cap entry")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShutdownJoinsGCLoop checks that Shutdown returns only after the
+// periodic GC goroutine has exited, so no GC still runs on a store whose
+// owner has moved on. Each round starts a fresh loop and, right after
+// Shutdown, looks for it inside Store.GC in a goroutine dump. A joined loop
+// can never be there; an unjoined one often is, so the rounds catch it. The
+// loop must run beside Shutdown for that, hence at least two Ps.
+func TestShutdownJoinsGCLoop(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	buf := make([]byte, 1<<20)
+	for i := 0; i < 50; i++ {
+		store, err := simcache.Open(t.TempDir(), simcache.Options{MaxBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Scale: 0.05, Store: store, GCInterval: time.Millisecond})
+		time.Sleep(2 * time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte(".gcLoop(")) && bytes.Contains(g, []byte(").GC(")) {
+				t.Fatalf("round %d: the GC loop is still collecting after Shutdown returned:\n%s", i, g)
+			}
+		}
 	}
 }
 

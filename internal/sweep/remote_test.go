@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,13 +20,13 @@ import (
 	"decvec/internal/workload"
 )
 
-// dvadServer spins a real in-process dvad for the remote executor to talk
-// to; only the test file imports internal/server (test files sit outside
-// the layer DAG). The server itself imports this package for sweep.Plan,
-// hence the external test package.
-func dvadServer(t *testing.T) *httptest.Server {
+// dvadServer spins a real in-process dvad, over store when it is non-nil,
+// for the remote executor to talk to; only the test file imports
+// internal/server (test files sit outside the layer DAG). The server itself
+// imports this package for sweep.Plan, hence the external test package.
+func dvadServer(t *testing.T, store *simcache.Store) *httptest.Server {
 	t.Helper()
-	s := server.New(server.Config{Scale: 0.05})
+	s := server.New(server.Config{Scale: 0.05, Store: store})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -85,7 +86,7 @@ func encodeOf(t *testing.T, r *sim.Result) []byte {
 // declared down — and the results it finally returns must byte-match a
 // local run.
 func TestRemoteRetriesAfter429(t *testing.T) {
-	ts := dvadServer(t)
+	ts := dvadServer(t, nil)
 	var rejected atomic.Int64
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/sweep" && rejected.Add(1) <= 2 {
@@ -122,7 +123,7 @@ func TestRemoteRetriesAfter429(t *testing.T) {
 // A stream that breaks mid-way must be resumed by retrying only the cells
 // never received: rows already flushed stay merged.
 func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
-	ts := dvadServer(t)
+	ts := dvadServer(t, nil)
 	suite := experiments.NewSuite(0.05)
 	var sweeps atomic.Int64
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +183,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 // A single-cell chunk rides /v1/simulate in raw mode and must return the
 // same canonical bytes.
 func TestRemoteSingleCellRawPath(t *testing.T) {
-	ts := dvadServer(t)
+	ts := dvadServer(t, nil)
 	rr := sweep.NewRemote(ts.URL, sweep.RemoteOptions{Retries: 2, Backoff: time.Millisecond})
 	cells := planCells(t, 3)[1:2]
 	out, err := rr.Run(context.Background(), cells)
@@ -192,6 +193,56 @@ func TestRemoteSingleCellRawPath(t *testing.T) {
 	suite := experiments.NewSuite(0.05)
 	if !bytes.Equal(encodeOf(t, out[0]), canonical(t, suite, cells[0])) {
 		t.Error("raw /v1/simulate result differs from the local run")
+	}
+}
+
+// The coordinator keeps several chunks in flight per worker, so one Remote
+// serves concurrent Run calls. Its baseline and trailer counters are shared
+// state; under -race this checks their locking. The worker has a store, so
+// both the /statsz baseline and the trailers carry counters.
+func TestRemoteConcurrentRuns(t *testing.T) {
+	store, err := simcache.Open(t.TempDir(), simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := dvadServer(t, store)
+	rr := sweep.NewRemote(ts.URL, sweep.RemoteOptions{Retries: 2, Backoff: time.Millisecond})
+	cells := planCells(t, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < len(cells); i += 2 {
+		chunk := cells[i : i+2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			out, err := rr.Run(context.Background(), chunk)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for j, r := range out {
+				if r == nil {
+					t.Errorf("cell %d missing", chunk[j].Index)
+				}
+			}
+		}()
+	}
+	close(start)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// Poll Stats meanwhile: its locked reads pair with every counter write,
+	// so the race detector sees a write made outside the lock.
+	for {
+		select {
+		case <-done:
+			return
+		case <-time.After(100 * time.Microsecond):
+			rr.Stats()
+		}
 	}
 }
 
