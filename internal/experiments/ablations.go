@@ -32,7 +32,7 @@ func sweepParam(ctx context.Context, s *Suite, name string, latency int64, value
 	progs := workload.Simulated()
 	var runs []RunSpec
 	for _, v := range values {
-		runs = append(runs, RunSpec{DVA, mk(v)})
+		runs = append(runs, RunSpec{Arch: DVA, Cfg: mk(v)})
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
 		return nil, err

@@ -29,71 +29,54 @@ var (
 
 var errUnknownArch = errors.New("experiments: unknown architecture")
 
-func getRefRunner() *ref.Runner {
-	if r, ok := refRunners.Get(); ok {
-		return r
-	}
-	return ref.NewRunner()
-}
-
-func getDVARunner() *dva.Runner {
-	if r, ok := dvaRunners.Get(); ok {
-		return r
-	}
-	return dva.NewRunner()
-}
-
-func getOOORunner() *ooo.Runner {
-	if r, ok := oooRunners.Get(); ok {
-		return r
-	}
-	return ooo.NewRunner()
-}
-
-// simulateArch performs one uncached simulator invocation on a pooled
-// machine. This is the batch hot loop: everything per run up to the core's
-// own (hot-path-gated) stepping must stay allocation-free, so the function
-// sits under the hotalloc gate. A runner is returned to its pool even when
-// the run fails — reset restores it either way.
+// dispatch performs one uncached simulator invocation on a pooled machine.
+// This is the batch hot loop: everything per run up to the core's own
+// (hot-path-gated) stepping must stay allocation-free, so the function
+// sits under the hotalloc gate.
 // declint:hotpath
-func simulateArch(tr trace.Source, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	switch arch {
+func dispatch(tr trace.Source, spec RunSpec) (*sim.Result, error) {
+	switch spec.Arch {
 	case REF:
-		rn := getRefRunner()
-		r, err := rn.Run(tr, cfg)
-		refRunners.Put(rn)
-		return r, err
+		return runPooled(&refRunners, ref.NewRunner, tr, spec.Cfg)
 	case DVA:
-		rn := getDVARunner()
-		r, err := rn.Run(tr, cfg)
-		dvaRunners.Put(rn)
-		return r, err
+		return runPooled(&dvaRunners, dva.NewRunner, tr, spec.Cfg)
+	case OOO:
+		return runPooled(&oooRunners, ooo.NewRunner, tr, ooo.Config{Config: spec.Cfg, Window: spec.Window, PhysRegs: spec.PhysRegs})
 	default:
 		return nil, errUnknownArch
 	}
 }
 
-// simulateOOO is simulateArch for the out-of-order extension.
-// declint:hotpath
-func simulateOOO(tr trace.Source, cfg ooo.Config) (*sim.Result, error) {
-	rn := getOOORunner()
-	r, err := rn.Run(tr, cfg)
-	oooRunners.Put(rn)
+// runPooled leases a machine from pool, building one when the pool is
+// empty, and runs tr on it. The machine goes back to the pool even when
+// the run fails — reset restores it either way.
+func runPooled[M interface {
+	Run(trace.Source, C) (*sim.Result, error)
+}, C any](pool *sim.RunPool[M], fresh func() M, tr trace.Source, cfg C) (*sim.Result, error) {
+	m, ok := pool.Get()
+	if !ok {
+		m = fresh()
+	}
+	r, err := m.Run(tr, cfg)
+	pool.Put(m)
 	return r, err
 }
 
 // BatchJob is one simulation of a batch: a program run on an architecture
-// under a configuration.
+// under a configuration. Window and PhysRegs are as in RunSpec.
 type BatchJob struct {
-	Program *workload.Program
-	Arch    Arch
-	Cfg     sim.Config
+	Program  *workload.Program
+	Arch     Arch
+	Cfg      sim.Config
+	Window   int
+	PhysRegs int
 }
 
 // RunBatch steps many independent traces through the pooled machines and
 // returns the results in job order. The batch is staged for throughput:
 //
-//   - cold: every distinct trace is materialized once, across the CPUs;
+//   - cold: every distinct trace is materialized and hashed once, across
+//     the CPUs;
 //   - hot: duplicate (program, arch, config) cells are collapsed, grouped
 //     by trace so consecutive runs on a worker replay an instruction slab
 //     that is already cache-hot, ordered longest-expected-first, and
@@ -110,9 +93,9 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 		return nil, nil
 	}
 
-	// Cold phase: materialize every distinct trace in parallel, so no hot
-	// worker ever stalls generating instructions. Programs are deduped by
-	// name — which is also what the suite and the disk cache key on — so
+	// Cold phase: materialize and hash every distinct trace in parallel, so
+	// no hot worker ever stalls generating instructions. Programs are
+	// deduped by name — which is also what their trace memo keys on — so
 	// two distinct definitions sharing a name would silently answer one
 	// cell with the other's trace. Refuse the whole batch instead.
 	progs := make(map[string]*workload.Program, 8)
@@ -127,7 +110,7 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 		progs[j.Program.Name] = j.Program
 		p := j.Program
 		mats = append(mats, func() error {
-			p.CachedTrace(s.Scale)
+			p.CachedTraceHash(s.Scale) // a hash error leaves the program's cells uncached
 			return nil
 		})
 	}
@@ -137,34 +120,19 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 
 	// Collapse duplicate cells; remember every distinct one once.
 	type cell struct {
-		p    *workload.Program
-		arch Arch
-		cfg  sim.Config
+		job  BatchJob
 		cost int64
 	}
-	key := func(j BatchJob) suiteKey {
-		cfg := j.Cfg
-		if s.SlowTick {
-			cfg.SlowTick = true
-		}
-		return suiteKey{program: j.Program.Name, arch: j.Arch, cfg: cfg}
-	}
-	cells := make(map[suiteKey]cell, len(jobs))
-	order := make([]suiteKey, 0, len(jobs))
+	results := make(map[BatchJob]*sim.Result, len(jobs))
+	cells := make([]cell, 0, len(jobs))
 	progCost := make(map[string]int64, len(progs))
 	for _, j := range jobs {
-		k := key(j)
-		if _, ok := cells[k]; ok {
+		if _, ok := results[j]; ok {
 			continue
 		}
-		c := cell{
-			p:    j.Program,
-			arch: j.Arch,
-			cfg:  j.Cfg,
-			cost: int64(j.Program.CachedTrace(s.Scale).Len()) * j.Cfg.MemLatency,
-		}
-		cells[k] = c
-		order = append(order, k)
+		results[j] = nil
+		c := cell{job: j, cost: int64(j.Program.CachedTrace(s.Scale).Len()) * j.Cfg.MemLatency}
+		cells = append(cells, c)
 		progCost[j.Program.Name] += c.cost
 	}
 
@@ -172,30 +140,30 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// instruction slab stays hot in cache), heaviest trace first, and within
 	// a trace heaviest cell first, so the long simulations start immediately
 	// and short ones fill the remaining worker capacity.
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.program != b.program {
-			ca, cb := progCost[a.program], progCost[b.program]
+	sort.SliceStable(cells, func(i, j int) bool {
+		a, b := cells[i].job.Program.Name, cells[j].job.Program.Name
+		if a != b {
+			ca, cb := progCost[a], progCost[b]
 			if ca != cb {
 				return ca > cb
 			}
-			return a.program < b.program
+			return a < b
 		}
-		return cells[a].cost > cells[b].cost
+		return cells[i].cost > cells[j].cost
 	})
 
 	// Hot phase: drain the cells across the CPUs, each worker recording its
 	// own cell's outcome in place (distinct slots, so no lock is needed).
-	// RunCtx supplies the singleflight and cache tiers; the simulation
-	// itself lands on a pooled machine via simulateArch. parallelCtx runs
-	// every cell and joins every error — one failed cell must neither hide
-	// another's failure nor discard the cells that succeeded.
-	got := make([]*sim.Result, len(order))
-	fns := make([]func() error, len(order))
-	for i, k := range order {
-		c := cells[k]
+	// The suite's run path supplies the singleflight and cache tiers; the
+	// simulation itself lands on a pooled machine via dispatch. parallelCtx
+	// runs every cell and joins every error — one failed cell must neither
+	// hide another's failure nor discard the cells that succeeded.
+	got := make([]*sim.Result, len(cells))
+	fns := make([]func() error, len(cells))
+	for i, c := range cells {
+		j := c.job
 		fns[i] = func() error {
-			r, err := s.RunCtx(ctx, c.p, c.arch, c.cfg)
+			r, err := s.runProgram(ctx, j.Program, RunSpec{Arch: j.Arch, Cfg: j.Cfg, Window: j.Window, PhysRegs: j.PhysRegs})
 			got[i] = r
 			return err
 		}
@@ -206,13 +174,12 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// a cell, which for a failed cell would mean a second simulation whose
 	// error masks the first. Failed cells leave nil holes; the joined
 	// hot-phase aggregate carries every cause.
-	byKey := make(map[suiteKey]*sim.Result, len(order))
-	for i, k := range order {
-		byKey[k] = got[i]
+	for i, c := range cells {
+		results[c.job] = got[i]
 	}
 	out := make([]*sim.Result, len(jobs))
 	for i, j := range jobs {
-		out[i] = byKey[key(j)]
+		out[i] = results[j]
 	}
 	return out, hotErr
 }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
@@ -75,5 +77,46 @@ func TestRunBatchProgramNameCollision(t *testing.T) {
 	}
 	if out[0] == nil || out[0] != out[1] {
 		t.Errorf("duplicate cells should collapse to one result: %p %p", out[0], out[1])
+	}
+}
+
+// A mixed REF/DVA/OOO batch with duplicates returns, in job order, the
+// results single calls produce, at one simulation per distinct cell.
+func TestRunBatchMixedArches(t *testing.T) {
+	progs := workload.Simulated()[:2]
+	ocfg := ooo.DefaultConfig(30)
+	var jobs []BatchJob
+	for _, p := range progs {
+		jobs = append(jobs,
+			BatchJob{Program: p, Arch: REF, Cfg: ocfg.Config},
+			BatchJob{Program: p, Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs},
+			BatchJob{Program: p, Arch: DVA, Cfg: ocfg.Config},
+			BatchJob{Program: p, Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs},
+			BatchJob{Program: p, Arch: REF, Cfg: ocfg.Config},
+		)
+	}
+	s := NewSuite(testScale)
+	out, err := s.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Simulations(); n != 6 {
+		t.Errorf("batch ran %d simulations, want 6 (one per distinct cell)", n)
+	}
+
+	single := NewSuite(testScale)
+	for i, j := range jobs {
+		var want *sim.Result
+		if j.Arch == OOO {
+			want, err = single.RunOOO(j.Program, ocfg)
+		} else {
+			want, err = single.Run(j.Program, j.Arch, j.Cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out[i], want) {
+			t.Errorf("job %d (%s %s): batch result differs from a single call", i, j.Program.Name, j.Arch)
+		}
 	}
 }

@@ -58,9 +58,9 @@ func Figure7(ctx context.Context, s *Suite, lats []int64) (*Figure7Result, error
 	progs := workload.Simulated()
 	var runs []RunSpec
 	for _, l := range lats {
-		runs = append(runs, RunSpec{DVA, sim.DefaultConfig(l)})
+		runs = append(runs, RunSpec{Arch: DVA, Cfg: sim.DefaultConfig(l)})
 		for _, bc := range Figure7Configs {
-			runs = append(runs, RunSpec{DVA, sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
+			runs = append(runs, RunSpec{Arch: DVA, Cfg: sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
 		}
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
@@ -119,8 +119,8 @@ func Figure8(ctx context.Context, s *Suite, latency int64) (*Figure8Result, erro
 	}
 	progs := workload.Simulated()
 	runs := []RunSpec{
-		{DVA, sim.DefaultConfig(latency)},
-		{DVA, sim.BypassConfig(latency, 256, 16)},
+		{Arch: DVA, Cfg: sim.DefaultConfig(latency)},
+		{Arch: DVA, Cfg: sim.BypassConfig(latency, 256, 16)},
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
 		return nil, err

@@ -45,8 +45,8 @@ func ExtensionConflicts(ctx context.Context, s *Suite, base int64, jitters []int
 	}
 	for _, j := range jitters {
 		runs = append(runs,
-			RunSpec{REF, mk(j)},
-			RunSpec{DVA, mk(j)})
+			RunSpec{Arch: REF, Cfg: mk(j)},
+			RunSpec{Arch: DVA, Cfg: mk(j)})
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
 		return nil, err

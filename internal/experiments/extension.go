@@ -3,9 +3,6 @@ package experiments
 import (
 	"context"
 
-	"sync"
-
-	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
@@ -43,69 +40,30 @@ func ExtensionOOO(ctx context.Context, s *Suite, lats []int64) (*ExtensionOOORes
 	if len(lats) == 0 {
 		lats = []int64{1, 30, 100}
 	}
-	progs := workload.Simulated()
-	var runs []RunSpec
-	for _, l := range lats {
-		cfg := sim.DefaultConfig(l)
-		runs = append(runs,
-			RunSpec{REF, cfg},
-			RunSpec{DVA, cfg})
+	// One batch runs every REF, DVA and OOO cell; each (program, latency)
+	// row is cols consecutive jobs: REF, DVA, then OOO per window.
+	cols := 2 + len(ExtensionOOOWindows)
+	var jobs []BatchJob
+	for _, p := range workload.Simulated() {
+		for _, l := range lats {
+			cfg := sim.DefaultConfig(l)
+			jobs = append(jobs, BatchJob{Program: p, Arch: REF, Cfg: cfg}, BatchJob{Program: p, Arch: DVA, Cfg: cfg})
+			for _, w := range ExtensionOOOWindows {
+				jobs = append(jobs, BatchJob{Program: p, Arch: OOO, Cfg: cfg, Window: w, PhysRegs: 4 * physFloor(w)})
+			}
+		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.RunBatch(ctx, jobs)
+	if err != nil {
 		return nil, err
 	}
 	res := &ExtensionOOOResult{Latencies: lats, Windows: ExtensionOOOWindows}
-
-	// The OOO runs go through Suite.RunOOO, so they share the suite's
-	// memory and persistent caches; computed in parallel per
-	// (program, latency, window).
-	type key struct {
-		prog string
-		lat  int64
-		w    int
-	}
-	oooCycles := make(map[key]int64)
-	var oooMu sync.Mutex
-	var jobs []func() error
-	for _, p := range progs {
-		for _, l := range lats {
-			for _, w := range ExtensionOOOWindows {
-				p, l, w := p, l, w
-				jobs = append(jobs, func() error {
-					cfg := ooo.DefaultConfig(l)
-					cfg.Window = w
-					cfg.PhysRegs = 4 * physFloor(w)
-					r, err := s.RunOOOCtx(ctx, p, cfg)
-					if err != nil {
-						return err
-					}
-					oooMu.Lock()
-					oooCycles[key{p.Name, l, w}] = r.Cycles
-					oooMu.Unlock()
-					return nil
-				})
-			}
+	for i := 0; i < len(out); i += cols {
+		row := ExtensionOOORow{Name: jobs[i].Program.Name, Latency: jobs[i].Cfg.MemLatency, Ref: out[i].Cycles, Dva: out[i+1].Cycles}
+		for _, r := range out[i+2 : i+cols] {
+			row.Ooo = append(row.Ooo, r.Cycles)
 		}
-	}
-	if err := parallelCtx(ctx, jobs); err != nil {
-		return nil, err
-	}
-	for _, p := range progs {
-		for _, l := range lats {
-			rr, err := s.RunCtx(ctx, p, REF, sim.DefaultConfig(l))
-			if err != nil {
-				return nil, err
-			}
-			rd, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
-			if err != nil {
-				return nil, err
-			}
-			row := ExtensionOOORow{Name: p.Name, Latency: l, Ref: rr.Cycles, Dva: rd.Cycles}
-			for _, w := range ExtensionOOOWindows {
-				row.Ooo = append(row.Ooo, oooCycles[key{p.Name, l, w}])
-			}
-			res.Rows = append(res.Rows, row)
-		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

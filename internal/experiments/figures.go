@@ -36,7 +36,7 @@ func Figure1(ctx context.Context, s *Suite) (*Figure1Result, error) {
 	progs := workload.Simulated()
 	var runs []RunSpec
 	for _, l := range lats {
-		runs = append(runs, RunSpec{REF, sim.DefaultConfig(l)})
+		runs = append(runs, RunSpec{Arch: REF, Cfg: sim.DefaultConfig(l)})
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
 		return nil, err
@@ -116,8 +116,8 @@ func Sweep(ctx context.Context, s *Suite, lats []int64) (*SweepResult, error) {
 	for _, l := range lats {
 		cfg := sim.DefaultConfig(l)
 		runs = append(runs,
-			RunSpec{REF, cfg},
-			RunSpec{DVA, cfg},
+			RunSpec{Arch: REF, Cfg: cfg},
+			RunSpec{Arch: DVA, Cfg: cfg},
 		)
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
@@ -169,7 +169,7 @@ func Figure6(ctx context.Context, s *Suite) (*Figure6Result, error) {
 	progs := workload.Simulated()
 	var runs []RunSpec
 	for _, l := range lats {
-		runs = append(runs, RunSpec{DVA, sim.DefaultConfig(l)})
+		runs = append(runs, RunSpec{Arch: DVA, Cfg: sim.DefaultConfig(l)})
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func ExtensionPorts(ctx context.Context, s *Suite, lats []int64) (*PortsResult, 
 	var runs []RunSpec
 	for _, l := range lats {
 		for _, cfg := range []sim.Config{oneP(l), bypP(l), twoP(l)} {
-			runs = append(runs, RunSpec{DVA, cfg})
+			runs = append(runs, RunSpec{Arch: DVA, Cfg: cfg})
 		}
 	}
 	if err := s.WarmCtx(ctx, progs, runs); err != nil {

@@ -40,6 +40,7 @@ type Arch string
 const (
 	REF Arch = "REF" // the reference (coupled) vector architecture
 	DVA Arch = "DVA" // the decoupled vector architecture
+	OOO Arch = "OOO" // the out-of-order, register-renaming extension (§8)
 )
 
 // Gate admission-controls real simulator invocations. A server attaches one
@@ -52,11 +53,15 @@ type Gate interface {
 	Acquire(ctx context.Context) (release func(), err error)
 }
 
-// Suite runs simulations for the experiment drivers through a two-tier
-// cache: an in-process result map (figures sharing runs — 3, 4 and 5 use
-// identical sweeps — simulate each configuration exactly once, also under
-// concurrency: duplicate requests for an in-flight key wait for the first
-// caller), and optionally a persistent content-addressed store (Disk) that
+// Suite runs simulations for the experiment drivers through one run path
+// with a two-tier cache. Every run, whatever its entry (RunCtx, RunOOOCtx,
+// RunSourceCtx or RunBatch), is keyed on the trace's content hash, the
+// architecture and the full configuration. The in-process tier memoizes
+// results under that key: figures sharing runs — 3, 4 and 5 use identical
+// sweeps — simulate each configuration exactly once, also under
+// concurrency (duplicate requests for an in-flight key wait for the first
+// caller), and a workload run and an upload of the identical trace share
+// one simulation. The optional persistent content-addressed store (Disk)
 // survives the process, so repeat invocations skip simulation entirely.
 // A Suite is safe for concurrent use.
 type Suite struct {
@@ -91,36 +96,19 @@ type Suite struct {
 	// Set it before the first Run.
 	Gate Gate
 
-	runs    flightGroup[suiteKey, *sim.Result]
-	oooRuns flightGroup[oooSuiteKey, *sim.Result]
-	sources flightGroup[sourceKey, *sim.Result]
-	ideals  flightGroup[string, ideal.Bound]
+	runs   flightGroup[runKey, *sim.Result]
+	ideals flightGroup[string, ideal.Bound]
 
-	mu     sync.Mutex
-	sims   int64               // simulations actually executed (see Simulations)
-	hashes map[string][32]byte // trace content hash per program, at suite scale
+	mu   sync.Mutex
+	sims int64 // simulations actually executed (see Simulations)
 }
 
-type suiteKey struct {
-	program string
-	arch    Arch
-	cfg     sim.Config
-}
-
-// oooSuiteKey keys the out-of-order runs, whose configuration extends
-// sim.Config with the window and physical-register pool.
-type oooSuiteKey struct {
-	program string
-	cfg     ooo.Config
-}
-
-// sourceKey keys runs of arbitrary uploaded traces by content hash — two
-// uploads of identical bytes coalesce exactly like two requests for the
-// same workload.
-type sourceKey struct {
-	hash [32]byte
-	arch Arch
-	cfg  sim.Config
+// runKey is the suite's one result key: the trace by content hash, so
+// identical traces coalesce whichever entry they arrive through, and the
+// run's architecture and full configuration.
+type runKey struct {
+	trace [32]byte
+	spec  RunSpec
 }
 
 // NewSuite returns an empty suite at the given trace scale.
@@ -129,12 +117,9 @@ func NewSuite(scale float64) *Suite {
 		scale = workload.DefaultScale
 	}
 	return &Suite{
-		Scale:   scale,
-		runs:    newFlightGroup[suiteKey, *sim.Result](),
-		oooRuns: newFlightGroup[oooSuiteKey, *sim.Result](),
-		sources: newFlightGroup[sourceKey, *sim.Result](),
-		ideals:  newFlightGroup[string, ideal.Bound](),
-		hashes:  make(map[string][32]byte),
+		Scale:  scale,
+		runs:   newFlightGroup[runKey, *sim.Result](),
+		ideals: newFlightGroup[string, ideal.Bound](),
 	}
 }
 
@@ -184,46 +169,13 @@ func (s *Suite) admit(ctx context.Context) (func(), error) {
 // or on a coalesced in-flight run) without disturbing the computation
 // other callers still want.
 func (s *Suite) RunCtx(ctx context.Context, p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
-	}
-	key := suiteKey{program: p.Name, arch: arch, cfg: cfg}
-	if r, ok := s.runs.get(key); ok {
-		return r, nil
-	}
-	return s.runs.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		return s.cachedSimulate(ctx, p, string(arch), cfg, "", func(ctx context.Context) (*sim.Result, error) {
-			return s.simulate(ctx, p, arch, cfg)
-		})
-	})
+	return s.runProgram(ctx, p, RunSpec{Arch: arch, Cfg: cfg})
 }
 
 // RunOOOCtx simulates program p on the out-of-order extension (§8) with
 // the same two-tier caching and cancellation discipline as RunCtx.
 func (s *Suite) RunOOOCtx(ctx context.Context, p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
-	}
-	key := oooSuiteKey{program: p.Name, cfg: cfg}
-	if r, ok := s.oooRuns.get(key); ok {
-		return r, nil
-	}
-	return s.oooRuns.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		extra := fmt.Sprintf("window=%d physregs=%d", cfg.Window, cfg.PhysRegs)
-		return s.cachedSimulate(ctx, p, "OOO", cfg.Config, extra, func(ctx context.Context) (*sim.Result, error) {
-			release, err := s.admit(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			s.countSim()
-			r, err := simulateOOO(p.CachedTrace(s.Scale), cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: OOO on %s: %w", p.Name, err)
-			}
-			return r, nil
-		})
-	})
+	return s.runProgram(ctx, p, RunSpec{Arch: OOO, Cfg: cfg.Config, Window: cfg.Window, PhysRegs: cfg.PhysRegs})
 }
 
 // RunSourceCtx simulates an arbitrary materialized trace (for example one
@@ -232,52 +184,60 @@ func (s *Suite) RunOOOCtx(ctx context.Context, p *workload.Program, cfg ooo.Conf
 // uploads share one simulation and one cache entry — the same entry a
 // workload run of the identical trace would use.
 func (s *Suite) RunSourceCtx(ctx context.Context, src *trace.Slice, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	if s.SlowTick {
-		cfg.SlowTick = true
-	}
 	th, err := trace.Hash(src)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: hashing trace %s: %w", src.Name(), err)
 	}
-	key := sourceKey{hash: th, arch: arch, cfg: cfg}
-	if r, ok := s.sources.get(key); ok {
-		return r, nil
-	}
-	return s.sources.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-		simulate := func(ctx context.Context) (*sim.Result, error) {
-			return s.simulateSource(ctx, src, arch, cfg)
-		}
-		if s.Disk == nil {
-			return simulate(ctx)
-		}
-		return s.diskTier(ctx, th, string(arch), cfg, "", src.Name(), simulate)
-	})
+	return s.run(ctx, src, th, true, RunSpec{Arch: arch, Cfg: cfg})
 }
 
-// cachedSimulate is the disk tier for workload runs: hash the program's
-// trace (memoized per suite) and delegate to diskTier. A trace that cannot
-// be hashed cannot be keyed, so it simulates uncached.
-func (s *Suite) cachedSimulate(ctx context.Context, p *workload.Program, arch string, cfg sim.Config, extra string, simulate func(context.Context) (*sim.Result, error)) (*sim.Result, error) {
-	if s.Disk == nil {
-		return simulate(ctx)
+// runProgram runs a workload program's trace at the suite scale. A trace
+// that cannot be hashed cannot be keyed, so it simulates uncached.
+func (s *Suite) runProgram(ctx context.Context, p *workload.Program, spec RunSpec) (*sim.Result, error) {
+	th, err := p.CachedTraceHash(s.Scale)
+	return s.run(ctx, p.CachedTrace(s.Scale), th, err == nil, spec)
+}
+
+// run is the suite's one run path: memory → disk → simulate. Only an
+// OOO run takes a window and physical-register pool; any other run with
+// either set is refused before it can alias a key without them.
+func (s *Suite) run(ctx context.Context, tr *trace.Slice, th [32]byte, keyed bool, spec RunSpec) (*sim.Result, error) {
+	if spec.Arch != OOO && (spec.Window != 0 || spec.PhysRegs != 0) {
+		return nil, fmt.Errorf("experiments: %s on %s takes no window or physical registers (got %d, %d)", spec.Arch, tr.Name(), spec.Window, spec.PhysRegs)
 	}
-	th, err := s.traceHash(p)
-	if err != nil {
-		return simulate(ctx)
+	if s.SlowTick {
+		spec.Cfg.SlowTick = true
 	}
-	return s.diskTier(ctx, th, arch, cfg, extra, p.Name, simulate)
+	if !keyed {
+		return s.simulate(ctx, tr, spec)
+	}
+	key := runKey{trace: th, spec: spec}
+	if r, ok := s.runs.get(key); ok {
+		return r, nil
+	}
+	return s.runs.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
+		if s.Disk == nil {
+			return s.simulate(ctx, tr, spec)
+		}
+		return s.diskTier(ctx, tr, key)
+	})
 }
 
 // diskTier consults the persistent store, falls back to the simulator, and
 // persists what it produced. With VerifyFraction > 0 a deterministic sample
 // of hits is re-simulated and byte-compared against the stored encoding; a
-// mismatch is a hard error, never a silent repair.
-func (s *Suite) diskTier(ctx context.Context, th [32]byte, arch string, cfg sim.Config, extra, name string, simulate func(context.Context) (*sim.Result, error)) (*sim.Result, error) {
-	key := s.Disk.Key(th, arch, cfg, extra)
+// mismatch is a hard error, never a silent repair. OOO keys append the
+// window and register pool; REF and DVA keys append nothing.
+func (s *Suite) diskTier(ctx context.Context, tr *trace.Slice, k runKey) (*sim.Result, error) {
+	extra := ""
+	if k.spec.Arch == OOO {
+		extra = fmt.Sprintf("window=%d physregs=%d", k.spec.Window, k.spec.PhysRegs)
+	}
+	key := s.Disk.Key(k.trace, string(k.spec.Arch), k.spec.Cfg, extra)
 	if r, payload, ok := s.Disk.GetBytes(key); ok {
 		if simcache.VerifySample(key, s.VerifyFraction) {
 			s.Disk.CountVerified()
-			fresh, err := simulate(ctx)
+			fresh, err := s.simulate(ctx, tr, k.spec)
 			if err != nil {
 				return nil, err
 			}
@@ -286,12 +246,12 @@ func (s *Suite) diskTier(ctx context.Context, th [32]byte, arch string, cfg sim.
 				return nil, err
 			}
 			if !bytes.Equal(freshBytes, payload) {
-				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", arch, cfg.String(), name, key[:16], s.Disk.Dir())
+				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", k.spec.Arch, k.spec.Cfg.String(), tr.Name(), key[:16], s.Disk.Dir())
 			}
 		}
 		return r, nil
 	}
-	r, err := simulate(ctx)
+	r, err := s.simulate(ctx, tr, k.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -301,53 +261,18 @@ func (s *Suite) diskTier(ctx context.Context, th [32]byte, arch string, cfg sim.
 	return r, nil
 }
 
-// traceHash memoizes the content hash of each program's trace at the suite
-// scale.
-func (s *Suite) traceHash(p *workload.Program) ([32]byte, error) {
-	s.mu.Lock()
-	if h, ok := s.hashes[p.Name]; ok {
-		s.mu.Unlock()
-		return h, nil
-	}
-	s.mu.Unlock()
-	h, err := p.CachedTraceHash(s.Scale)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	s.mu.Lock()
-	s.hashes[p.Name] = h
-	s.mu.Unlock()
-	return h, nil
-}
-
-// simulate performs one uncached simulator invocation of a workload program
-// on a pooled machine.
-func (s *Suite) simulate(ctx context.Context, p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
+// simulate performs one uncached simulator invocation on a pooled machine,
+// once the gate admits it.
+func (s *Suite) simulate(ctx context.Context, tr *trace.Slice, spec RunSpec) (*sim.Result, error) {
 	release, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	s.countSim()
-	r, rerr := simulateArch(p.CachedTrace(s.Scale), arch, cfg)
-	if rerr != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", arch, p.Name, rerr)
-	}
-	return r, nil
-}
-
-// simulateSource performs one uncached simulator invocation of an arbitrary
-// trace on a pooled machine.
-func (s *Suite) simulateSource(ctx context.Context, src *trace.Slice, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	release, err := s.admit(ctx)
+	r, err := dispatch(tr, spec)
 	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.countSim()
-	r, rerr := simulateArch(src, arch, cfg)
-	if rerr != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", arch, src.Name(), rerr)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", spec.Arch, tr.Name(), err)
 	}
 	return r, nil
 }
@@ -505,9 +430,13 @@ func parallelCtx(ctx context.Context, jobs []func() error) error {
 }
 
 // RunSpec is one (architecture, configuration) cell of a warm grid.
+// Window and PhysRegs are the OOO core's issue window and physical vector
+// register pool (ooo.Config); they must stay zero for REF and DVA.
 type RunSpec struct {
-	Arch Arch
-	Cfg  sim.Config
+	Arch     Arch
+	Cfg      sim.Config
+	Window   int
+	PhysRegs int
 }
 
 // WarmCtx pre-runs the (program × spec) grid, honoring context cancellation
@@ -518,7 +447,7 @@ func (s *Suite) WarmCtx(ctx context.Context, programs []*workload.Program, runs 
 	jobs := make([]BatchJob, 0, len(programs)*len(runs))
 	for _, p := range programs {
 		for _, r := range runs {
-			jobs = append(jobs, BatchJob{Program: p, Arch: r.Arch, Cfg: r.Cfg})
+			jobs = append(jobs, BatchJob{Program: p, Arch: r.Arch, Cfg: r.Cfg, Window: r.Window, PhysRegs: r.PhysRegs})
 		}
 	}
 	_, err := s.RunBatch(ctx, jobs)

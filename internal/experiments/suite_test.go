@@ -6,49 +6,137 @@ import (
 	"testing"
 	"time"
 
+	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
 
-// Concurrent Run calls for the same key must share one simulation: the
-// pre-singleflight code checked the cache, released the lock, simulated and
-// only then stored, so a burst of identical requests each ran the simulator.
+// Concurrent calls for the same key must share one simulation, through
+// every entry: the pre-singleflight code checked the cache, released the
+// lock, simulated and only then stored, so a burst of identical requests
+// each ran the simulator.
 //
 // The run must outlast the scheduler's preemption quantum (~10ms), or on a
 // single-CPU machine the first caller finishes before the others wake and
-// the race never materializes: use the cycle-stepped DVA at full scale.
+// the race never materializes: use the cycle-stepped DVA and OOO cores at
+// full scale.
 func TestSuiteRunSingleflight(t *testing.T) {
-	s := NewSuite(1.0)
 	p := workload.Simulated()[0]
 	cfg := sim.DefaultConfig(50)
-
-	const callers = 16
-	results := make([]*sim.Result, callers)
-	start := make(chan struct{}) // release all callers at once
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			r, err := s.Run(p, DVA, cfg)
-			if err != nil {
-				t.Error(err)
-				return
+	for _, tc := range []struct {
+		entry string
+		run   func(*Suite) (*sim.Result, error)
+	}{
+		{"RunCtx", func(s *Suite) (*sim.Result, error) {
+			return s.RunCtx(context.Background(), p, DVA, cfg)
+		}},
+		{"RunOOOCtx", func(s *Suite) (*sim.Result, error) {
+			return s.RunOOOCtx(context.Background(), p, ooo.DefaultConfig(50))
+		}},
+		{"RunSourceCtx", func(s *Suite) (*sim.Result, error) {
+			return s.RunSourceCtx(context.Background(), p.CachedTrace(1.0), DVA, cfg)
+		}},
+	} {
+		t.Run(tc.entry, func(t *testing.T) {
+			s := NewSuite(1.0)
+			const callers = 16
+			results := make([]*sim.Result, callers)
+			start := make(chan struct{}) // release all callers at once
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					r, err := tc.run(s)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[i] = r
+				}(i)
 			}
-			results[i] = r
-		}(i)
-	}
-	close(start)
-	waitWithin(t, 20*time.Second, "the callers' Run calls (wg.Wait)", wg.Wait)
+			close(start)
+			waitWithin(t, 20*time.Second, "the callers' "+tc.entry+" calls (wg.Wait)", wg.Wait)
 
-	if got := s.Simulations(); got != 1 {
-		t.Errorf("Simulations() = %d, want 1 for %d identical concurrent calls", got, callers)
+			if got := s.Simulations(); got != 1 {
+				t.Errorf("Simulations() = %d, want 1 for %d identical concurrent calls", got, callers)
+			}
+			for i, r := range results {
+				if r != results[0] {
+					t.Errorf("caller %d got a different result object", i)
+				}
+			}
+		})
 	}
-	for i, r := range results {
-		if r != results[0] {
-			t.Errorf("caller %d got a different result object", i)
+}
+
+// A workload run and a run of the identical trace through RunSourceCtx are
+// one key, so without a disk store the second is a memory hit.
+func TestSuiteRunSourceSharesWorkloadRun(t *testing.T) {
+	s := suite(t)
+	p := workload.Simulated()[0]
+	cfg := sim.DefaultConfig(30)
+	want, err := s.Run(p, DVA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunSourceCtx(context.Background(), p.CachedTrace(testScale), DVA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("RunSourceCtx of the workload's trace returned a different result object")
+	}
+	if n := s.Simulations(); n != 1 {
+		t.Errorf("Simulations() = %d, want 1", n)
+	}
+}
+
+// A REF or DVA run with a window or physical-register pool would share a
+// disk entry with the run without them; the suite must refuse it instead.
+func TestSuiteRejectsOOOParamsOnInOrderCores(t *testing.T) {
+	s := suite(t)
+	p := workload.Simulated()[0]
+	cfg := sim.DefaultConfig(1)
+	for _, j := range []BatchJob{
+		{Program: p, Arch: REF, Cfg: cfg, Window: 16},
+		{Program: p, Arch: DVA, Cfg: cfg, PhysRegs: 32},
+	} {
+		out, err := s.RunBatch(context.Background(), []BatchJob{j})
+		if err == nil || out[0] != nil {
+			t.Errorf("%s with window %d, physregs %d: got result %v, err %v; want an error", j.Arch, j.Window, j.PhysRegs, out[0], err)
 		}
+	}
+	if n := s.Simulations(); n != 0 {
+		t.Errorf("Simulations() = %d, want 0: a refused run must not simulate", n)
+	}
+}
+
+// A warmed cell is a map lookup on every entry the figure drivers re-query;
+// it must not allocate.
+func TestSuiteWarmHitZeroAlloc(t *testing.T) {
+	s := suite(t)
+	p := workload.Simulated()[0]
+	cfg := sim.DefaultConfig(1)
+	ocfg := ooo.DefaultConfig(1)
+	if _, err := s.Run(p, REF, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunOOO(p, ocfg); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, hit := range map[string]func(){
+		"RunCtx":    func() { _, _ = s.RunCtx(ctx, p, REF, cfg) },
+		"RunOOOCtx": func() { _, _ = s.RunOOOCtx(ctx, p, ocfg) },
+	} {
+		if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+			t.Errorf("warmed %s hit allocated %.1f times per call, want 0", name, allocs)
+		}
+	}
+	if n := s.Simulations(); n != 2 {
+		t.Errorf("Simulations() = %d, want 2", n)
 	}
 }
 

@@ -68,31 +68,41 @@ func (p *Program) Trace(scale float64) *trace.Slice {
 	return b.Trace()
 }
 
-// cached traces, statistics and content hashes for the common
-// (program, scale) pairs used by experiments. Stats and hashes derive from
-// the trace alone, so caching them beside the trace means Table 1 and the
-// figure drivers never re-drain a scaled trace, and the persistent result
-// cache hashes each trace once per process.
+// cache memoizes the trace of each (program, scale) pair experiments use,
+// with the statistics and content hash derived from it. They derive from
+// the trace alone, so caching them beside it means Table 1 and the figure
+// drivers never re-drain a scaled trace, and the suite's result tiers hash
+// each trace once per process.
 var (
-	cacheMu    sync.Mutex
-	cache      = map[string]*traceEntry{}
-	statsCache = map[string]*trace.Stats{}
-	hashCache  = map[string][32]byte{}
+	cacheMu sync.Mutex
+	cache   = map[traceKey]*traceEntry{}
 )
 
-// traceEntry memoizes one (program, scale) trace. Generation runs inside the
-// entry's once, outside the map lock, so different programs materialize
-// concurrently while duplicate requests for one key still generate exactly
-// once (Suite.WarmCtx fans materialization across the CPUs at cold start).
-type traceEntry struct {
-	once sync.Once
-	t    *trace.Slice
+// traceKey names one cached trace. A comparable struct keeps a lookup
+// allocation-free, so a warmed suite hit costs no garbage.
+type traceKey struct {
+	name  string
+	scale float64
 }
 
-// CachedTrace is Trace with memoization; the returned Slice must be treated
-// as read-only (trace sources are replayable, so simulators never mutate).
-func (p *Program) CachedTrace(scale float64) *trace.Slice {
-	key := fmt.Sprintf("%s@%g", p.Name, scale)
+// traceEntry memoizes one (program, scale) trace and what derives from it.
+// Each value is computed inside its own once, outside the map lock, so
+// different programs materialize concurrently while duplicate requests for
+// one key still compute exactly once (Suite.RunBatch fans materialization
+// across the CPUs at cold start).
+type traceEntry struct {
+	once      sync.Once
+	t         *trace.Slice
+	statsOnce sync.Once
+	stats     *trace.Stats
+	hashOnce  sync.Once
+	hash      [32]byte
+	hashErr   error
+}
+
+// entry returns the memo for (p, scale) with its trace materialized.
+func (p *Program) entry(scale float64) *traceEntry {
+	key := traceKey{p.Name, scale}
 	cacheMu.Lock()
 	e, ok := cache[key]
 	if !ok {
@@ -101,46 +111,31 @@ func (p *Program) CachedTrace(scale float64) *trace.Slice {
 	}
 	cacheMu.Unlock()
 	e.once.Do(func() { e.t = p.Trace(scale) })
-	return e.t
+	return e
+}
+
+// CachedTrace is Trace with memoization; the returned Slice must be treated
+// as read-only (trace sources are replayable, so simulators never mutate).
+func (p *Program) CachedTrace(scale float64) *trace.Slice {
+	return p.entry(scale).t
 }
 
 // CachedStats returns the trace statistics at the given scale, collected at
 // most once per (program, scale): traces are deterministic and read-only, so
 // the stats never go stale. The returned Stats must be treated as read-only.
 func (p *Program) CachedStats(scale float64) *trace.Stats {
-	key := fmt.Sprintf("%s@%g", p.Name, scale)
-	cacheMu.Lock()
-	st, ok := statsCache[key]
-	cacheMu.Unlock()
-	if ok {
-		return st
-	}
-	st = trace.Collect(p.CachedTrace(scale))
-	cacheMu.Lock()
-	statsCache[key] = st
-	cacheMu.Unlock()
-	return st
+	e := p.entry(scale)
+	e.statsOnce.Do(func() { e.stats = trace.Collect(e.t) })
+	return e.stats
 }
 
 // CachedTraceHash returns the SHA-256 content hash of the trace's binary
-// encoding at the given scale (the trace component of persistent cache
+// encoding at the given scale (the trace component of the suite's result
 // keys), computed at most once per (program, scale).
 func (p *Program) CachedTraceHash(scale float64) ([32]byte, error) {
-	key := fmt.Sprintf("%s@%g", p.Name, scale)
-	cacheMu.Lock()
-	h, ok := hashCache[key]
-	cacheMu.Unlock()
-	if ok {
-		return h, nil
-	}
-	h, err := trace.Hash(p.CachedTrace(scale))
-	if err != nil {
-		return [32]byte{}, err
-	}
-	cacheMu.Lock()
-	hashCache[key] = h
-	cacheMu.Unlock()
-	return h, nil
+	e := p.entry(scale)
+	e.hashOnce.Do(func() { e.hash, e.hashErr = trace.Hash(e.t) })
+	return e.hash, e.hashErr
 }
 
 func seedFor(name string) int64 {

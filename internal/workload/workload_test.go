@@ -225,3 +225,23 @@ func TestCachedTraceGeneratesConcurrently(t *testing.T) {
 	close(release)
 	<-done
 }
+
+// The trace memo sits under every suite lookup, so a warmed lookup must not
+// allocate: a formatted string key cost three allocations per call.
+func TestCachedLookupsZeroAlloc(t *testing.T) {
+	p := Simulated()[0]
+	const scale = 0.05
+	if _, err := p.CachedTraceHash(scale); err != nil {
+		t.Fatal(err)
+	}
+	p.CachedStats(scale)
+	for name, lookup := range map[string]func(){
+		"CachedTrace":     func() { p.CachedTrace(scale) },
+		"CachedStats":     func() { p.CachedStats(scale) },
+		"CachedTraceHash": func() { _, _ = p.CachedTraceHash(scale) },
+	} {
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("warmed %s allocated %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
