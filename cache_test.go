@@ -8,7 +8,7 @@ import (
 
 	"decvec"
 	"decvec/internal/experiments"
-	"decvec/internal/simcache"
+	"decvec/internal/trace"
 	"decvec/internal/workload"
 )
 
@@ -169,7 +169,7 @@ func TestRunSourceCachedVerifyDetectsTamper(t *testing.T) {
 	}
 	tampered := *r
 	tampered.Cycles++
-	th, err := simcache.TraceHash(src)
+	th, err := trace.Hash(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // Usage:
 //
 //	go test -bench . -benchtime 1x -count 3 -benchmem -run '^$' . > current.txt
-//	go run ./cmd/benchjson -baseline bench/baseline_pr8.txt \
+//	go run ./cmd/benchjson -baseline bench/baseline_pr10.txt \
 //	    -current current.txt -out BENCH_CI.json -min-geomean 0.95 \
 //	    -desc "..." -notes "..."
 package main
@@ -128,18 +128,22 @@ type report struct {
 }
 
 func main() {
-	baseline := flag.String("baseline", "bench/baseline_pr5.txt", "checked-in baseline bench output")
+	baseline := flag.String("baseline", "", "checked-in baseline bench output (required)")
 	current := flag.String("current", "", "fresh bench output (required)")
-	out := flag.String("out", "BENCH_PR5.json", "JSON report path")
+	out := flag.String("out", "", "JSON report path (required)")
 	desc := flag.String("desc", "pre-PR baseline vs current; speedup = baseline ns/op / current ns/op",
 		"one-line description of what the trajectory compares")
 	notes := flag.String("notes", "", "free-form notes embedded in the report")
 	minGeomean := flag.Float64("min-geomean", 0,
 		"fail (exit 1) if the figure geomean speedup falls below this value; 0 disables the gate")
 	flag.Parse()
-	if *current == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -current is required")
-		os.Exit(2)
+	for _, f := range []struct{ name, val string }{
+		{"baseline", *baseline}, {"current", *current}, {"out", *out},
+	} {
+		if f.val == "" {
+			fmt.Fprintf(os.Stderr, "benchjson: -%s is required\n", f.name)
+			os.Exit(2)
+		}
 	}
 
 	base, err := parseBench(*baseline)

@@ -52,13 +52,8 @@ func main() {
 		fmt.Printf("  vectorization=%.1f%% avgVL=%.1f spill=%.1f%% of memory ops\n",
 			100*st.Vectorization(), st.AvgVL(), 100*st.SpillFraction())
 		if *dump > 0 {
-			stream := src.Stream()
-			for i := 0; i < *dump; i++ {
-				in, ok := stream.Next()
-				if !ok {
-					break
-				}
-				fmt.Printf("    %s\n", in)
+			for i := range src.Insts[:min(*dump, src.Len())] {
+				fmt.Printf("    %s\n", &src.Insts[i])
 			}
 		}
 		if *out != "" {

@@ -90,9 +90,10 @@ func BypassConfig(latency int64, loadQ, storeQ int) Config {
 	return sim.BypassConfig(latency, loadQ, storeQ)
 }
 
-// TraceSource is a replayable stream of trace instructions, as produced by
-// Workload.Trace, ReadTrace or the tracegen kernels.
-type TraceSource = trace.Source
+// TraceSource is an in-memory dynamic instruction trace, as produced by
+// Workload.Trace, ReadTrace or the tracegen kernels. Every simulator run
+// replays it by index, and it must not be modified once built.
+type TraceSource = *trace.Slice
 
 // Workload is one benchmark program model.
 type Workload struct {
@@ -137,13 +138,13 @@ func (w *Workload) Description() string { return w.p.Description }
 // Trace returns the program's dynamic instruction trace at the given scale
 // (1.0 = default, tens of thousands of instructions). Traces are memoized
 // per (program, scale); use FreshTrace to force regeneration.
-func (w *Workload) Trace(scale float64) trace.Source {
+func (w *Workload) Trace(scale float64) *trace.Slice {
 	return w.p.CachedTrace(scale)
 }
 
 // FreshTrace synthesizes the trace anew, bypassing the memoization cache.
 // Generation is deterministic, so the result always equals Trace's.
-func (w *Workload) FreshTrace(scale float64) trace.Source {
+func (w *Workload) FreshTrace(scale float64) *trace.Slice {
 	return w.p.Trace(scale)
 }
 
@@ -177,40 +178,31 @@ func (w *Workload) IdealCycles() int64 {
 }
 
 // WriteTrace serializes a trace to w in the compact binary format (the
-// role Dixie trace files played in the paper's methodology). A source that
-// is not already in memory is materialized first.
-func WriteTrace(w io.Writer, src trace.Source) error {
-	return trace.Write(w, materialize(src))
-}
-
-// materialize returns src as an in-memory trace, draining it if needed.
-func materialize(src trace.Source) *trace.Slice {
-	if s, ok := src.(*trace.Slice); ok {
-		return s
-	}
-	return trace.Materialize(src.Name(), src.Stream())
+// role Dixie trace files played in the paper's methodology).
+func WriteTrace(w io.Writer, src *trace.Slice) error {
+	return trace.Write(w, src)
 }
 
 // ReadTrace deserializes a trace written by WriteTrace.
-func ReadTrace(r io.Reader) (trace.Source, error) {
+func ReadTrace(r io.Reader) (*trace.Slice, error) {
 	return trace.Read(r)
 }
 
 // IdealCyclesOf returns the §5 five-resource lower bound for an arbitrary
 // trace source.
-func IdealCyclesOf(src trace.Source) int64 {
+func IdealCyclesOf(src *trace.Slice) int64 {
 	return ideal.Compute(src).Cycles
 }
 
 // RunSource simulates an arbitrary trace source (for example one built
 // with the tracegen kernels) on REF, DVA or BYP, named in any letter case.
-func RunSource(src trace.Source, arch string, cfg Config) (*Result, error) {
+func RunSource(src *trace.Slice, arch string, cfg Config) (*Result, error) {
 	return RunSourceRecorded(src, arch, cfg, nil)
 }
 
 // RunSourceRecorded is RunSource with an event recorder attached; pass nil
 // to disable recording (equivalent to RunSource).
-func RunSourceRecorded(src trace.Source, arch string, cfg Config, rec *Recorder) (*Result, error) {
+func RunSourceRecorded(src *trace.Slice, arch string, cfg Config, rec *Recorder) (*Result, error) {
 	core, bypass, err := sim.ParseArch(arch)
 	if err != nil {
 		return nil, fmt.Errorf("decvec: %w", err)
@@ -267,7 +259,7 @@ func CacheTable(st CacheStats) string { return report.CacheTable(st) }
 // simulates uncached. BYP is keyed as DVA with the bypass bit set, so a
 // run shares its entry with the equivalent Suite run (the entries dvabench
 // and dvad write).
-func RunSourceCached(store *CacheStore, src trace.Source, arch string, cfg Config, verify float64) (*Result, error) {
+func RunSourceCached(store *CacheStore, src *trace.Slice, arch string, cfg Config, verify float64) (*Result, error) {
 	core, bypass, err := sim.ParseArch(arch)
 	if err != nil {
 		return nil, fmt.Errorf("decvec: %w", err)
@@ -275,7 +267,7 @@ func RunSourceCached(store *CacheStore, src trace.Source, arch string, cfg Confi
 	cfg.Bypass = cfg.Bypass || bypass
 	s := experiments.NewSuite(1)
 	s.Disk, s.VerifyFraction = store, verify
-	return s.RunSourceCtx(context.Background(), materialize(src), experiments.Arch(core), cfg)
+	return s.RunSourceCtx(context.Background(), src, experiments.Arch(core), cfg)
 }
 
 // Server is the dvad simulation daemon: an HTTP/JSON front end over an

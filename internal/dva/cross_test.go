@@ -75,15 +75,14 @@ func TestRandomTracesBothSimulators(t *testing.T) {
 		}
 		// Store traffic must be conserved exactly: every store writes
 		// memory precisely once (bypass never swallows stores).
-		var storeElems int64
-		st := tr.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
+		var storeElems, loadElems int64
+		for i := range tr.Insts {
+			in := &tr.Insts[i]
 			if in.Class.IsStore() {
 				storeElems += in.Ops()
+			}
+			if in.Class.IsLoad() {
+				loadElems += in.Ops()
 			}
 		}
 		if refRes.Traffic.StoreElems != storeElems {
@@ -94,17 +93,6 @@ func TestRandomTracesBothSimulators(t *testing.T) {
 		}
 		// Load traffic: every load either hits the scalar cache, is
 		// bypassed, or reaches memory.
-		var loadElems int64
-		st = tr.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
-			if in.Class.IsLoad() {
-				loadElems += in.Ops()
-			}
-		}
 		got := dvaRes.Traffic.LoadElems + dvaRes.BypassedElems + dvaRes.ScalarCacheHits
 		if got != loadElems {
 			t.Errorf("seed %d: DVA load conservation: mem %d + bypass %d + hits %d != %d",

@@ -8,24 +8,17 @@ import (
 	"decvec/internal/sim"
 )
 
-// push is one queue insertion the fetch processor must perform to dispatch
-// an instruction.
+// push is one queue insertion route() emits for an instruction; buildPlan
+// compacts them into plan entries.
 type push struct {
 	q *queue.Q[uop]
 	u uop
 }
 
-// queueNeed is the number of slots one dispatch requires in a queue.
-type queueNeed struct {
-	q    *queue.Q[uop]
-	need int
-}
-
 // stepFetch advances the fetch processor by one cycle: it drains the branch
 // result queues (perfect branch prediction — outcomes are consumed but
-// never stall fetch, §4.1) and dispatches at most one instruction,
-// translating it into its decoupled form and fabricating the necessary QMOV
-// pseudo-instructions.
+// never stall fetch, §4.1) and dispatches at most one instruction in its
+// decoupled form, QMOV pseudo-instructions included.
 func (m *machine) stepFetch() {
 	// Drain branch outcome queues for free. The inlined emptiness guards
 	// keep the (non-inlined) Pop call off the common every-cycle path.
@@ -42,76 +35,17 @@ func (m *machine) stepFetch() {
 		m.progress()
 	}
 
-	if m.plan != nil {
-		m.dispatchPlanned()
-		return
-	}
-
-	if !m.hasPending {
-		in, ok := m.stream.Next()
-		if !ok {
-			m.streamDone = true
-			return
-		}
-		m.pending = in
-		m.hasPending = true
-		countInto(&m.counts, m.pending)
-		// Route once per instruction: the translation depends only on the
-		// pending instruction, so the uop list (pushScratch) and the
-		// per-queue capacity demands (needScratch) stay valid across
-		// however many cycles dispatch stalls.
-		m.pushScratch = m.route(m.pushScratch[:0], m.pending)
-		m.needScratch = m.needScratch[:0]
-		for _, p := range m.pushScratch {
-			found := false
-			for i := range m.needScratch {
-				if m.needScratch[i].q == p.q {
-					m.needScratch[i].need++
-					found = true
-					break
-				}
-			}
-			if !found {
-				m.needScratch = append(m.needScratch, queueNeed{q: p.q, need: 1})
-			}
-		}
-	}
-	pushes := m.pushScratch
-	// All destination queues must have room for their share of the pushes;
-	// the dispatch is atomic. The per-queue shares were counted once at
-	// routing time (needScratch), so the re-check a blocked dispatch makes
-	// every cycle is one capacity comparison per distinct queue.
-	for _, nd := range m.needScratch {
-		if nd.q.Cap()-nd.q.Len() < nd.need {
-			m.stall(sim.StallFPDispatch)
-			return
-		}
-	}
-	for _, p := range pushes {
-		if !p.q.Push(m.now, p.u) {
-			panic("dva: dispatch push failed after capacity check")
-		}
-	}
-	if m.rec != nil {
-		m.rec.Issue(m.now, sim.ProcFP, m.pending.Seq, m.pending.Class.String())
-	}
-	m.hasPending = false
-	m.progress()
+	m.dispatchPlanned()
 }
 
-// dispatchPlanned is stepFetch's dispatch stage over a predecoded plan: the
-// next instruction's uops and per-queue slot demands are table entries, so
+// dispatchPlanned is stepFetch's dispatch stage over the trace's predecoded
+// plan (plan.go), built by running route() over the trace once: the next
+// instruction's uops and per-queue slot demands are table entries, so
 // fetching costs an index bump and the blocked re-check at most three
-// capacity comparisons. The behaviour is identical to the route() path —
-// the plan is built by running route() over the trace once.
+// capacity comparisons.
 func (m *machine) dispatchPlanned() {
-	if !m.hasPending {
-		if m.planPos >= len(m.plan.insts) {
-			m.streamDone = true
-			return
-		}
-		m.pending = &m.plan.insts[m.planPos]
-		m.hasPending = true
+	if m.planPos >= len(m.plan.insts) {
+		return
 	}
 	// A capacity-blocked dispatch can only be unblocked by an instruction
 	// queue pop (capacity moves no other way), so until popIQ reports one
@@ -134,7 +68,7 @@ func (m *machine) dispatchPlanned() {
 		return
 	}
 	m.dispBlocked = false
-	in := m.pending
+	in := &m.plan.insts[m.planPos]
 	for k := 0; k < int(e.n); k++ {
 		op := e.ops[k]
 		if !m.planQ(op.qid).Push(m.now, uop{kind: op.kind, in: in}) {
@@ -145,29 +79,7 @@ func (m *machine) dispatchPlanned() {
 		m.rec.Issue(m.now, sim.ProcFP, in.Seq, in.Class.String())
 	}
 	m.planPos++
-	m.hasPending = false
 	m.progress()
-}
-
-// countInto accumulates in's Table 1 instruction counts into c. The stream
-// fetch path tallies per instruction; the plan builder tallies the whole
-// trace once.
-func countInto(c *sim.Counts, in *isa.Inst) {
-	if in.IsVector() {
-		c.VectorInsts++
-		c.VectorOps += int64(in.VL)
-	} else {
-		c.ScalarInsts++
-	}
-	if in.Class.IsMemory() {
-		c.MemInsts++
-		if in.Spill {
-			c.SpillMemOps++
-		}
-	}
-	if in.BBEnd {
-		c.BasicBlocks++
-	}
 }
 
 // route translates one architectural instruction into the uops that flow to

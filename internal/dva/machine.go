@@ -23,19 +23,11 @@ type machine struct {
 	bus   mem.Bus
 	cache mem.Cache
 
-	// Fetch processor. A Slice source (the common case) is replayed through
-	// its shared predecoded dispatch plan (plan/planPos); any other Source
-	// falls back to the stream + per-instruction route() path.
-	plan       *dispatchPlan
-	planPos    int
-	stream     trace.Stream
-	streamDone bool
-	pending    *isa.Inst
-	hasPending bool
-	// pushScratch and needScratch are reused by the dispatcher to avoid
-	// per-instruction allocation.
-	pushScratch []push
-	needScratch []queueNeed
+	// Fetch processor: the trace replays through its shared predecoded
+	// dispatch plan; plan.insts[planPos] is the next instruction to
+	// dispatch.
+	plan    *dispatchPlan
+	planPos int
 
 	// Instruction queues.
 	apIQ, spIQ, vpIQ queue.Q[uop]
@@ -91,7 +83,6 @@ type machine struct {
 
 	// Measurements.
 	states   sim.StateStats
-	counts   sim.Counts
 	traffic  sim.MemTraffic
 	avdqHist *sim.Histogram
 	vadqHist *sim.Histogram
@@ -122,7 +113,7 @@ type machine struct {
 	dispBlocked bool
 	iqFreed     bool
 	// drainBusy caches the tail busy-horizon computed by finished() once the
-	// streams and queues have fully drained (nothing can make progress after
+	// trace and queues have fully drained (nothing can make progress after
 	// that); -1 until then. Near-drain cycles then cost one comparison
 	// instead of rechecking all 14 queues and the register scoreboards.
 	drainBusy int64
@@ -183,7 +174,7 @@ func (m *machine) popDrain() {
 // (set cfg.Bypass for the §7 bypass variant) and returns the measured
 // result. It returns an error for invalid configurations or if the machine
 // deadlocks, which would indicate a malformed trace.
-func Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
+func Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	return RunRecorded(src, cfg, nil)
 }
 
@@ -191,7 +182,7 @@ func Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
 // the returned result is bit-identical to a run with rec nil; the recorder
 // additionally collects the cycle-stamped event stream (issues, stalls,
 // queue pushes/pops, bus grants, bypasses, flushes).
-func RunRecorded(src trace.Source, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
+func RunRecorded(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
 	var r Runner
 	res := new(sim.Result)
 	if err := r.RunRecordedInto(res, src, cfg, rec); err != nil {
@@ -222,38 +213,6 @@ func (m *machine) allQueues() []queueMeta {
 		&m.ssaq, &m.vsaq,
 		&m.afbq, &m.sfbq,
 	}
-}
-
-func newMachine(src trace.Source, cfg sim.Config) *machine {
-	sq := cfg.ScalarQSize
-	m := &machine{
-		cfg:          cfg,
-		flushWaitSeq: -1,
-		drainBusy:    -1,
-		qmovBusy:     make([]int64, cfg.QMovUnits),
-		drains:       make([]drain, cfg.AVDQSize),
-		avdqHist:     sim.NewHistogram(cfg.AVDQSize),
-		vadqHist:     sim.NewHistogram(cfg.VADQSize),
-	}
-	m.bus.Init(cfg.MemPorts)
-	m.cache.Init(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
-	m.apIQ.Init("APIQ", cfg.IQSize)
-	m.spIQ.Init("SPIQ", cfg.IQSize)
-	m.vpIQ.Init("VPIQ", cfg.IQSize)
-	m.avdq.Init("AVDQ", cfg.AVDQSize)
-	m.vadq.Init("VADQ", cfg.VADQSize)
-	m.asdq.Init("ASDQ", sq)
-	m.sadq.Init("SADQ", sq)
-	m.svdq.Init("SVDQ", sq)
-	m.vsdq.Init("VSDQ", sq)
-	m.saaq.Init("SAAQ", sq)
-	m.ssaq.Init("SSAQ", sq)
-	m.vsaq.Init("VSAQ", cfg.EffVSAQSize())
-	m.afbq.Init("AFBQ", sq)
-	m.sfbq.Init("SFBQ", sq)
-	m.wireWake()
-	m.setStream(src)
-	return m
 }
 
 // deadlockWindow is how many cycles without any progress the machine
@@ -380,14 +339,15 @@ func (m *machine) skipTo(h int64) {
 	m.now = h
 }
 
-// finished reports whether every stream, queue and unit has drained. Once
-// the stream is exhausted and every queue is empty no step can ever make
-// progress again, so the in-flight tail busy-horizon is computed once and
-// cached in drainBusy; the remaining near-drain cycles then cost a single
-// comparison instead of rechecking 14 queues and the register scoreboards.
+// finished reports whether the trace, every queue and every unit has
+// drained. Once the trace is dispatched and every queue is empty no step
+// can ever make progress again, so the in-flight tail busy-horizon is
+// computed once and cached in drainBusy; the remaining near-drain cycles
+// then cost a single comparison instead of rechecking 14 queues and the
+// register scoreboards.
 func (m *machine) finished() bool {
 	if m.drainBusy < 0 {
-		if !m.streamDone || m.hasPending {
+		if m.planPos < len(m.plan.insts) {
 			return false
 		}
 		for _, e := range [...]bool{
@@ -476,9 +436,9 @@ func (m *machine) storePressure() bool {
 // dumpState summarizes machine state for deadlock diagnostics.
 func (m *machine) dumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pending=%v streamDone=%v ", m.hasPending, m.streamDone)
-	if m.hasPending {
-		fmt.Fprintf(&b, "pendingInst=%s ", m.pending.String())
+	fmt.Fprintf(&b, "dispatched=%d/%d ", m.planPos, len(m.plan.insts))
+	if m.planPos < len(m.plan.insts) {
+		fmt.Fprintf(&b, "pendingInst=%s ", m.plan.insts[m.planPos].String())
 	}
 	for _, q := range [...]fmt.Stringer{&m.apIQ, &m.spIQ, &m.vpIQ, &m.avdq, &m.vadq,
 		&m.asdq, &m.sadq, &m.svdq, &m.vsdq, &m.saaq, &m.ssaq, &m.vsaq} {

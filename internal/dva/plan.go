@@ -22,8 +22,8 @@ import (
 type dispatchPlan struct {
 	insts   []isa.Inst
 	entries []planEntry
-	// counts are the Table 1 instruction counts for the full trace; a
-	// drained run's incremental tally equals them by construction.
+	// counts are the Table 1 instruction counts for the full trace: every
+	// run dispatches every instruction, so they are each run's counts.
 	counts sim.Counts
 }
 
@@ -83,7 +83,7 @@ func (m *machine) buildPlan(sl *trace.Slice) *dispatchPlan {
 	var scratch []push
 	for i := range insts {
 		in := &insts[i]
-		countInto(&p.counts, in)
+		p.counts.Add(in)
 		scratch = m.route(scratch[:0], in)
 		e := &p.entries[i]
 		if len(scratch) > len(e.ops) {

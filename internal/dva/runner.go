@@ -12,9 +12,10 @@ import (
 
 // Runner is a reusable DVA/BYP simulation arena: one machine's worth of
 // queues, scoreboards, scratch slices and histograms kept alive across runs.
-// A zero Runner is ready to use; the first run builds the machine and later
-// runs reset it in place (see the Reset contract in internal/sim/arena.go),
-// so a recorder-off steady-state run performs no heap allocation. A Runner
+// A zero Runner is ready to use; the first run allocates a zero machine and
+// wires its queues, and every run resets it in place (see the Reset contract
+// in internal/sim/arena.go), so a recorder-off steady-state run performs no
+// heap allocation. A Runner
 // is not safe for concurrent use; pool idle Runners in a sim.RunPool.
 type Runner struct {
 	m *machine
@@ -25,7 +26,7 @@ func NewRunner() *Runner { return &Runner{} }
 
 // Run simulates the trace under cfg on the pooled machine and returns a
 // freshly allocated result (safe to retain; never aliases Runner state).
-func (r *Runner) Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
+func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	res := new(sim.Result)
 	if err := r.RunRecordedInto(res, src, cfg, nil); err != nil {
 		return nil, err
@@ -37,22 +38,22 @@ func (r *Runner) Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
 // Every field of res is overwritten; its slice and histogram storage is
 // reused when the geometry matches, so a warmed (res, Runner) pair runs
 // without allocating.
-func (r *Runner) RunInto(res *sim.Result, src trace.Source, cfg sim.Config) error {
+func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg sim.Config) error {
 	return r.RunRecordedInto(res, src, cfg, nil)
 }
 
 // RunRecordedInto is RunInto with an optional event recorder. Recording is
 // passive: res is bit-identical to a recorder-off run.
-func (r *Runner) RunRecordedInto(res *sim.Result, src trace.Source, cfg sim.Config, rec *sim.Recorder) error {
+func (r *Runner) RunRecordedInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if r.m == nil {
-		r.m = newMachine(src, cfg)
-	} else {
-		r.m.reset(src, cfg)
+		r.m = new(machine)
+		r.m.wireWake()
 	}
 	m := r.m
+	m.reset(src, cfg)
 	if rec != nil {
 		m.rec = rec
 		for _, q := range m.allQueues() {
@@ -66,27 +67,13 @@ func (r *Runner) RunRecordedInto(res *sim.Result, src trace.Source, cfg sim.Conf
 	return nil
 }
 
-// setStream starts a fresh pass over src. The common in-memory Slice source
-// replays through its shared predecoded dispatch plan (built on first use,
-// cached on the Slice), so a new pass neither allocates nor re-routes; any
-// other Source falls back to Stream() with per-instruction routing.
-func (m *machine) setStream(src trace.Source) {
-	if sl, ok := src.(*trace.Slice); ok {
-		m.plan = m.planFor(sl)
-		m.planPos = 0
-		m.stream = nil
-		return
-	}
-	m.plan = nil
-	m.stream = src.Stream()
-}
-
 // reset restores the machine to power-on state for a new run over src under
-// cfg, reusing every allocation whose geometry still matches. The observable
-// behaviour after reset is bit-identical to a machine fresh from newMachine
-// — results, event streams and statistics — which the arena-reuse
-// equivalence suite pins across the program × latency × queue grid.
-func (m *machine) reset(src trace.Source, cfg sim.Config) {
+// cfg, reusing every allocation whose geometry still matches; on a zero
+// machine it makes them. A run on a reused machine is bit-identical to one
+// on a fresh machine — results, event streams and statistics — which the
+// arena-reuse equivalence suite pins across the program × latency × queue
+// grid.
+func (m *machine) reset(src *trace.Slice, cfg sim.Config) {
 	sq := cfg.ScalarQSize
 	m.cfg = cfg
 	m.now = 0
@@ -96,13 +83,11 @@ func (m *machine) reset(src trace.Source, cfg sim.Config) {
 	m.bus.Init(cfg.MemPorts)
 	m.cache.Init(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
 
-	// Fetch processor.
-	m.setStream(src)
-	m.streamDone = false
-	m.pending = nil
-	m.hasPending = false
-	m.pushScratch = m.pushScratch[:0]
-	m.needScratch = m.needScratch[:0]
+	// Fetch processor. The plan is built on the trace's first run and
+	// shared by every later one, so a new pass neither allocates nor
+	// re-routes.
+	m.plan = m.planFor(src)
+	m.planPos = 0
 
 	// Queues. Init reuses the ring when the capacity is unchanged and
 	// drops any observer a recorded run installed.
@@ -155,14 +140,13 @@ func (m *machine) reset(src trace.Source, cfg sim.Config) {
 
 	// Measurements.
 	m.states = sim.StateStats{}
-	m.counts = sim.Counts{}
 	m.traffic = sim.MemTraffic{}
-	if len(m.avdqHist.Buckets) != cfg.AVDQSize+1 {
+	if m.avdqHist == nil || len(m.avdqHist.Buckets) != cfg.AVDQSize+1 {
 		m.avdqHist = sim.NewHistogram(cfg.AVDQSize)
 	} else {
 		m.avdqHist.Reset()
 	}
-	if len(m.vadqHist.Buckets) != cfg.VADQSize+1 {
+	if m.vadqHist == nil || len(m.vadqHist.Buckets) != cfg.VADQSize+1 {
 		m.vadqHist = sim.NewHistogram(cfg.VADQSize)
 	} else {
 		m.vadqHist.Reset()
@@ -179,9 +163,8 @@ func (m *machine) reset(src trace.Source, cfg sim.Config) {
 	m.drainBusy = -1
 
 	// Wake wheel: every unit due at cycle 0, no dirty bits, no cached
-	// stalls — bit-identical to a machine fresh from newMachine. The queues'
-	// wake wiring is structural (Init preserves it), so it is not redone
-	// here.
+	// stalls. The queues' wake wiring is structural (wireWake, once per
+	// machine; Init preserves it), so it is not redone here.
 	m.wake = [numUnits]int64{}
 	m.dirty = 0
 	m.stallCache = [numUnits][2]sim.StallReason{}
@@ -233,13 +216,7 @@ func (m *machine) assembleResult(res *sim.Result) {
 	res.Config = m.cfg
 	res.Cycles = m.now
 	res.States = m.states
-	if m.plan != nil {
-		// A plan-driven run dispatches every instruction of the trace, so
-		// the plan's whole-trace tally is exactly the incremental one.
-		res.Counts = m.plan.counts
-	} else {
-		res.Counts = m.counts
-	}
+	res.Counts = m.plan.counts
 	res.Traffic = m.traffic
 	res.AVDQBusy = m.avdqHist.CloneInto(res.AVDQBusy)
 	res.VADQBusy = m.vadqHist.CloneInto(res.VADQBusy)

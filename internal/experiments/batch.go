@@ -34,7 +34,7 @@ var errUnknownArch = errors.New("experiments: unknown architecture")
 // (hot-path-gated) stepping must stay allocation-free, so the function
 // sits under the hotalloc gate.
 // declint:hotpath
-func dispatch(tr trace.Source, spec RunSpec) (*sim.Result, error) {
+func dispatch(tr *trace.Slice, spec RunSpec) (*sim.Result, error) {
 	switch spec.Arch {
 	case REF:
 		return runPooled(&refRunners, ref.NewRunner, tr, spec.Cfg)
@@ -51,8 +51,8 @@ func dispatch(tr trace.Source, spec RunSpec) (*sim.Result, error) {
 // empty, and runs tr on it. The machine goes back to the pool even when
 // the run fails — reset restores it either way.
 func runPooled[M interface {
-	Run(trace.Source, C) (*sim.Result, error)
-}, C any](pool *sim.RunPool[M], fresh func() M, tr trace.Source, cfg C) (*sim.Result, error) {
+	Run(*trace.Slice, C) (*sim.Result, error)
+}, C any](pool *sim.RunPool[M], fresh func() M, tr *trace.Slice, cfg C) (*sim.Result, error) {
 	m, ok := pool.Get()
 	if !ok {
 		m = fresh()

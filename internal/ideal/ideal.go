@@ -30,7 +30,7 @@ type Bound struct {
 	Cycles int64
 }
 
-// Compute scans one pass of the trace and returns the bound.
+// Compute scans the trace and returns the bound.
 //
 // The memory-port estimate assumes every scalar load misses the scalar
 // cache on first touch only; because the bound must stay below any
@@ -38,25 +38,11 @@ type Bound struct {
 // vector references and scalar stores are charged to the port. This keeps
 // the bound conservative (never above the true minimum).
 // declint:hotpath
-func Compute(src trace.Source) Bound {
+func Compute(src *trace.Slice) Bound {
 	var b Bound
 	var fu2Only, fuAny int64
-	// The common in-memory Slice source is scanned directly over its
-	// instruction slab: no stream allocation, no interface call per
-	// instruction. Any other Source streams.
-	if sl, ok := src.(*trace.Slice); ok {
-		for i := range sl.Insts {
-			accumulate(&b, &fuAny, &fu2Only, &sl.Insts[i])
-		}
-	} else {
-		st := src.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
-			accumulate(&b, &fuAny, &fu2Only, in)
-		}
+	for i := range src.Insts {
+		accumulate(&b, &fuAny, &fu2Only, &src.Insts[i])
 	}
 	b.FU1, b.FU2 = balance(fuAny, fu2Only)
 	b.Cycles = maxOf(b.FU1, b.FU2, b.MemPort, b.ScalarProc, b.ScalarCache)

@@ -26,16 +26,8 @@ type Bus struct {
 	BusyCycles int64
 }
 
-// NewBus returns a bus with the given number of ports (minimum one).
-func NewBus(ports int) *Bus {
-	b := &Bus{}
-	b.Init(ports)
-	return b
-}
-
 // Init (re)initializes b in place to an idle bus with the given number of
 // ports (minimum one), reusing the existing port array when it already fits.
-// The embed-by-value counterpart of NewBus.
 func (b *Bus) Init(ports int) {
 	if ports > 1 {
 		if len(b.busyUntil) != ports {
@@ -98,14 +90,6 @@ func (b *Bus) FreeCycle() int64 {
 	return min
 }
 
-// Ports returns the number of ports the bus was built with.
-func (b *Bus) Ports() int {
-	if b.busyUntil == nil {
-		return 1
-	}
-	return len(b.busyUntil)
-}
-
 // Reset clears the bus state.
 func (b *Bus) Reset() {
 	for i := range b.ports() {
@@ -126,16 +110,9 @@ type Cache struct {
 	Misses int64
 }
 
-// NewCache returns a direct-mapped cache with the given geometry.
-func NewCache(lines, lineBytes int) *Cache {
-	c := &Cache{}
-	c.Init(lines, lineBytes)
-	return c
-}
-
 // Init (re)initializes c in place to an empty cache with the given geometry,
 // reusing the existing tag and valid arrays when the line count already
-// matches. The embed-by-value counterpart of NewCache.
+// matches. A Cache must be initialized before use.
 func (c *Cache) Init(lines, lineBytes int) {
 	if lines < 1 || lineBytes < isa.ElemSize {
 		panic(fmt.Sprintf("mem: bad cache geometry %dx%dB", lines, lineBytes))
@@ -147,12 +124,6 @@ func (c *Cache) Init(lines, lineBytes int) {
 	}
 	c.Reset()
 }
-
-// Lines returns the number of cache lines.
-func (c *Cache) Lines() int { return len(c.tags) }
-
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int { return int(c.lineBytes) }
 
 // Lookup probes the cache for a scalar load at addr: on a miss the line is
 // allocated. It returns whether the access hit.

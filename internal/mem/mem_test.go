@@ -63,11 +63,13 @@ func TestCacheGeometryPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewCache(0, 32)
+	var c Cache
+	c.Init(0, 32)
 }
 
 func TestCacheMissThenHit(t *testing.T) {
-	c := NewCache(16, 32)
+	var c Cache
+	c.Init(16, 32)
 	if c.Lookup(0x1000) {
 		t.Fatal("first touch must miss")
 	}
@@ -88,7 +90,8 @@ func TestCacheMissThenHit(t *testing.T) {
 }
 
 func TestCacheConflictEviction(t *testing.T) {
-	c := NewCache(4, 32) // 4 lines of 32B: addresses 128B apart conflict
+	var c Cache
+	c.Init(4, 32) // 4 lines of 32B: addresses 128B apart conflict
 	c.Lookup(0x0)
 	c.Lookup(0x80) // maps to the same index, evicts
 	if c.Lookup(0x0) {
@@ -97,7 +100,8 @@ func TestCacheConflictEviction(t *testing.T) {
 }
 
 func TestCacheWouldHitDoesNotAllocate(t *testing.T) {
-	c := NewCache(8, 32)
+	var c Cache
+	c.Init(8, 32)
 	if c.WouldHit(0x40) {
 		t.Fatal("cold cache cannot hit")
 	}
@@ -113,7 +117,8 @@ func TestCacheWouldHitDoesNotAllocate(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(8, 32)
+	var c Cache
+	c.Init(8, 32)
 	c.Lookup(0x100)
 	c.Invalidate(0x100)
 	if c.WouldHit(0x100) {
@@ -124,7 +129,8 @@ func TestCacheInvalidate(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache(8, 32)
+	var c Cache
+	c.Init(8, 32)
 	c.Lookup(0x100)
 	c.Reset()
 	if c.WouldHit(0x100) || c.Hits != 0 || c.Misses != 0 {
@@ -135,7 +141,8 @@ func TestCacheReset(t *testing.T) {
 // Property: WouldHit always predicts the hit/miss outcome of the next
 // Lookup of the same address.
 func TestWouldHitPredictsLookup_Quick(t *testing.T) {
-	c := NewCache(16, 32)
+	var c Cache
+	c.Init(16, 32)
 	f := func(addr uint16) bool {
 		a := uint64(addr)
 		pred := c.WouldHit(a)
@@ -162,7 +169,8 @@ func TestBusWindow_Quick(t *testing.T) {
 }
 
 func TestMultiPortBus(t *testing.T) {
-	b := NewBus(2)
+	var b Bus
+	b.Init(2)
 	b.Reserve(0, 10) // port 0 busy [0,10)
 	if !b.FreeAt(5) {
 		t.Fatal("second port should be free")
@@ -191,7 +199,8 @@ func TestMultiPortBus(t *testing.T) {
 }
 
 func TestMultiPortReservePanicsWhenAllBusy(t *testing.T) {
-	b := NewBus(2)
+	var b Bus
+	b.Init(2)
 	b.Reserve(0, 10)
 	b.Reserve(0, 10)
 	defer func() {
@@ -203,11 +212,11 @@ func TestMultiPortReservePanicsWhenAllBusy(t *testing.T) {
 }
 
 func TestNewBusSinglePortEquivalence(t *testing.T) {
-	a := NewBus(1)
-	var z Bus
+	var a, z Bus
+	a.Init(1)
 	a.Reserve(3, 4)
 	z.Reserve(3, 4)
 	if a.FreeCycle() != z.FreeCycle() || a.BusyAt(5) != z.BusyAt(5) {
-		t.Fatal("NewBus(1) must behave like the zero value")
+		t.Fatal("Init(1) must behave like the zero value")
 	}
 }

@@ -90,14 +90,13 @@ type wentry struct {
 
 type machine struct {
 	cfg   Config
-	bus   *mem.Bus
-	cache *mem.Cache
+	bus   mem.Bus
+	cache mem.Cache
 	now   int64
 
-	stream     trace.Stream
-	streamDone bool
-	pending    *isa.Inst
-	hasPending bool
+	// insts is the trace; insts[next] is the next instruction to fetch.
+	insts []isa.Inst
+	next  int
 
 	// win is the issue window as a fixed ring buffer: the wLen live
 	// entries, oldest first, are win[wHead], win[wHead+1], ... modulo
@@ -186,7 +185,7 @@ func (a *valueArena) reset() {
 }
 
 // Run simulates the trace on the out-of-order vector architecture.
-func Run(src trace.Source, cfg Config) (*sim.Result, error) {
+func Run(src *trace.Slice, cfg Config) (*sim.Result, error) {
 	var r Runner
 	res := new(sim.Result)
 	if err := r.RunInto(res, src, cfg); err != nil {
@@ -250,7 +249,7 @@ func (m *machine) progress() {
 }
 
 func (m *machine) finished() bool {
-	if !m.streamDone || m.hasPending || m.wLen > 0 {
+	if m.next < len(m.insts) || m.wLen > 0 {
 		return false
 	}
 	return m.now >= m.maxDone
@@ -273,20 +272,10 @@ func (m *machine) winAt(i int) *wentry {
 
 // fetch renames and inserts at most one instruction per cycle.
 func (m *machine) fetch() {
-	if !m.hasPending {
-		in, ok := m.stream.Next()
-		if !ok {
-			m.streamDone = true
-			return
-		}
-		m.pending = in
-		m.hasPending = true
-		m.count(m.pending)
-	}
-	if m.wLen >= m.cfg.Window {
+	if m.next >= len(m.insts) || m.wLen >= m.cfg.Window {
 		return
 	}
-	in := m.pending
+	in := &m.insts[m.next]
 	needsPhys := !in.Class.IsStore() && in.Dst.Kind == isa.RegV
 	if needsPhys && m.freePhys == 0 {
 		return // no physical register: fetch stalls
@@ -321,7 +310,8 @@ func (m *machine) fetch() {
 		}
 	}
 	m.wLen++
-	m.hasPending = false
+	m.next++
+	m.counts.Add(in)
 	m.progress()
 }
 
@@ -507,23 +497,5 @@ func (m *machine) retire() {
 		m.wHead = (m.wHead + 1) % len(m.win)
 		m.wLen--
 		m.progress()
-	}
-}
-
-func (m *machine) count(in *isa.Inst) {
-	if in.IsVector() {
-		m.counts.VectorInsts++
-		m.counts.VectorOps += int64(in.VL)
-	} else {
-		m.counts.ScalarInsts++
-	}
-	if in.Class.IsMemory() {
-		m.counts.MemInsts++
-		if in.Spill {
-			m.counts.SpillMemOps++
-		}
-	}
-	if in.BBEnd {
-		m.counts.BasicBlocks++
 	}
 }

@@ -198,18 +198,22 @@ func TestRandomTracesTerminateAndConserve(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var storeElems int64
-		st := tr.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
-			if in.Class.IsStore() {
+		for i := range tr.Insts {
+			if in := &tr.Insts[i]; in.Class.IsStore() {
 				storeElems += in.Ops()
 			}
 		}
 		if r.Traffic.StoreElems != storeElems {
 			t.Errorf("seed %d: store traffic %d != %d", seed, r.Traffic.StoreElems, storeElems)
+		}
+		// OOO fetches every instruction exactly once: its dynamic
+		// instruction mix is REF's.
+		refRes, err := ref.Run(tr, cfg.Config)
+		if err != nil {
+			t.Fatalf("seed %d: REF: %v", seed, err)
+		}
+		if r.Counts != refRes.Counts {
+			t.Errorf("seed %d: counts differ from REF: %+v vs %+v", seed, r.Counts, refRes.Counts)
 		}
 		if r.States.Total() != r.Cycles {
 			t.Errorf("seed %d: state accounting off", seed)

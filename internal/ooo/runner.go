@@ -3,7 +3,6 @@ package ooo
 import (
 	"fmt"
 
-	"decvec/internal/mem"
 	"decvec/internal/sim"
 	"decvec/internal/trace"
 )
@@ -14,8 +13,7 @@ import (
 // (see the Reset contract in internal/sim/arena.go). A Runner is not safe
 // for concurrent use; pool idle Runners in a sim.RunPool.
 type Runner struct {
-	m  machine
-	ss trace.SliceStream
+	m machine
 }
 
 // NewRunner returns an empty Runner.
@@ -23,7 +21,7 @@ func NewRunner() *Runner { return &Runner{} }
 
 // Run simulates the trace under cfg on the pooled machine and returns a
 // freshly allocated result (safe to retain; never aliases Runner state).
-func (r *Runner) Run(src trace.Source, cfg Config) (*sim.Result, error) {
+func (r *Runner) Run(src *trace.Slice, cfg Config) (*sim.Result, error) {
 	res := new(sim.Result)
 	if err := r.RunInto(res, src, cfg); err != nil {
 		return nil, err
@@ -32,18 +30,12 @@ func (r *Runner) Run(src trace.Source, cfg Config) (*sim.Result, error) {
 }
 
 // RunInto simulates the trace under cfg, overwriting every field of res.
-func (r *Runner) RunInto(res *sim.Result, src trace.Source, cfg Config) error {
+func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	m := &r.m
-	m.reset(cfg)
-	if sl, ok := src.(*trace.Slice); ok {
-		r.ss.Reset(sl)
-		m.stream = &r.ss
-	} else {
-		m.stream = src.Stream()
-	}
+	m.reset(src, cfg)
 	if err := m.run(); err != nil {
 		return fmt.Errorf("ooo: on %s: %w", src.Name(), err)
 	}
@@ -60,33 +52,19 @@ func (r *Runner) RunInto(res *sim.Result, src trace.Source, cfg Config) error {
 	return nil
 }
 
-// reset restores the machine to power-on state for a new run under cfg,
-// reusing the window ring, value chunks and memory system when their
+// reset restores the machine to power-on state for a new run over src under
+// cfg, reusing the window ring, value chunks and memory system when their
 // geometry still matches. The observable behaviour after reset is
 // bit-identical to a fresh machine, which the arena-reuse equivalence suite
 // pins. Stale window-ring entries past wLen need no zeroing: fetch
 // overwrites a recycled slot wholesale before any read.
-func (m *machine) reset(cfg Config) {
+func (m *machine) reset(src *trace.Slice, cfg Config) {
 	m.cfg = cfg
-	ports := cfg.MemPorts
-	if ports < 1 {
-		ports = 1
-	}
-	if m.bus == nil || m.bus.Ports() != ports {
-		m.bus = mem.NewBus(cfg.MemPorts)
-	} else {
-		m.bus.Reset()
-	}
-	if m.cache == nil || m.cache.Lines() != cfg.ScalarCacheLines || m.cache.LineBytes() != cfg.ScalarCacheLineBytes {
-		m.cache = mem.NewCache(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
-	} else {
-		m.cache.Reset()
-	}
+	m.bus.Init(cfg.MemPorts)
+	m.cache.Init(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
 	m.now = 0
-	m.stream = nil
-	m.streamDone = false
-	m.pending = nil
-	m.hasPending = false
+	m.insts = src.Insts
+	m.next = 0
 	if len(m.win) != cfg.Window {
 		m.win = make([]wentry, cfg.Window)
 	}

@@ -34,8 +34,8 @@ type vreg struct {
 // machine is the simulation state of one run.
 type machine struct {
 	cfg   sim.Config
-	bus   *mem.Bus
-	cache *mem.Cache
+	bus   mem.Bus
+	cache mem.Cache
 
 	aReady [isa.NumARegs]int64
 	sReady [isa.NumSRegs]int64
@@ -58,25 +58,25 @@ type machine struct {
 
 // Run simulates the trace on the reference architecture under cfg and
 // returns the measured result.
-func Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
+func Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	return simulate(src, cfg, nil, nil)
 }
 
 // RunWithHook is Run with an optional per-instruction callback invoked with
 // each instruction and its issue cycle — a debugging and testing aid for
 // inspecting the schedule the machine produced.
-func RunWithHook(src trace.Source, cfg sim.Config, hook func(in *isa.Inst, issued int64)) (*sim.Result, error) {
+func RunWithHook(src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64)) (*sim.Result, error) {
 	return simulate(src, cfg, hook, nil)
 }
 
 // RunRecorded is Run with an optional event recorder. Recording is passive:
 // the returned result is bit-identical to a plain Run; the recorder
 // additionally collects issue, stall and bus-grant events.
-func RunRecorded(src trace.Source, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
+func RunRecorded(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
 	return simulate(src, cfg, nil, rec)
 }
 
-func simulate(src trace.Source, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) (*sim.Result, error) {
+func simulate(src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) (*sim.Result, error) {
 	var r Runner
 	res := new(sim.Result)
 	if err := r.runInto(res, src, cfg, hook, rec); err != nil {
@@ -85,7 +85,7 @@ func simulate(src trace.Source, cfg sim.Config, hook func(in *isa.Inst, issued i
 	return res, nil
 }
 
-// run is the dispatch loop: it replays the stream instruction by
+// run is the dispatch loop: it replays the trace instruction by
 // instruction and returns the cycle at which the machine drained. The REF
 // core is the degenerate one-unit case of the per-unit wake scheduler
 // (DESIGN.md §4i): a single in-order dispatch unit whose wake time is the
@@ -93,14 +93,11 @@ func simulate(src trace.Source, cfg sim.Config, hook func(in *isa.Inst, issued i
 // issue — there is no wheel, no dirty bits, and no per-cycle loop to skip.
 //
 // declint:hotpath
-func (m *machine) run(st trace.Stream, hook func(in *isa.Inst, issued int64)) int64 {
+func (m *machine) run(insts []isa.Inst, hook func(in *isa.Inst, issued int64)) int64 {
 	var now int64 // earliest cycle the next instruction may issue
-	for {
-		in, ok := st.Next()
-		if !ok {
-			break
-		}
-		m.count(in)
+	for i := range insts {
+		in := &insts[i]
+		m.counts.Add(in)
 		e, why := m.earliestIssue(in, now)
 		if wait := e - now; wait > 0 {
 			// The dispatch unit sat idle for wait cycles; attribute them to
@@ -129,24 +126,6 @@ func (m *machine) run(st trace.Stream, hook func(in *isa.Inst, issued int64)) in
 		now = m.maxDone
 	}
 	return now
-}
-
-func (m *machine) count(in *isa.Inst) {
-	if in.IsVector() {
-		m.counts.VectorInsts++
-		m.counts.VectorOps += int64(in.VL)
-	} else {
-		m.counts.ScalarInsts++
-	}
-	if in.Class.IsMemory() {
-		m.counts.MemInsts++
-		if in.Spill {
-			m.counts.SpillMemOps++
-		}
-	}
-	if in.BBEnd {
-		m.counts.BasicBlocks++
-	}
 }
 
 // scalarReady returns the cycle at which a scalar (A/S) register is valid.

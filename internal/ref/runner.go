@@ -2,7 +2,6 @@ package ref
 
 import (
 	"decvec/internal/isa"
-	"decvec/internal/mem"
 	"decvec/internal/sim"
 	"decvec/internal/trace"
 )
@@ -14,8 +13,7 @@ import (
 // performs no heap allocation. A Runner is not safe for concurrent use;
 // pool idle Runners in a sim.RunPool.
 type Runner struct {
-	m  machine
-	ss trace.SliceStream
+	m machine
 }
 
 // NewRunner returns an empty Runner.
@@ -23,7 +21,7 @@ func NewRunner() *Runner { return &Runner{} }
 
 // Run simulates the trace under cfg on the pooled machine and returns a
 // freshly allocated result (safe to retain; never aliases Runner state).
-func (r *Runner) Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
+func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	res := new(sim.Result)
 	if err := r.runInto(res, src, cfg, nil, nil); err != nil {
 		return nil, err
@@ -33,31 +31,24 @@ func (r *Runner) Run(src trace.Source, cfg sim.Config) (*sim.Result, error) {
 
 // RunInto simulates the trace under cfg, overwriting every field of res.
 // A warmed (res, Runner) pair runs without allocating.
-func (r *Runner) RunInto(res *sim.Result, src trace.Source, cfg sim.Config) error {
+func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg sim.Config) error {
 	return r.runInto(res, src, cfg, nil, nil)
 }
 
 // RunRecordedInto is RunInto with an optional event recorder. Recording is
 // passive: res is bit-identical to a recorder-off run.
-func (r *Runner) RunRecordedInto(res *sim.Result, src trace.Source, cfg sim.Config, rec *sim.Recorder) error {
+func (r *Runner) RunRecordedInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
 	return r.runInto(res, src, cfg, nil, rec)
 }
 
-func (r *Runner) runInto(res *sim.Result, src trace.Source, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) error {
+func (r *Runner) runInto(res *sim.Result, src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	m := &r.m
 	m.reset(cfg)
 	m.rec = rec
-	var st trace.Stream
-	if sl, ok := src.(*trace.Slice); ok {
-		r.ss.Reset(sl)
-		st = &r.ss
-	} else {
-		st = src.Stream()
-	}
-	now := m.run(st, hook)
+	now := m.run(src.Insts, hook)
 	*res = sim.Result{
 		Arch:    "REF",
 		Config:  cfg,
@@ -79,20 +70,8 @@ func (r *Runner) runInto(res *sim.Result, src trace.Source, cfg sim.Config, hook
 // which the arena-reuse equivalence suite pins.
 func (m *machine) reset(cfg sim.Config) {
 	m.cfg = cfg
-	ports := cfg.MemPorts
-	if ports < 1 {
-		ports = 1
-	}
-	if m.bus == nil || m.bus.Ports() != ports {
-		m.bus = mem.NewBus(cfg.MemPorts)
-	} else {
-		m.bus.Reset()
-	}
-	if m.cache == nil || m.cache.Lines() != cfg.ScalarCacheLines || m.cache.LineBytes() != cfg.ScalarCacheLineBytes {
-		m.cache = mem.NewCache(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
-	} else {
-		m.cache.Reset()
-	}
+	m.bus.Init(cfg.MemPorts)
+	m.cache.Init(cfg.ScalarCacheLines, cfg.ScalarCacheLineBytes)
 	m.aReady = [isa.NumARegs]int64{}
 	m.sReady = [isa.NumSRegs]int64{}
 	m.vRegs = [isa.NumVRegs]vreg{}

@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:f05078ef32a0ea7647c81f7240e8405f0e2d3b2fd34c7063afbe159bd2e547e4"
+const ModelFingerprint = "mh1:bcb9906ea2e3bcda7a7de59e8c352ed4a0bafa9b0ff9181d380489b15a891983"

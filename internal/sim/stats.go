@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"decvec/internal/isa"
 )
 
 // State encodes the occupation of the three vector resources the paper's §3
@@ -242,6 +244,25 @@ type Counts struct {
 	BasicBlocks int64 // basic blocks executed
 	SpillMemOps int64 // memory instructions marked as spill traffic
 	MemInsts    int64 // all memory-accessing instructions
+}
+
+// Add tallies one executed instruction.
+func (c *Counts) Add(in *isa.Inst) {
+	if in.IsVector() {
+		c.VectorInsts++
+		c.VectorOps += int64(in.VL)
+	} else {
+		c.ScalarInsts++
+	}
+	if in.Class.IsMemory() {
+		c.MemInsts++
+		if in.Spill {
+			c.SpillMemOps++
+		}
+	}
+	if in.BBEnd {
+		c.BasicBlocks++
+	}
 }
 
 // Vectorization returns the paper's degree of vectorization: vector

@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"decvec/internal/sim"
-	"decvec/internal/trace"
 )
 
 // entryMagic frames one cache file: magic, 32-byte payload checksum, payload.
@@ -168,16 +167,6 @@ func (k Key) Prefix() string {
 		return string(k)
 	}
 	return string(k[:KeyPrefixLen])
-}
-
-// TraceHash returns the content hash of a trace source, materializing
-// non-Slice sources first.
-func TraceHash(src trace.Source) ([sha256.Size]byte, error) {
-	sl, ok := src.(*trace.Slice)
-	if !ok {
-		sl = trace.Materialize(src.Name(), src.Stream())
-	}
-	return trace.Hash(sl)
 }
 
 // ConfigKey renders the canonical key encoding of a configuration: every

@@ -1,6 +1,6 @@
 // Package trace defines the dynamic instruction trace abstraction consumed
 // by the simulators, playing the role of the Dixie traces the paper used:
-// a stream of instructions annotated with vector lengths, vector strides
+// a sequence of instructions annotated with vector lengths, vector strides
 // and memory reference addresses.
 package trace
 
@@ -11,26 +11,13 @@ import (
 	"decvec/internal/isa"
 )
 
-// Stream produces instructions in dynamic program order. Next returns the
-// next instruction, or ok=false at the end of the trace. The returned
-// pointer stays valid — and the instruction immutable — for the lifetime of
-// the pass, so simulators may hold it in their in-flight structures instead
-// of copying the Inst through every queue.
-type Stream interface {
-	Next() (in *isa.Inst, ok bool)
-}
+// Source names the trace type the simulators replay. Every trace is an
+// in-memory Slice, so Source is an alias kept for callers that spell it.
+type Source = *Slice
 
-// Source is a replayable trace: each call to Stream starts a fresh pass
-// over the same dynamic instruction sequence. Simulators run a Source many
-// times under different configurations.
-type Source interface {
-	// Name identifies the trace (e.g. the benchmark program name).
-	Name() string
-	// Stream starts a new pass over the trace.
-	Stream() Stream
-}
-
-// Slice is an in-memory trace. It implements Source.
+// Slice is an in-memory trace: the dynamic instruction sequence, replayed
+// by indexing Insts. Simulators run one Slice many times under different
+// configurations, so Insts must not be modified once built.
 type Slice struct {
 	TraceName string
 	Insts     []isa.Inst
@@ -51,51 +38,11 @@ func (s *Slice) Aux() any { return s.aux.Load() }
 // race is harmless. All stores must use one concrete type.
 func (s *Slice) SetAux(v any) { s.aux.Store(v) }
 
-// Name implements Source.
+// Name identifies the trace (e.g. the benchmark program name).
 func (s *Slice) Name() string { return s.TraceName }
-
-// Stream implements Source.
-func (s *Slice) Stream() Stream { return &SliceStream{insts: s.Insts} }
 
 // Len returns the number of dynamic instructions.
 func (s *Slice) Len() int { return len(s.Insts) }
-
-// SliceStream is one pass over a Slice. Pooled simulator machines embed it
-// by value and Reset it per run, so starting a pass costs no allocation.
-type SliceStream struct {
-	insts []isa.Inst
-	pos   int
-}
-
-// Reset points the stream at the start of s.
-func (st *SliceStream) Reset(s *Slice) {
-	st.insts = s.Insts
-	st.pos = 0
-}
-
-// Next implements Stream.
-// declint:hotpath
-func (st *SliceStream) Next() (*isa.Inst, bool) {
-	if st.pos >= len(st.insts) {
-		return nil, false
-	}
-	in := &st.insts[st.pos]
-	st.pos++
-	return in, true
-}
-
-// Materialize drains a stream into a Slice with the given name.
-func Materialize(name string, st Stream) *Slice {
-	s := &Slice{TraceName: name}
-	for {
-		in, ok := st.Next()
-		if !ok {
-			break
-		}
-		s.Insts = append(s.Insts, *in)
-	}
-	return s
-}
 
 // Stats are the Table 1 columns for one trace.
 type Stats struct {
@@ -143,15 +90,11 @@ func (s *Stats) String() string {
 		100*s.Vectorization(), s.AvgVL())
 }
 
-// Collect computes trace statistics by draining one pass of the source.
-func Collect(src Source) *Stats {
-	st := src.Stream()
-	stats := &Stats{Name: src.Name()}
-	for {
-		in, ok := st.Next()
-		if !ok {
-			break
-		}
+// Collect computes the trace's statistics.
+func Collect(s *Slice) *Stats {
+	stats := &Stats{Name: s.Name()}
+	for i := range s.Insts {
+		in := &s.Insts[i]
 		if in.IsVector() {
 			stats.VectorInsts++
 			stats.VectorOps += int64(in.VL)
@@ -172,22 +115,17 @@ func Collect(src Source) *Stats {
 	return stats
 }
 
-// Validate checks every instruction of one pass and the sequence-number
-// invariant (dense, ascending from 0). It returns the first problem found.
-func Validate(src Source) error {
-	st := src.Stream()
-	var want int64
-	for {
-		in, ok := st.Next()
-		if !ok {
-			return nil
+// Validate checks every instruction and the sequence-number invariant
+// (dense, ascending from 0). It returns the first problem found.
+func Validate(s *Slice) error {
+	for i := range s.Insts {
+		in := &s.Insts[i]
+		if in.Seq != int64(i) {
+			return fmt.Errorf("trace %s: sequence %d where %d expected", s.Name(), in.Seq, i)
 		}
-		if in.Seq != want {
-			return fmt.Errorf("trace %s: sequence %d where %d expected", src.Name(), in.Seq, want)
-		}
-		want++
 		if err := in.Validate(); err != nil {
-			return fmt.Errorf("trace %s: %w", src.Name(), err)
+			return fmt.Errorf("trace %s: %w", s.Name(), err)
 		}
 	}
+	return nil
 }

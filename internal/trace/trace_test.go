@@ -16,52 +16,12 @@ func sampleInsts() []isa.Inst {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	s := &Slice{TraceName: "t", Insts: sampleInsts()}
-	if s.Name() != "t" || s.Len() != 5 {
-		t.Fatalf("Name=%q Len=%d", s.Name(), s.Len())
-	}
-	st := s.Stream()
-	var seqs []int64
-	for {
-		in, ok := st.Next()
-		if !ok {
-			break
-		}
-		seqs = append(seqs, in.Seq)
-	}
-	if len(seqs) != 5 {
-		t.Fatalf("got %d instructions", len(seqs))
-	}
-	for i, seq := range seqs {
-		if seq != int64(i) {
-			t.Errorf("position %d has seq %d", i, seq)
-		}
-	}
-	// A second pass replays identically.
-	st2 := s.Stream()
-	in, ok := st2.Next()
-	if !ok || in.Seq != 0 {
-		t.Error("stream not replayable")
-	}
-}
-
-func TestMaterialize(t *testing.T) {
-	src := &Slice{TraceName: "src", Insts: sampleInsts()}
-	dup := Materialize("copy", src.Stream())
-	if dup.Name() != "copy" || dup.Len() != src.Len() {
-		t.Fatalf("materialize: %q %d", dup.Name(), dup.Len())
-	}
-	for i := range dup.Insts {
-		if dup.Insts[i] != src.Insts[i] {
-			t.Fatalf("instruction %d differs", i)
-		}
-	}
-}
-
 func TestCollect(t *testing.T) {
 	s := &Slice{TraceName: "t", Insts: sampleInsts()}
 	st := Collect(s)
+	if st.Name != "t" {
+		t.Errorf("Name = %q", st.Name)
+	}
 	if st.ScalarInsts != 3 { // vsetvl, salu, branch
 		t.Errorf("ScalarInsts = %d", st.ScalarInsts)
 	}
