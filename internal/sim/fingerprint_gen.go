@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:bcb9906ea2e3bcda7a7de59e8c352ed4a0bafa9b0ff9181d380489b15a891983"
+const ModelFingerprint = "mh1:2287bc751f915f1c20c0d5609ef09f894296b7b2c16f4947fa3a487613d4a326"

@@ -28,35 +28,30 @@ const (
 	flagBBEnd = 1 << 1
 )
 
-// Write serializes the trace to w.
+// writeBlock is the size of the blocks Write hands to its writer.
+const writeBlock = 64 << 10
+
+// maxInstBytes bounds one encoded instruction: the six header bytes and
+// three varints.
+const maxInstBytes = 6 + 3*binary.MaxVarintLen64
+
+// Write serializes the trace to w. It appends the encoding to one buffer
+// and hands it to w in blocks of about 64 KiB.
 func Write(w io.Writer, s *Slice) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(s.TraceName))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(s.TraceName); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(s.Insts))); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, writeBlock)
+	buf = append(buf, binaryMagic...)
+	buf = binary.AppendUvarint(buf, uint64(len(s.TraceName)))
+	buf = append(buf, s.TraceName...)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Insts)))
 	var prevBase uint64
 	var prevStride int64
 	for i := range s.Insts {
+		if len(buf) > writeBlock-maxInstBytes {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 		in := &s.Insts[i]
 		flags := byte(0)
 		if in.Spill {
@@ -65,34 +60,20 @@ func Write(w io.Writer, s *Slice) error {
 		if in.BBEnd {
 			flags |= flagBBEnd
 		}
-		if err := bw.WriteByte(byte(in.Class)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(in.Op)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		for _, r := range [...]isa.Reg{in.Dst, in.Src1, in.Src2} {
-			if err := bw.WriteByte(byte(r.Kind)<<4 | r.Idx); err != nil {
-				return err
-			}
-		}
-		if err := putUvarint(uint64(in.VL)); err != nil {
-			return err
-		}
-		if err := putVarint(in.Stride - prevStride); err != nil {
-			return err
-		}
-		prevStride = in.Stride
-		if err := putVarint(int64(in.Base) - int64(prevBase)); err != nil {
-			return err
-		}
-		prevBase = in.Base
+		buf = append(buf, byte(in.Class), byte(in.Op), flags,
+			regByte(in.Dst), regByte(in.Src1), regByte(in.Src2))
+		buf = binary.AppendUvarint(buf, uint64(in.VL))
+		buf = binary.AppendVarint(buf, in.Stride-prevStride)
+		buf = binary.AppendVarint(buf, int64(in.Base)-int64(prevBase))
+		prevStride, prevBase = in.Stride, in.Base
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
+
+// regByte packs a register into one byte: kind in the high nibble, index
+// in the low.
+func regByte(r isa.Reg) byte { return byte(r.Kind)<<4 | r.Idx }
 
 // Read deserializes a trace written by Write.
 func Read(r io.Reader) (*Slice, error) {

@@ -34,7 +34,8 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzRoundTrip checks that every valid single instruction survives
-// encode/decode exactly.
+// encode/decode exactly, and that Write encodes it to the reference
+// encoder's bytes.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(16), int64(2), uint64(0x1000), false)
 	f.Fuzz(func(t *testing.T, class, op, vl uint8, stride int64, base uint64, spill bool) {
@@ -45,9 +46,15 @@ func FuzzRoundTrip(f *testing.F) {
 		in.Stride = stride
 		in.Base = base
 		in.Spill = spill
-		var buf bytes.Buffer
+		var buf, want bytes.Buffer
 		if err := Write(&buf, src); err != nil {
 			t.Fatal(err)
+		}
+		if err := writeOracle(&want, src); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+			t.Fatal("Write's bytes differ from the reference encoder's")
 		}
 		got, err := Read(&buf)
 		if err != nil {

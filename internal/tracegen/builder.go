@@ -13,27 +13,25 @@ import (
 	"math/rand"
 
 	"decvec/internal/isa"
-	"decvec/internal/sim"
 	"decvec/internal/trace"
 )
 
-// emitBufs recycles emit buffers across builders. Workload synthesis builds
-// tens of thousands of instructions per trace; growing a fresh buffer from
-// nothing for every trace re-pays the whole append-growth ladder each time,
-// so Trace right-size-copies the finished instructions and donates the
-// (grown) backing buffer to the next builder.
-var emitBufs sim.RunPool[[]isa.Inst]
+// chunkInsts is the capacity of one emit chunk. Emitting into fixed-size
+// chunks costs one allocation per chunk and never re-copies what is already
+// emitted, where appending to one growing slice climbs the whole
+// append-growth ladder and allocates several times the finished trace.
+const chunkInsts = 4096
 
 // Builder accumulates a synthetic trace. Create one with New, call kernel
 // methods, then Trace to obtain the result.
 type Builder struct {
-	name  string
-	insts []isa.Inst
-	// owned marks insts as backed by an emitBufs buffer that no finished
-	// trace aliases, so Trace may recycle it.
-	owned bool
-	seq   int64
-	rng   *rand.Rand
+	name string
+	// full holds the filled emit chunks in order; cur is the chunk being
+	// filled. Every chunk has capacity chunkInsts, so the builder holds
+	// len(full)*chunkInsts + len(cur) instructions.
+	full [][]isa.Inst
+	cur  []isa.Inst
+	rng  *rand.Rand
 
 	// curVL and curVS mirror the architectural VL/VS registers so kernels
 	// emit vsetvl/vsetvs only on change, as compiled code does.
@@ -48,41 +46,30 @@ type Builder struct {
 // New returns a Builder for a trace with the given name and deterministic
 // random seed.
 func New(name string, seed int64) *Builder {
-	b := &Builder{
+	return &Builder{
 		name:     name,
 		rng:      rand.New(rand.NewSource(seed)),
 		curVL:    -1,
 		curVS:    -999,
 		nextAddr: 0x10000,
 	}
-	if buf, ok := emitBufs.Get(); ok {
-		b.insts = buf[:0]
-		b.owned = true
-	}
-	return b
 }
 
-// Trace finalizes the builder into a replayable in-memory trace. The trace
-// receives a right-sized copy of the instructions; the builder's (grown)
-// emit buffer goes back to the pool for the next builder. If an owned
-// buffer outgrew its pooled backing along the way, ownership simply moved
-// to the replacement, so the pool always receives the largest buffer.
+// Trace returns the instructions emitted so far as a replayable in-memory
+// trace. The trace gets its own right-sized copy, so the builder stays
+// usable (Len, EndBB, further emits) and nothing it does later changes a
+// trace it returned.
 func (b *Builder) Trace() *trace.Slice {
-	out := make([]isa.Inst, len(b.insts))
-	copy(out, b.insts)
-	if b.owned {
-		emitBufs.Put(b.insts[:0])
+	out := make([]isa.Inst, 0, b.Len())
+	for _, c := range b.full {
+		out = append(out, c...)
 	}
-	// Keep the builder usable (Len, EndBB, further emits) without aliasing
-	// the returned trace: the full slice expression forces any later append
-	// to reallocate.
-	b.insts = out[:len(out):len(out)]
-	b.owned = false
+	out = append(out, b.cur...)
 	return &trace.Slice{TraceName: b.name, Insts: out}
 }
 
 // Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.insts) }
+func (b *Builder) Len() int { return len(b.full)*chunkInsts + len(b.cur) }
 
 // Array reserves a region of n 64-bit elements and returns its base
 // address. Regions are padded so neighbouring arrays never overlap even
@@ -96,13 +83,36 @@ func (b *Builder) Array(n int) uint64 {
 // Rand exposes the builder's deterministic random source to kernels.
 func (b *Builder) Rand() *rand.Rand { return b.rng }
 
+// emit appends in, numbered densely from zero, and validates it in place:
+// validating a local copy would move every instruction to the heap, since
+// the error path keeps a pointer to it. An invalid instruction panics and
+// is taken back out first, so it never reaches a trace.
 func (b *Builder) emit(in isa.Inst) {
-	in.Seq = b.seq
-	b.seq++
-	if err := in.Validate(); err != nil {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]isa.Inst, 0, chunkInsts)
+	}
+	in.Seq = int64(b.Len())
+	b.cur = append(b.cur, in)
+	if err := b.cur[len(b.cur)-1].Validate(); err != nil {
+		b.cur = b.cur[:len(b.cur)-1]
 		panic(fmt.Sprintf("tracegen: %v", err))
 	}
-	b.insts = append(b.insts, in)
+}
+
+// last returns the most recently emitted instruction, or nil before the
+// first. cur is empty only before the first emit or after an invalid
+// instruction was taken back out of a fresh chunk.
+func (b *Builder) last() *isa.Inst {
+	if len(b.cur) > 0 {
+		return &b.cur[len(b.cur)-1]
+	}
+	if len(b.full) > 0 {
+		return &b.full[len(b.full)-1][chunkInsts-1]
+	}
+	return nil
 }
 
 // SetVL emits a vsetvl if the current vector length differs.
@@ -197,7 +207,7 @@ func (b *Builder) Branch(ctr isa.Reg) {
 // EndBB marks the previous instruction as a basic-block boundary without
 // emitting anything (for straight-line code split by calls).
 func (b *Builder) EndBB() {
-	if len(b.insts) > 0 {
-		b.insts[len(b.insts)-1].BBEnd = true
+	if in := b.last(); in != nil {
+		in.BBEnd = true
 	}
 }

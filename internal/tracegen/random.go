@@ -28,8 +28,10 @@ func Random(seed int64, n int) *Builder {
 	b.SetVL(1 + r.Intn(isa.MaxVL))
 	b.SetVS(1)
 	// lastVecStore remembers a recent vector store so a later load can be
-	// made exactly identical (the bypass case).
-	var lastVecStore *isa.Inst
+	// made exactly identical (the bypass case); haveVecStore is set once
+	// there is one.
+	var lastVecStore isa.Inst
+	haveVecStore := false
 
 	for b.Len() < n {
 		switch r.Intn(16) {
@@ -55,12 +57,11 @@ func Random(seed int64, n int) *Builder {
 			addr := region()
 			data := isa.V(r.Intn(isa.NumVRegs))
 			b.VStore(data, isa.A(1+r.Intn(5)), addr, false)
-			last := b.insts[len(b.insts)-1]
-			lastVecStore = &last
+			lastVecStore, haveVecStore = *b.last(), true
 		case 7:
 			// An exact reload of a recent store: bypass-eligible whenever
 			// the store is still queued.
-			if lastVecStore != nil {
+			if haveVecStore {
 				saved := b.curVL
 				b.SetVL(lastVecStore.VL)
 				b.SetVS(lastVecStore.Stride)

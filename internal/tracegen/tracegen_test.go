@@ -1,6 +1,8 @@
 package tracegen
 
 import (
+	"encoding/hex"
+	"slices"
 	"testing"
 
 	"decvec/internal/isa"
@@ -278,4 +280,149 @@ func TestEmitValidatesInstruction(t *testing.T) {
 	}()
 	// Vector op without setting VL first (VL = -1 -> invalid).
 	b.VOp(isa.OpAdd, isa.V(0), isa.V(1), isa.None)
+}
+
+// randomTraceHashes pins trace.Hash of Random's output for a few seeds, so
+// the cross-simulator tests keep replaying the same traces.
+var randomTraceHashes = []struct {
+	seed int64
+	n    int
+	hash string
+}{
+	{0, 400, "995e37528a1c70c0734f802f22c869a7a6162f471be767b7f9b385ec6215726f"},
+	{0, 2000, "b922f1e77d96536795d282e420d8139742197dac138656dd788847a66348685f"},
+	{1, 400, "4a0118e446739cb12c5b75b926efb371221846e07f805caa7c82136cbbdcc092"},
+	{1, 2000, "556a6908d2f4dce60a0849ae375e6b3253bc40a3d17a9728308fae6a7d554e45"},
+	{7, 400, "d2d059bc0aa7d7c1d2dcedc746e94d8a08c44bf6632b39269be408ee90efee97"},
+	{7, 2000, "20ffd815c1cde2b38214a525e388aa5b9d9a135a9b8bf339907f18d835f229eb"},
+	{42, 400, "7902c35e82dfc14328093752338be9581000bbab6a5aebe80f7bbdc98d9cdb3a"},
+	{42, 2000, "0dda43d4fab89d9e999acd621750afe43865d2072d74508ae0fb0ddc0269617f"},
+	{100, 400, "44e530003ed643c4092a39021ccbcc99a994c9b1ae57d34672f37f3d8ab9a123"},
+	{100, 2000, "45e626a109edd28c62f482d1d10f8ef2508fe23e1f2ee55d5ab99f6a1215e8f5"},
+	{200, 400, "0dd8ee92fdc2b851fc7671da9657368946892594fb0641de89fc2452dc04fff8"},
+	{200, 2000, "233a0ea410430bbac695cf3135a8be201cf38ebd4da88fd29593bb7d6af65c87"},
+	{300, 400, "108cab0ec5514868bd92e6970a6df250d0d324b43de970f084418e295038a9dd"},
+	{300, 2000, "5ebc2e99b6b55afdebc8959cfeb2f1cc7c7fc32a29d27e53aa8a2c0bb3350d68"},
+}
+
+func TestRandomTraceHashes(t *testing.T) {
+	for _, g := range randomTraceHashes {
+		sum, err := trace.Hash(Random(g.seed, g.n).Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(sum[:]); got != g.hash {
+			t.Errorf("Random(%d, %d): trace hash %s, want %s", g.seed, g.n, got, g.hash)
+		}
+	}
+}
+
+// scalarAdd emits one valid instruction.
+func scalarAdd(b *Builder) { b.SOp(isa.OpAdd, isa.S(0), isa.S(1), isa.S(2)) }
+
+// emitInvalid emits a vector op with VL unset, recovering the panic, and
+// reports whether it panicked.
+func emitInvalid(b *Builder) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.VOp(isa.OpAdd, isa.V(0), isa.V(1), isa.None)
+	return false
+}
+
+func TestBuilderAllocsPerChunk(t *testing.T) {
+	const n = 100_000
+	allocs := testing.AllocsPerRun(3, func() {
+		b := New("allocs", 1)
+		for i := 0; i < n; i++ {
+			scalarAdd(b)
+		}
+		if b.Trace().Len() != n {
+			t.Fatal("short trace")
+		}
+	})
+	// One allocation per chunk, plus a small constant: the builder, its
+	// random source, the growth of the chunk list, and the trace.
+	chunks := (n + chunkInsts - 1) / chunkInsts
+	if max := float64(chunks + 16); allocs > max {
+		t.Errorf("%v allocations for %d instructions, want at most %v", allocs, n, max)
+	}
+}
+
+func TestEndBBAndLenAcrossChunkBoundary(t *testing.T) {
+	b := New("chunks", 1)
+	for i := 0; i < chunkInsts; i++ {
+		scalarAdd(b)
+	}
+	if b.Len() != chunkInsts {
+		t.Fatalf("Len = %d, want %d", b.Len(), chunkInsts)
+	}
+	b.EndBB()
+	scalarAdd(b)
+	if b.Len() != chunkInsts+1 {
+		t.Fatalf("Len = %d, want %d", b.Len(), chunkInsts+1)
+	}
+	b.EndBB()
+	tr := b.Trace()
+	if err := trace.Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range tr.Insts {
+		want := i == chunkInsts-1 || i == chunkInsts
+		if in.BBEnd != want {
+			t.Errorf("instruction %d: BBEnd = %v, want %v", i, in.BBEnd, want)
+		}
+	}
+}
+
+func TestInvalidEmitNeverReachesTrace(t *testing.T) {
+	// The invalid instruction lands first in a fresh chunk, so taking it
+	// back out leaves the current chunk empty: EndBB must still find the
+	// last valid instruction in the previous one.
+	b := New("bad", 1)
+	for i := 0; i < chunkInsts; i++ {
+		scalarAdd(b)
+	}
+	if !emitInvalid(b) {
+		t.Fatal("invalid instruction did not panic")
+	}
+	if b.Len() != chunkInsts {
+		t.Fatalf("Len = %d after a rejected emit, want %d", b.Len(), chunkInsts)
+	}
+	b.EndBB()
+	scalarAdd(b)
+	if !emitInvalid(b) {
+		t.Fatal("invalid instruction did not panic")
+	}
+	tr := b.Trace()
+	if tr.Len() != chunkInsts+1 {
+		t.Fatalf("trace has %d instructions, want %d", tr.Len(), chunkInsts+1)
+	}
+	// Validate also checks the sequence numbers stayed dense.
+	if err := trace.Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Insts[chunkInsts-1].BBEnd || tr.Insts[chunkInsts].BBEnd {
+		t.Error("EndBB marked the wrong instruction")
+	}
+}
+
+func TestEmitAfterTraceLeavesTraceUnchanged(t *testing.T) {
+	b := New("after", 1)
+	allKernels(b)
+	tr := b.Trace()
+	if len(tr.Insts) != cap(tr.Insts) {
+		t.Errorf("trace keeps slack: len %d, cap %d", len(tr.Insts), cap(tr.Insts))
+	}
+	want := append([]isa.Inst(nil), tr.Insts...)
+	b.EndBB()
+	allKernels(b)
+	b.EndBB()
+	if !slices.Equal(tr.Insts, want) {
+		t.Fatal("emits after Trace changed the returned trace")
+	}
+	if b.Len() <= len(want) {
+		t.Errorf("builder Len = %d after further emits, want > %d", b.Len(), len(want))
+	}
+	if err := trace.Validate(b.Trace()); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -245,3 +245,17 @@ func TestCachedLookupsZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkProgramTraces synthesizes all thirteen program traces at the
+// default scale, the trace set-up every process pays before it simulates.
+func BenchmarkProgramTraces(b *testing.B) {
+	b.ReportAllocs()
+	var insts int
+	for i := 0; i < b.N; i++ {
+		insts = 0
+		for _, p := range All {
+			insts += p.Trace(DefaultScale).Len()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+}
