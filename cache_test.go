@@ -129,7 +129,7 @@ func TestRunSourceCachedSharesSuiteEntries(t *testing.T) {
 	bypCfg.Bypass = true
 	s := decvec.NewSuite(1)
 	s.Disk = store
-	want, err := s.RunCtx(context.Background(), p, experiments.DVA, bypCfg)
+	want, err := s.RunCtx(context.Background(), p, experiments.RunSpec{Arch: experiments.DVA, Cfg: bypCfg})
 	if err != nil {
 		t.Fatal(err)
 	}

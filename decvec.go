@@ -267,7 +267,7 @@ func RunSourceCached(store *CacheStore, src *trace.Slice, arch string, cfg Confi
 	cfg.Bypass = cfg.Bypass || bypass
 	s := experiments.NewSuite(1)
 	s.Disk, s.VerifyFraction = store, verify
-	return s.RunSourceCtx(context.Background(), src, experiments.Arch(core), cfg)
+	return s.RunSourceCtx(context.Background(), src, experiments.RunSpec{Arch: experiments.Arch(core), Cfg: cfg})
 }
 
 // Server is the dvad simulation daemon: an HTTP/JSON front end over an

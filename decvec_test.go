@@ -3,6 +3,10 @@ package decvec_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -204,11 +208,23 @@ func TestLatencyJitterMonotone(t *testing.T) {
 	}
 }
 
+// Every experiment's report at scale 1 must match the digest pinned in
+// cmd/dvaperf/testdata/figures.sha256, the bytes `dvabench -scale 1`
+// writes; a driver that reads its grid back out of position changes them.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	s := decvec.NewSuite(0.2)
+	golden, err := os.ReadFile(filepath.Join("cmd", "dvaperf", "testdata", "figures.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		sum, name, _ := strings.Cut(line, "  ")
+		want[name] = sum
+	}
+	s := decvec.NewSuite(1)
 	for _, name := range decvec.ExperimentNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -216,8 +232,9 @@ func TestAllExperimentsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(out) < 100 {
-				t.Errorf("suspiciously short output (%d bytes)", len(out))
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("report digest %s, want %q", got, want[name])
 			}
 		})
 	}

@@ -10,7 +10,7 @@
 //   - context.Background() and context.TODO() are reserved for the entry
 //     layers — the module root facade, cmd/* and examples/* — everywhere
 //     else a fresh root context severs the caller's deadline and
-//     cancellation, which is exactly the bug class Suite.RunCtx/WarmCtx
+//     cancellation, which is exactly the bug class Suite.RunCtx/RunBatch
 //     and the server handler chains exist to prevent.
 //
 // Test files are never linted (the loader parses non-test files only), so

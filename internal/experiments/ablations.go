@@ -34,18 +34,15 @@ func sweepParam(ctx context.Context, s *Suite, name string, latency int64, value
 	for _, v := range values {
 		runs = append(runs, RunSpec{Arch: DVA, Cfg: mk(v)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &AblationResult{Parameter: name, Latency: latency, Values: values}
-	for _, p := range progs {
+	for i, p := range progs {
 		ap := AblationProgram{Name: p.Name}
-		for _, v := range values {
-			r, err := s.RunCtx(ctx, p, DVA, mk(v))
-			if err != nil {
-				return nil, err
-			}
-			ap.Points = append(ap.Points, AblationPoint{Value: v, Cycles: r.Cycles})
+		for k, v := range values {
+			ap.Points = append(ap.Points, AblationPoint{Value: v, Cycles: out[i][k].Cycles})
 		}
 		res.Programs = append(res.Programs, ap)
 	}

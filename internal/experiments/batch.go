@@ -62,14 +62,11 @@ func runPooled[M interface {
 	return r, err
 }
 
-// BatchJob is one simulation of a batch: a program run on an architecture
-// under a configuration. Window and PhysRegs are as in RunSpec.
+// BatchJob is one simulation of a batch: a program run as its RunSpec
+// describes.
 type BatchJob struct {
-	Program  *workload.Program
-	Arch     Arch
-	Cfg      sim.Config
-	Window   int
-	PhysRegs int
+	Program *workload.Program
+	RunSpec
 }
 
 // RunBatch steps many independent traces through the pooled machines and
@@ -163,7 +160,7 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	for i, c := range cells {
 		j := c.job
 		fns[i] = func() error {
-			r, err := s.runProgram(ctx, j.Program, RunSpec{Arch: j.Arch, Cfg: j.Cfg, Window: j.Window, PhysRegs: j.PhysRegs})
+			r, err := s.RunCtx(ctx, j.Program, j.RunSpec)
 			got[i] = r
 			return err
 		}

@@ -21,10 +21,10 @@ func TestRunBatchPartialFailure(t *testing.T) {
 	s := NewSuite(0.05)
 	p := workload.Simulated()[0]
 	jobs := []BatchJob{
-		{Program: p, Arch: REF, Cfg: sim.DefaultConfig(1)},
-		{Program: p, Arch: Arch("XXX"), Cfg: sim.DefaultConfig(1)},
-		{Program: p, Arch: DVA, Cfg: sim.DefaultConfig(1)},
-		{Program: p, Arch: Arch("YYY"), Cfg: sim.DefaultConfig(10)},
+		{Program: p, RunSpec: RunSpec{Arch: REF, Cfg: sim.DefaultConfig(1)}},
+		{Program: p, RunSpec: RunSpec{Arch: Arch("XXX"), Cfg: sim.DefaultConfig(1)}},
+		{Program: p, RunSpec: RunSpec{Arch: DVA, Cfg: sim.DefaultConfig(1)}},
+		{Program: p, RunSpec: RunSpec{Arch: Arch("YYY"), Cfg: sim.DefaultConfig(10)}},
 	}
 	out, err := s.RunBatch(context.Background(), jobs)
 	if err == nil {
@@ -52,8 +52,8 @@ func TestRunBatchProgramNameCollision(t *testing.T) {
 	fake := &workload.Program{Name: orig.Name, Description: "impostor"}
 	s := NewSuite(0.05)
 	jobs := []BatchJob{
-		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
-		{Program: fake, Arch: REF, Cfg: sim.DefaultConfig(1)},
+		{Program: orig, RunSpec: RunSpec{Arch: REF, Cfg: sim.DefaultConfig(1)}},
+		{Program: fake, RunSpec: RunSpec{Arch: REF, Cfg: sim.DefaultConfig(1)}},
 	}
 	out, err := s.RunBatch(context.Background(), jobs)
 	if err == nil {
@@ -68,8 +68,8 @@ func TestRunBatchProgramNameCollision(t *testing.T) {
 
 	// The same definition appearing twice is of course fine.
 	jobs = []BatchJob{
-		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
-		{Program: orig, Arch: REF, Cfg: sim.DefaultConfig(1)},
+		{Program: orig, RunSpec: RunSpec{Arch: REF, Cfg: sim.DefaultConfig(1)}},
+		{Program: orig, RunSpec: RunSpec{Arch: REF, Cfg: sim.DefaultConfig(1)}},
 	}
 	out, err = s.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -88,11 +88,11 @@ func TestRunBatchMixedArches(t *testing.T) {
 	var jobs []BatchJob
 	for _, p := range progs {
 		jobs = append(jobs,
-			BatchJob{Program: p, Arch: REF, Cfg: ocfg.Config},
-			BatchJob{Program: p, Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs},
-			BatchJob{Program: p, Arch: DVA, Cfg: ocfg.Config},
-			BatchJob{Program: p, Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs},
-			BatchJob{Program: p, Arch: REF, Cfg: ocfg.Config},
+			BatchJob{Program: p, RunSpec: RunSpec{Arch: REF, Cfg: ocfg.Config}},
+			BatchJob{Program: p, RunSpec: RunSpec{Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs}},
+			BatchJob{Program: p, RunSpec: RunSpec{Arch: DVA, Cfg: ocfg.Config}},
+			BatchJob{Program: p, RunSpec: RunSpec{Arch: OOO, Cfg: ocfg.Config, Window: ocfg.Window, PhysRegs: ocfg.PhysRegs}},
+			BatchJob{Program: p, RunSpec: RunSpec{Arch: REF, Cfg: ocfg.Config}},
 		)
 	}
 	s := NewSuite(testScale)

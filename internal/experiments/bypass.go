@@ -63,29 +63,23 @@ func Figure7(ctx context.Context, s *Suite, lats []int64) (*Figure7Result, error
 			runs = append(runs, RunSpec{Arch: DVA, Cfg: sim.BypassConfig(l, bc.LoadQ, bc.StoreQ)})
 		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
+	// Each latency is one run per series, consecutive: the DVA, then every
+	// bypass configuration.
+	series := []string{"DVA 256/16"}
+	for _, bc := range Figure7Configs {
+		series = append(series, bc.Name)
+	}
 	res := &Figure7Result{Latencies: lats}
-	for _, p := range progs {
+	for i, p := range progs {
 		fp := Figure7Program{Name: p.Name, Ideal: s.Ideal(ctx, p).Cycles}
-		dva := Figure7Series{Name: "DVA 256/16"}
-		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
-			if err != nil {
-				return nil, err
-			}
-			dva.Points = append(dva.Points, Figure7Point{Latency: l, Cycles: r.Cycles})
-		}
-		fp.Series = append(fp.Series, dva)
-		for _, bc := range Figure7Configs {
-			ser := Figure7Series{Name: bc.Name}
-			for _, l := range lats {
-				r, err := s.RunCtx(ctx, p, DVA, sim.BypassConfig(l, bc.LoadQ, bc.StoreQ))
-				if err != nil {
-					return nil, err
-				}
-				ser.Points = append(ser.Points, Figure7Point{Latency: l, Cycles: r.Cycles})
+		for c, name := range series {
+			ser := Figure7Series{Name: name}
+			for k, l := range lats {
+				ser.Points = append(ser.Points, Figure7Point{Latency: l, Cycles: out[i][k*len(series)+c].Cycles})
 			}
 			fp.Series = append(fp.Series, ser)
 		}
@@ -122,19 +116,13 @@ func Figure8(ctx context.Context, s *Suite, latency int64) (*Figure8Result, erro
 		{Arch: DVA, Cfg: sim.DefaultConfig(latency)},
 		{Arch: DVA, Cfg: sim.BypassConfig(latency, 256, 16)},
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure8Result{Latency: latency}
-	for _, p := range progs {
-		rd, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(latency))
-		if err != nil {
-			return nil, err
-		}
-		rb, err := s.RunCtx(ctx, p, DVA, sim.BypassConfig(latency, 256, 16))
-		if err != nil {
-			return nil, err
-		}
+	for i, p := range progs {
+		rd, rb := out[i][0], out[i][1]
 		row := Figure8Row{
 			Name:     p.Name,
 			DvaElems: rd.Traffic.Total(),

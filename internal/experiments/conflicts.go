@@ -48,20 +48,14 @@ func ExtensionConflicts(ctx context.Context, s *Suite, base int64, jitters []int
 			RunSpec{Arch: REF, Cfg: mk(j)},
 			RunSpec{Arch: DVA, Cfg: mk(j)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &ConflictsResult{BaseLatency: base, Jitters: jitters}
-	for _, p := range progs {
-		for _, j := range jitters {
-			rr, err := s.RunCtx(ctx, p, REF, mk(j))
-			if err != nil {
-				return nil, err
-			}
-			rd, err := s.RunCtx(ctx, p, DVA, mk(j))
-			if err != nil {
-				return nil, err
-			}
+	for i, p := range progs {
+		for k, j := range jitters {
+			rr, rd := out[i][2*k], out[i][2*k+1]
 			res.Rows = append(res.Rows, ConflictRow{
 				Name:    p.Name,
 				Jitter:  j,

@@ -40,30 +40,31 @@ func ExtensionOOO(ctx context.Context, s *Suite, lats []int64) (*ExtensionOOORes
 	if len(lats) == 0 {
 		lats = []int64{1, 30, 100}
 	}
-	// One batch runs every REF, DVA and OOO cell; each (program, latency)
-	// row is cols consecutive jobs: REF, DVA, then OOO per window.
+	// Each latency is cols consecutive runs: REF, DVA, then OOO per window.
 	cols := 2 + len(ExtensionOOOWindows)
-	var jobs []BatchJob
-	for _, p := range workload.Simulated() {
-		for _, l := range lats {
-			cfg := sim.DefaultConfig(l)
-			jobs = append(jobs, BatchJob{Program: p, Arch: REF, Cfg: cfg}, BatchJob{Program: p, Arch: DVA, Cfg: cfg})
-			for _, w := range ExtensionOOOWindows {
-				jobs = append(jobs, BatchJob{Program: p, Arch: OOO, Cfg: cfg, Window: w, PhysRegs: 4 * physFloor(w)})
-			}
+	progs := workload.Simulated()
+	var runs []RunSpec
+	for _, l := range lats {
+		cfg := sim.DefaultConfig(l)
+		runs = append(runs, RunSpec{Arch: REF, Cfg: cfg}, RunSpec{Arch: DVA, Cfg: cfg})
+		for _, w := range ExtensionOOOWindows {
+			runs = append(runs, RunSpec{Arch: OOO, Cfg: cfg, Window: w, PhysRegs: 4 * physFloor(w)})
 		}
 	}
-	out, err := s.RunBatch(ctx, jobs)
+	out, err := s.grid(ctx, progs, runs)
 	if err != nil {
 		return nil, err
 	}
 	res := &ExtensionOOOResult{Latencies: lats, Windows: ExtensionOOOWindows}
-	for i := 0; i < len(out); i += cols {
-		row := ExtensionOOORow{Name: jobs[i].Program.Name, Latency: jobs[i].Cfg.MemLatency, Ref: out[i].Cycles, Dva: out[i+1].Cycles}
-		for _, r := range out[i+2 : i+cols] {
-			row.Ooo = append(row.Ooo, r.Cycles)
+	for i, p := range progs {
+		for k, l := range lats {
+			cells := out[i][k*cols : (k+1)*cols]
+			row := ExtensionOOORow{Name: p.Name, Latency: l, Ref: cells[0].Cycles, Dva: cells[1].Cycles}
+			for _, r := range cells[2:] {
+				row.Ooo = append(row.Ooo, r.Cycles)
+			}
+			res.Rows = append(res.Rows, row)
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

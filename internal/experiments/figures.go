@@ -38,17 +38,15 @@ func Figure1(ctx context.Context, s *Suite) (*Figure1Result, error) {
 	for _, l := range lats {
 		runs = append(runs, RunSpec{Arch: REF, Cfg: sim.DefaultConfig(l)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure1Result{Latencies: lats}
-	for _, p := range progs {
+	for i, p := range progs {
 		fp := Figure1Program{Name: p.Name}
-		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, REF, sim.DefaultConfig(l))
-			if err != nil {
-				return nil, err
-			}
+		for k, l := range lats {
+			r := out[i][k]
 			fp.Rows = append(fp.Rows, Figure1Row{
 				Latency:    l,
 				States:     r.States,
@@ -120,23 +118,15 @@ func Sweep(ctx context.Context, s *Suite, lats []int64) (*SweepResult, error) {
 			RunSpec{Arch: DVA, Cfg: cfg},
 		)
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &SweepResult{Latencies: lats}
-	for _, p := range progs {
+	for i, p := range progs {
 		sp := SweepProgram{Name: p.Name, Ideal: s.Ideal(ctx, p).Cycles}
-		for _, l := range lats {
-			cfg := sim.DefaultConfig(l)
-			rr, err := s.RunCtx(ctx, p, REF, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rd, err := s.RunCtx(ctx, p, DVA, cfg)
-			if err != nil {
-				return nil, err
-			}
-			sp.Points = append(sp.Points, SweepPoint{Latency: l, Ref: rr, Dva: rd})
+		for k, l := range lats {
+			sp.Points = append(sp.Points, SweepPoint{Latency: l, Ref: out[i][2*k], Dva: out[i][2*k+1]})
 		}
 		res.Programs = append(res.Programs, sp)
 	}
@@ -171,18 +161,15 @@ func Figure6(ctx context.Context, s *Suite) (*Figure6Result, error) {
 	for _, l := range lats {
 		runs = append(runs, RunSpec{Arch: DVA, Cfg: sim.DefaultConfig(l)})
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{Latencies: lats}
-	for _, p := range progs {
+	for i, p := range progs {
 		fp := Figure6Program{Name: p.Name}
-		for _, l := range lats {
-			r, err := s.RunCtx(ctx, p, DVA, sim.DefaultConfig(l))
-			if err != nil {
-				return nil, err
-			}
-			fp.Rows = append(fp.Rows, Figure6Row{Latency: l, Hist: r.AVDQBusy})
+		for k, l := range lats {
+			fp.Rows = append(fp.Rows, Figure6Row{Latency: l, Hist: out[i][k].AVDQBusy})
 		}
 		res.Programs = append(res.Programs, fp)
 	}

@@ -14,15 +14,16 @@ import (
 // spellings here.
 
 func (s *Suite) Run(p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	return s.RunCtx(context.Background(), p, arch, cfg)
+	return s.RunCtx(context.Background(), p, RunSpec{Arch: arch, Cfg: cfg})
 }
 
 func (s *Suite) RunOOO(p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
-	return s.RunOOOCtx(context.Background(), p, cfg)
+	return s.RunCtx(context.Background(), p, oooSpec(cfg))
 }
 
-func (s *Suite) warm(programs []*workload.Program, runs []RunSpec) error {
-	return s.WarmCtx(context.Background(), programs, runs)
+// oooSpec is the RunSpec of an out-of-order run under cfg.
+func oooSpec(cfg ooo.Config) RunSpec {
+	return RunSpec{Arch: OOO, Cfg: cfg.Config, Window: cfg.Window, PhysRegs: cfg.PhysRegs}
 }
 
 func parallel(jobs []func() error) error {

@@ -48,24 +48,14 @@ func ExtensionPorts(ctx context.Context, s *Suite, lats []int64) (*PortsResult, 
 			runs = append(runs, RunSpec{Arch: DVA, Cfg: cfg})
 		}
 	}
-	if err := s.WarmCtx(ctx, progs, runs); err != nil {
+	out, err := s.grid(ctx, progs, runs)
+	if err != nil {
 		return nil, err
 	}
 	res := &PortsResult{Latencies: lats}
-	for _, p := range progs {
-		for _, l := range lats {
-			r1, err := s.RunCtx(ctx, p, DVA, oneP(l))
-			if err != nil {
-				return nil, err
-			}
-			rb, err := s.RunCtx(ctx, p, DVA, bypP(l))
-			if err != nil {
-				return nil, err
-			}
-			r2, err := s.RunCtx(ctx, p, DVA, twoP(l))
-			if err != nil {
-				return nil, err
-			}
+	for i, p := range progs {
+		for k, l := range lats {
+			r1, rb, r2 := out[i][3*k], out[i][3*k+1], out[i][3*k+2]
 			res.Rows = append(res.Rows, PortsRow{
 				Name:     p.Name,
 				Latency:  l,

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"decvec/internal/ideal"
-	"decvec/internal/ooo"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
 	"decvec/internal/trace"
@@ -54,9 +53,9 @@ type Gate interface {
 }
 
 // Suite runs simulations for the experiment drivers through one run path
-// with a two-tier cache. Every run, whatever its entry (RunCtx, RunOOOCtx,
-// RunSourceCtx or RunBatch), is keyed on the trace's content hash, the
-// architecture and the full configuration. The in-process tier memoizes
+// with a two-tier cache. Every run, whatever its entry (RunCtx,
+// RunSourceCtx or RunBatch), is keyed on the trace's content hash and the
+// RunSpec: architecture and full configuration. The in-process tier memoizes
 // results under that key: figures sharing runs — 3, 4 and 5 use identical
 // sweeps — simulate each configuration exactly once, also under
 // concurrency (duplicate requests for an in-flight key wait for the first
@@ -161,41 +160,30 @@ func (s *Suite) admit(ctx context.Context) (func(), error) {
 	return s.Gate.Acquire(ctx)
 }
 
-// RunCtx simulates program p on the given architecture and configuration,
-// returning a cached result when the identical run has been done before —
-// in this process or, with a Disk store attached, in any previous one.
-// Concurrent calls for the same key share a single simulation, and a
-// caller that gives up stops waiting immediately (in the admission queue,
-// or on a coalesced in-flight run) without disturbing the computation
-// other callers still want.
-func (s *Suite) RunCtx(ctx context.Context, p *workload.Program, arch Arch, cfg sim.Config) (*sim.Result, error) {
-	return s.runProgram(ctx, p, RunSpec{Arch: arch, Cfg: cfg})
-}
-
-// RunOOOCtx simulates program p on the out-of-order extension (§8) with
-// the same two-tier caching and cancellation discipline as RunCtx.
-func (s *Suite) RunOOOCtx(ctx context.Context, p *workload.Program, cfg ooo.Config) (*sim.Result, error) {
-	return s.runProgram(ctx, p, RunSpec{Arch: OOO, Cfg: cfg.Config, Window: cfg.Window, PhysRegs: cfg.PhysRegs})
+// RunCtx simulates program p, at the suite scale, as spec describes: REF,
+// DVA or OOO under its configuration. It returns a cached result when the
+// identical run has been done before — in this process or, with a Disk
+// store attached, in any previous one. Concurrent calls for the same key
+// share a single simulation, and a caller that gives up stops waiting
+// immediately (in the admission queue, or on a coalesced in-flight run)
+// without disturbing the computation other callers still want. A trace
+// that cannot be hashed cannot be keyed, so it simulates uncached.
+func (s *Suite) RunCtx(ctx context.Context, p *workload.Program, spec RunSpec) (*sim.Result, error) {
+	th, err := p.CachedTraceHash(s.Scale)
+	return s.run(ctx, p.CachedTrace(s.Scale), th, err == nil, spec)
 }
 
 // RunSourceCtx simulates an arbitrary materialized trace (for example one
-// uploaded to the dvad server) on REF or DVA with the full coalescing and
-// two-tier caching discipline: runs are keyed on trace content, so identical
+// uploaded to the dvad server) with the full coalescing and two-tier
+// caching discipline: runs are keyed on trace content, so identical
 // uploads share one simulation and one cache entry — the same entry a
 // workload run of the identical trace would use.
-func (s *Suite) RunSourceCtx(ctx context.Context, src *trace.Slice, arch Arch, cfg sim.Config) (*sim.Result, error) {
+func (s *Suite) RunSourceCtx(ctx context.Context, src *trace.Slice, spec RunSpec) (*sim.Result, error) {
 	th, err := trace.Hash(src)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: hashing trace %s: %w", src.Name(), err)
 	}
-	return s.run(ctx, src, th, true, RunSpec{Arch: arch, Cfg: cfg})
-}
-
-// runProgram runs a workload program's trace at the suite scale. A trace
-// that cannot be hashed cannot be keyed, so it simulates uncached.
-func (s *Suite) runProgram(ctx context.Context, p *workload.Program, spec RunSpec) (*sim.Result, error) {
-	th, err := p.CachedTraceHash(s.Scale)
-	return s.run(ctx, p.CachedTrace(s.Scale), th, err == nil, spec)
+	return s.run(ctx, src, th, true, spec)
 }
 
 // run is the suite's one run path: memory → disk → simulate. Only an
@@ -322,8 +310,9 @@ func newFlightGroup[K comparable, V any]() flightGroup[K, V] {
 }
 
 // get returns the cached value for key without joining or starting a
-// computation. The figure drivers re-query every cell of a warmed grid, so
-// this hit path stays free of the closure and flight bookkeeping do needs.
+// computation. dvad answers most /v1/simulate and streamed /v1/sweep cells
+// from a warm suite through RunCtx, so this hit path stays free of the
+// closure and flight bookkeeping do needs.
 func (g *flightGroup[K, V]) get(key K) (V, bool) {
 	g.mu.Lock()
 	v, ok := g.cache[key]
@@ -429,9 +418,10 @@ func parallelCtx(ctx context.Context, jobs []func() error) error {
 	return errors.Join(errs...)
 }
 
-// RunSpec is one (architecture, configuration) cell of a warm grid.
-// Window and PhysRegs are the OOO core's issue window and physical vector
-// register pool (ooo.Config); they must stay zero for REF and DVA.
+// RunSpec is the run half of the suite's key: an architecture and its full
+// configuration. Window and PhysRegs are the OOO core's issue window and
+// physical vector register pool (ooo.Config); they must stay zero for REF
+// and DVA.
 type RunSpec struct {
 	Arch     Arch
 	Cfg      sim.Config
@@ -439,17 +429,22 @@ type RunSpec struct {
 	PhysRegs int
 }
 
-// WarmCtx pre-runs the (program × spec) grid, honoring context cancellation
-// between jobs; it is the grid-shaped entry to RunBatch, which materializes
-// traces across the CPUs, collapses duplicate cells, groups cells by trace
-// and drains them longest-expected-first through the pooled machines.
-func (s *Suite) WarmCtx(ctx context.Context, programs []*workload.Program, runs []RunSpec) error {
+// grid runs every program under every spec as one RunBatch and returns the
+// results by position: out[i][k] is programs[i] run under runs[k].
+func (s *Suite) grid(ctx context.Context, programs []*workload.Program, runs []RunSpec) ([][]*sim.Result, error) {
 	jobs := make([]BatchJob, 0, len(programs)*len(runs))
 	for _, p := range programs {
 		for _, r := range runs {
-			jobs = append(jobs, BatchJob{Program: p, Arch: r.Arch, Cfg: r.Cfg, Window: r.Window, PhysRegs: r.PhysRegs})
+			jobs = append(jobs, BatchJob{Program: p, RunSpec: r})
 		}
 	}
-	_, err := s.RunBatch(ctx, jobs)
-	return err
+	flat, err := s.RunBatch(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*sim.Result, len(programs))
+	for i := range out {
+		out[i] = flat[i*len(runs) : (i+1)*len(runs)]
+	}
+	return out, nil
 }

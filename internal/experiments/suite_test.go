@@ -28,13 +28,13 @@ func TestSuiteRunSingleflight(t *testing.T) {
 		run   func(*Suite) (*sim.Result, error)
 	}{
 		{"RunCtx", func(s *Suite) (*sim.Result, error) {
-			return s.RunCtx(context.Background(), p, DVA, cfg)
+			return s.RunCtx(context.Background(), p, RunSpec{Arch: DVA, Cfg: cfg})
 		}},
-		{"RunOOOCtx", func(s *Suite) (*sim.Result, error) {
-			return s.RunOOOCtx(context.Background(), p, ooo.DefaultConfig(50))
+		{"RunCtxOOO", func(s *Suite) (*sim.Result, error) {
+			return s.RunCtx(context.Background(), p, oooSpec(ooo.DefaultConfig(50)))
 		}},
 		{"RunSourceCtx", func(s *Suite) (*sim.Result, error) {
-			return s.RunSourceCtx(context.Background(), p.CachedTrace(1.0), DVA, cfg)
+			return s.RunSourceCtx(context.Background(), p.CachedTrace(1.0), RunSpec{Arch: DVA, Cfg: cfg})
 		}},
 	} {
 		t.Run(tc.entry, func(t *testing.T) {
@@ -81,7 +81,7 @@ func TestSuiteRunSourceSharesWorkloadRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunSourceCtx(context.Background(), p.CachedTrace(testScale), DVA, cfg)
+	got, err := s.RunSourceCtx(context.Background(), p.CachedTrace(testScale), RunSpec{Arch: DVA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestSuiteRejectsOOOParamsOnInOrderCores(t *testing.T) {
 	p := workload.Simulated()[0]
 	cfg := sim.DefaultConfig(1)
 	for _, j := range []BatchJob{
-		{Program: p, Arch: REF, Cfg: cfg, Window: 16},
-		{Program: p, Arch: DVA, Cfg: cfg, PhysRegs: 32},
+		{Program: p, RunSpec: RunSpec{Arch: REF, Cfg: cfg, Window: 16}},
+		{Program: p, RunSpec: RunSpec{Arch: DVA, Cfg: cfg, PhysRegs: 32}},
 	} {
 		out, err := s.RunBatch(context.Background(), []BatchJob{j})
 		if err == nil || out[0] != nil {
@@ -113,30 +113,27 @@ func TestSuiteRejectsOOOParamsOnInOrderCores(t *testing.T) {
 	}
 }
 
-// A warmed cell is a map lookup on every entry the figure drivers re-query;
-// it must not allocate.
+// A warmed cell is a map lookup through RunCtx, for REF, DVA and OOO alike;
+// dvad answers most requests this way, so it must not allocate.
 func TestSuiteWarmHitZeroAlloc(t *testing.T) {
 	s := suite(t)
 	p := workload.Simulated()[0]
 	cfg := sim.DefaultConfig(1)
-	ocfg := ooo.DefaultConfig(1)
-	if _, err := s.Run(p, REF, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunOOO(p, ocfg); err != nil {
-		t.Fatal(err)
-	}
+	specs := []RunSpec{{Arch: REF, Cfg: cfg}, {Arch: DVA, Cfg: cfg}, oooSpec(ooo.DefaultConfig(1))}
 	ctx := context.Background()
-	for name, hit := range map[string]func(){
-		"RunCtx":    func() { _, _ = s.RunCtx(ctx, p, REF, cfg) },
-		"RunOOOCtx": func() { _, _ = s.RunOOOCtx(ctx, p, ocfg) },
-	} {
-		if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
-			t.Errorf("warmed %s hit allocated %.1f times per call, want 0", name, allocs)
+	for _, spec := range specs {
+		if _, err := s.RunCtx(ctx, p, spec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n := s.Simulations(); n != 2 {
-		t.Errorf("Simulations() = %d, want 2", n)
+	for _, spec := range specs {
+		hit := func() { _, _ = s.RunCtx(ctx, p, spec) }
+		if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+			t.Errorf("warmed %s hit allocated %.1f times per call, want 0", spec.Arch, allocs)
+		}
+	}
+	if n := s.Simulations(); n != int64(len(specs)) {
+		t.Errorf("Simulations() = %d, want %d", n, len(specs))
 	}
 }
 

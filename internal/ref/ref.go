@@ -59,27 +59,20 @@ type machine struct {
 // Run simulates the trace on the reference architecture under cfg and
 // returns the measured result.
 func Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
-	return simulate(src, cfg, nil, nil)
-}
-
-// RunWithHook is Run with an optional per-instruction callback invoked with
-// each instruction and its issue cycle — a debugging and testing aid for
-// inspecting the schedule the machine produced.
-func RunWithHook(src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64)) (*sim.Result, error) {
-	return simulate(src, cfg, hook, nil)
+	return simulate(src, cfg, nil)
 }
 
 // RunRecorded is Run with an optional event recorder. Recording is passive:
 // the returned result is bit-identical to a plain Run; the recorder
 // additionally collects issue, stall and bus-grant events.
 func RunRecorded(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
-	return simulate(src, cfg, nil, rec)
+	return simulate(src, cfg, rec)
 }
 
-func simulate(src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) (*sim.Result, error) {
+func simulate(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
 	var r Runner
 	res := new(sim.Result)
-	if err := r.runInto(res, src, cfg, hook, rec); err != nil {
+	if err := r.runInto(res, src, cfg, rec); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -93,7 +86,7 @@ func simulate(src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued i
 // issue — there is no wheel, no dirty bits, and no per-cycle loop to skip.
 //
 // declint:hotpath
-func (m *machine) run(insts []isa.Inst, hook func(in *isa.Inst, issued int64)) int64 {
+func (m *machine) run(insts []isa.Inst) int64 {
 	var now int64 // earliest cycle the next instruction may issue
 	for i := range insts {
 		in := &insts[i]
@@ -106,9 +99,6 @@ func (m *machine) run(insts []isa.Inst, hook func(in *isa.Inst, issued int64)) i
 			if m.rec != nil {
 				m.rec.StallN(now, why, wait)
 			}
-		}
-		if hook != nil {
-			hook(in, e)
 		}
 		if m.rec != nil {
 			m.rec.Issue(e, sim.ProcREF, in.Seq, in.Class.String())

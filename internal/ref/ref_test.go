@@ -347,18 +347,22 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
-func TestRunWithHookSeesEveryInstruction(t *testing.T) {
-	var seen []int64
+// The recorder sees every instruction's issue cycle.
+func TestRecorderSeesEveryIssue(t *testing.T) {
 	tr := mkTrace(
 		vld(isa.V(0), 0x1000, 8),
 		vadd(isa.V(1), isa.V(0), isa.None, 8))
-	_, err := RunWithHook(tr, testCfg(10), func(in *isa.Inst, e int64) {
-		seen = append(seen, e)
-	})
-	if err != nil {
+	rec := sim.NewRecorder()
+	if _, err := RunRecorded(tr, testCfg(10), rec); err != nil {
 		t.Fatal(err)
 	}
+	var seen []int64
+	rec.Each(func(e *sim.Event) {
+		if e.Kind == sim.EvIssue {
+			seen = append(seen, e.Cycle)
+		}
+	})
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 18 {
-		t.Errorf("hook issue cycles = %v, want [0 18]", seen)
+		t.Errorf("issue cycles = %v, want [0 18]", seen)
 	}
 }

@@ -23,7 +23,7 @@ func NewRunner() *Runner { return &Runner{} }
 // freshly allocated result (safe to retain; never aliases Runner state).
 func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	res := new(sim.Result)
-	if err := r.runInto(res, src, cfg, nil, nil); err != nil {
+	if err := r.runInto(res, src, cfg, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -32,23 +32,23 @@ func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 // RunInto simulates the trace under cfg, overwriting every field of res.
 // A warmed (res, Runner) pair runs without allocating.
 func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg sim.Config) error {
-	return r.runInto(res, src, cfg, nil, nil)
+	return r.runInto(res, src, cfg, nil)
 }
 
 // RunRecordedInto is RunInto with an optional event recorder. Recording is
 // passive: res is bit-identical to a recorder-off run.
 func (r *Runner) RunRecordedInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
-	return r.runInto(res, src, cfg, nil, rec)
+	return r.runInto(res, src, cfg, rec)
 }
 
-func (r *Runner) runInto(res *sim.Result, src *trace.Slice, cfg sim.Config, hook func(in *isa.Inst, issued int64), rec *sim.Recorder) error {
+func (r *Runner) runInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	m := &r.m
 	m.reset(cfg)
 	m.rec = rec
-	now := m.run(src.Insts, hook)
+	now := m.run(src.Insts)
 	*res = sim.Result{
 		Arch:    "REF",
 		Config:  cfg,

@@ -6,8 +6,10 @@
 //
 //   - POST /v1/simulate — one (workload or uploaded trace) × arch × config
 //     run, answering the `dvasim -metrics-json` payload.
-//   - POST /v1/sweep — a (program × arch × latency × queue) grid fanned
-//     through the suite's warm machinery, answering compact per-point rows.
+//   - POST /v1/sweep — a (program × arch × latency × queue) grid or an
+//     explicit cell list, run as one suite batch and answered as compact
+//     per-point rows, or streamed as NDJSON rows carrying the canonical
+//     binary result encoding (the dvasweep remote executor's one transport).
 //   - GET  /healthz — liveness.
 //   - GET  /statsz — request counters, admission gauges, simulation count
 //     and cache counters (report.ServerMetric; ?format=table for ASCII).
@@ -271,7 +273,9 @@ const maxBodyBytes = 64 << 20
 
 // SimulateRequest is the /v1/simulate body: one program (by name) or one
 // uploaded trace (binary trace format, base64), an architecture, and the
-// queue/latency knobs of the CLI.
+// queue/latency knobs of the CLI. The answer is always the metrics JSON;
+// a client that wants the canonical binary result encoding sends the cell
+// to the streamed /v1/sweep instead.
 type SimulateRequest struct {
 	Program string `json:"program,omitempty"`
 	// Trace is a base64-encoded binary trace (the dvatrace/WriteTrace
@@ -288,23 +292,16 @@ type SimulateRequest struct {
 	// TimeoutMs lowers the server's request timeout for this request; it
 	// can never raise it.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-	// Raw answers with the canonical binary result encoding
-	// (application/octet-stream, the simcache payload format) instead of
-	// the metrics JSON — the single-cell path of the dvasweep remote
-	// executor, which merges byte-identical results across workers.
-	Raw bool `json:"raw,omitempty"`
 }
 
-// config materializes the request's sim.Config.
-func (req *SimulateRequest) config() (sim.Config, experiments.Arch, error) {
-	if req.Latency <= 0 {
-		return sim.Config{}, "", fmt.Errorf("latency must be positive, got %d", req.Latency)
-	}
+// config materializes and validates the request's run: its core and
+// sim.Config.
+func (req *SimulateRequest) config() (experiments.RunSpec, error) {
 	// BYP parses to DVA with the bypass bit set, so the request shares cache
 	// entries and coalescing with the equivalent DVA run.
 	core, bypass, err := sim.ParseArch(req.Arch)
 	if err != nil {
-		return sim.Config{}, "", err
+		return experiments.RunSpec{}, err
 	}
 	cfg := sim.DefaultConfig(req.Latency)
 	if req.LoadQ > 0 {
@@ -320,7 +317,10 @@ func (req *SimulateRequest) config() (sim.Config, experiments.Arch, error) {
 		cfg.LatencyJitter = req.Jitter
 	}
 	cfg.Bypass = req.Bypass || bypass
-	return cfg, experiments.Arch(core), nil
+	if err := cfg.Validate(); err != nil {
+		return experiments.RunSpec{}, err
+	}
+	return experiments.RunSpec{Arch: experiments.Arch(core), Cfg: cfg}, nil
 }
 
 // requestContext derives the request's work context: the server timeout,
@@ -400,7 +400,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	cfg, arch, err := req.config()
+	spec, err := req.config()
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -417,7 +417,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		run = func(ctx context.Context) (*sim.Result, error) {
-			return s.suite.RunCtx(ctx, p, arch, cfg)
+			return s.suite.RunCtx(ctx, p, spec)
 		}
 	} else {
 		src, err := trace.Read(bytes.NewReader(req.Trace))
@@ -426,7 +426,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		run = func(ctx context.Context) (*sim.Result, error) {
-			return s.suite.RunSourceCtx(ctx, src, arch, cfg)
+			return s.suite.RunSourceCtx(ctx, src, spec)
 		}
 	}
 	s.simulateReqs.Add(1)
@@ -436,17 +436,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	res, err := s.await(ctx, func() (*sim.Result, error) { return run(ctx) })
 	if err != nil {
 		s.httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	if req.Raw {
-		payload, err := simcache.EncodeResultBytes(res)
-		if err != nil {
-			s.httpError(w, err, http.StatusInternalServerError)
-			return
-		}
-		s.served.Add(1)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(payload)
 		return
 	}
 	var b []byte

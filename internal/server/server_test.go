@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"decvec/internal/report"
+	"decvec/internal/sim"
 	"decvec/internal/simcache"
 	"decvec/internal/sweep"
 	"decvec/internal/trace"
@@ -168,6 +169,8 @@ func TestSimulateBadRequests(t *testing.T) {
 		{"program and trace", SimulateRequest{Program: "BDNA", Trace: []byte("x"), Arch: "DVA", Latency: 50}},
 		{"neither program nor trace", SimulateRequest{Arch: "DVA", Latency: 50}},
 		{"garbage trace", SimulateRequest{Trace: []byte("not a trace"), Arch: "DVA", Latency: 50}},
+		{"latency over the limit", SimulateRequest{Program: "BDNA", Arch: "REF", Latency: sim.MaxMemLatency + 1}},
+		{"load queue over the limit", SimulateRequest{Program: "BDNA", Arch: "DVA", Latency: 50, LoadQ: sim.MaxQueueSlots + 1}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/simulate", tc.body)

@@ -62,11 +62,11 @@ func (s *Server) sweepJobs(req *SweepRequest) ([]experiments.BatchJob, error) {
 				return nil, fmt.Errorf("cell %d: %w", i, err)
 			}
 			sr := SimulateRequest{Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}
-			cfg, arch, err := sr.config()
+			spec, err := sr.config()
 			if err != nil {
 				return nil, fmt.Errorf("cell %d: %w", i, err)
 			}
-			jobs[i] = experiments.BatchJob{Program: p, Arch: arch, Cfg: cfg}
+			jobs[i] = experiments.BatchJob{Program: p, RunSpec: spec}
 		}
 		return jobs, nil
 	}
@@ -124,7 +124,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepR
 				if ctx.Err() != nil {
 					continue // drain without running; the client retries these
 				}
-				res, err := s.suite.RunCtx(ctx, jobs[i].Program, jobs[i].Arch, jobs[i].Cfg)
+				res, err := s.suite.RunCtx(ctx, jobs[i].Program, jobs[i].RunSpec)
 				if err != nil {
 					writeRow(SweepRow{I: i, Error: err.Error()})
 					continue

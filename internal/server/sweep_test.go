@@ -98,6 +98,30 @@ func TestSweepGridCapComputedFromDimensions(t *testing.T) {
 	}
 }
 
+// A grid of 2^63 points wraps the point count negative, past the cap; it
+// must be refused with 400 before anything is expanded or simulated,
+// streamed or not. The 139 KB body once panicked the handler in makeslice.
+func TestSweepGridOverflowRejected(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	var g sweep.GridSpec
+	for i := 0; i < 1<<13; i++ {
+		g.Programs = append(g.Programs, "BDNA")
+		g.Archs = append(g.Archs, "REF")
+		g.Latencies = append(g.Latencies, 1)
+	}
+	g.LoadQs = make([]int, 1<<12)
+	g.StoreQs = make([]int, 1<<12)
+	for _, stream := range []bool{false, true} {
+		resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: g, Stream: stream})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("stream=%v: overflowing grid answered %s (%s), want 400", stream, resp.Status, body)
+		}
+	}
+	if n := srv.Suite().Simulations(); n != 0 {
+		t.Errorf("Simulations() = %d, want 0", n)
+	}
+}
+
 // Grid mode runs on sweep.Plan, the expander dvasweep uses: points come back
 // in plan.Cell(i) order under the plan's defaults, with BYP resolved to the
 // bypassing DVA and the plan's validation. Negative loadqs/storeqs therefore
@@ -157,7 +181,7 @@ func TestSweepGridMatchesPlanOrder(t *testing.T) {
 		before := srv.Suite().Simulations()
 		for i := 0; i < plan.Points(); i++ {
 			c := plan.Cell(i)
-			if _, err := srv.Suite().RunCtx(context.Background(), c.Program, c.Arch, c.Cfg); err != nil {
+			if _, err := srv.Suite().RunCtx(context.Background(), c.Program, c.Job().RunSpec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,27 +262,5 @@ func TestSweepStreaming(t *testing.T) {
 	}
 	if done.Simulations != srv.Suite().Simulations() {
 		t.Errorf("trailer simulations = %d, suite says %d", done.Simulations, srv.Suite().Simulations())
-	}
-}
-
-// Raw mode answers /v1/simulate with the canonical binary encoding
-// instead of the metrics JSON.
-func TestSimulateRaw(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
-		Program: "BDNA", Arch: "DVA", Latency: 50, Raw: true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("raw simulate: %s (%s)", resp.Status, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("content type = %q, want application/octet-stream", ct)
-	}
-	res, err := sim.DecodeResult(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("undecodable raw payload: %v", err)
-	}
-	if res.Cycles <= 0 {
-		t.Errorf("implausible raw result: %+v", res)
 	}
 }

@@ -19,6 +19,14 @@ const (
 	DefaultVADQSize    = 16
 )
 
+// MaxMemLatency and MaxQueueSlots bound a valid configuration far above any
+// machine the paper studies, so that no request can make a core overflow
+// its cycle counters or allocate gigabytes of queue.
+const (
+	MaxMemLatency = 1 << 20
+	MaxQueueSlots = 1 << 16
+)
+
 // Config parametrizes a simulation run. The zero value is not valid; start
 // from DefaultConfig.
 type Config struct {
@@ -156,6 +164,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: QMOV unit count %d < 1", c.QMovUnits)
 	case c.MemPorts < 1:
 		return fmt.Errorf("sim: memory port count %d < 1", c.MemPorts)
+	case c.MemLatency > MaxMemLatency || c.LatencyJitter > MaxMemLatency:
+		return fmt.Errorf("sim: memory latency %d or jitter %d over %d cycles", c.MemLatency, c.LatencyJitter, MaxMemLatency)
+	case max(c.IQSize, c.ScalarQSize, c.AVDQSize, c.VADQSize, c.VSAQSize) > MaxQueueSlots:
+		return fmt.Errorf("sim: a queue has more than %d slots", MaxQueueSlots)
 	}
 	return nil
 }

@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:2287bc751f915f1c20c0d5609ef09f894296b7b2c16f4947fa3a487613d4a326"
+const ModelFingerprint = "mh1:650cb2de5a9edce9a5498ca509a89c5fb8398743136cbbd2e4321a3aaf5d0a53"

@@ -23,6 +23,30 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 }
 
+// A configuration past the latency or queue limits is invalid, so no
+// request can overflow a core's cycle counters or allocate gigabytes.
+func TestValidateLimits(t *testing.T) {
+	for name, mod := range map[string]func(*Config){
+		"latency": func(c *Config) { c.MemLatency = MaxMemLatency + 1 },
+		"jitter":  func(c *Config) { c.LatencyJitter = MaxMemLatency + 1 },
+		"IQ":      func(c *Config) { c.IQSize = MaxQueueSlots + 1 },
+		"scalarQ": func(c *Config) { c.ScalarQSize = MaxQueueSlots + 1 },
+		"AVDQ":    func(c *Config) { c.AVDQSize = MaxQueueSlots + 1 },
+		"VADQ":    func(c *Config) { c.VADQSize = MaxQueueSlots + 1 },
+		"VSAQ":    func(c *Config) { c.VSAQSize = MaxQueueSlots + 1 },
+	} {
+		cfg := DefaultConfig(MaxMemLatency)
+		cfg.LatencyJitter, cfg.AVDQSize = MaxMemLatency, MaxQueueSlots
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("the limits themselves are rejected: %v", err)
+		}
+		mod(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s past its limit accepted", name)
+		}
+	}
+}
+
 func TestBypassConfig(t *testing.T) {
 	cfg := BypassConfig(30, 4, 8)
 	if !cfg.Bypass || cfg.AVDQSize != 4 || cfg.VADQSize != 8 {

@@ -5,7 +5,7 @@
 // cell on the worker whose disk tier already holds it — and drains the
 // shards through pluggable executors: an in-process executor over
 // experiments.Suite.RunBatch, and a remote executor speaking the dvad
-// /v1/sweep + /v1/simulate protocol with bounded inflight, retry-with-
+// streamed /v1/sweep protocol with bounded inflight, retry-with-
 // backoff on 429/5xx, and failover re-sharding when a worker drops.
 //
 // Results merge deterministically in plan order whatever the workers'
@@ -18,6 +18,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 
 	"decvec/internal/experiments"
 	"decvec/internal/sim"
@@ -54,6 +55,7 @@ type Plan struct {
 	lats     []int64
 	loadQs   []int
 	storeQs  []int
+	points   int
 }
 
 // NewPlan compiles a grid spec, resolving program names and architecture
@@ -88,18 +90,18 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 		p.lats = experiments.DefaultLatencies
 	}
 	for _, l := range p.lats {
-		if l <= 0 {
-			return nil, fmt.Errorf("sweep: latency must be positive, got %d", l)
+		if l <= 0 || l > sim.MaxMemLatency {
+			return nil, fmt.Errorf("sweep: latency must be in [1, %d], got %d", sim.MaxMemLatency, l)
 		}
 	}
 	for _, q := range spec.LoadQs {
-		if q < 0 {
-			return nil, fmt.Errorf("sweep: load queue size must be >= 0, got %d", q)
+		if q < 0 || q > sim.MaxQueueSlots {
+			return nil, fmt.Errorf("sweep: load queue size must be in [0, %d], got %d", sim.MaxQueueSlots, q)
 		}
 	}
 	for _, q := range spec.StoreQs {
-		if q < 0 {
-			return nil, fmt.Errorf("sweep: store queue size must be >= 0, got %d", q)
+		if q < 0 || q > sim.MaxQueueSlots {
+			return nil, fmt.Errorf("sweep: store queue size must be in [0, %d], got %d", sim.MaxQueueSlots, q)
 		}
 	}
 	p.loadQs = spec.LoadQs
@@ -110,13 +112,20 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 	if len(p.storeQs) == 0 {
 		p.storeQs = []int{0}
 	}
+	// A product that wrapped would slip past every point cap, negative or
+	// small; a grid that large cannot be enumerated anyway.
+	p.points = 1
+	for _, n := range []int{len(p.programs), len(p.archs), len(p.lats), len(p.loadQs), len(p.storeQs)} {
+		if p.points > math.MaxInt/n {
+			return nil, fmt.Errorf("sweep: grid of %d×%d×%d×%d×%d points overflows", len(p.programs), len(p.archs), len(p.lats), len(p.loadQs), len(p.storeQs))
+		}
+		p.points *= n
+	}
 	return p, nil
 }
 
 // Points returns the plan's cell count.
-func (p *Plan) Points() int {
-	return len(p.programs) * len(p.archs) * len(p.lats) * len(p.loadQs) * len(p.storeQs)
-}
+func (p *Plan) Points() int { return p.points }
 
 // Programs returns the plan's program set (the coordinator hashes each
 // program's trace once for key derivation).
@@ -140,8 +149,8 @@ type Cell struct {
 }
 
 // Cell decodes the i-th cell of plan order: programs outermost, then
-// architectures, latencies, load queues, store queues innermost — the
-// nesting experiments.WarmCtx enumerates and the order dvad's grid mode
+// architectures, latencies, load queues, store queues innermost — programs
+// outermost as in the experiment drivers' grids, and the order dvad's grid mode
 // answers in, so a distributed merge compares row-for-row with a local batch
 // of the same grid.
 func (p *Plan) Cell(i int) Cell {
@@ -177,5 +186,5 @@ func (p *Plan) Cell(i int) Cell {
 
 // Job converts the cell to its batch-job form for the in-process executor.
 func (c Cell) Job() experiments.BatchJob {
-	return experiments.BatchJob{Program: c.Program, Arch: c.Arch, Cfg: c.Cfg}
+	return experiments.BatchJob{Program: c.Program, RunSpec: experiments.RunSpec{Arch: c.Arch, Cfg: c.Cfg}}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"decvec/internal/experiments"
+	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
 
@@ -85,10 +86,46 @@ func TestPlanRejectsBadSpecs(t *testing.T) {
 		{Latencies: []int64{-3}},
 		{LoadQs: []int{-1}},
 		{StoreQs: []int{-1}},
+		{Latencies: []int64{sim.MaxMemLatency + 1}},
+		{LoadQs: []int{sim.MaxQueueSlots + 1}},
+		{StoreQs: []int{sim.MaxQueueSlots + 1}},
 	}
 	for i, spec := range bad {
 		if _, err := NewPlan(spec); err == nil {
 			t.Errorf("spec %d accepted: %+v", i, spec)
 		}
 	}
+}
+
+// A grid whose point count overflows int must be refused: 2^13 programs ×
+// 2^13 archs × 2^13 latencies × 2^12 × 2^12 queues is 2^63 points, which
+// wraps to a negative count that slips past any cap.
+func TestPlanRejectsOverflowingGrid(t *testing.T) {
+	spec := overflowGrid()
+	if _, err := NewPlan(spec); err == nil {
+		t.Fatal("a grid of 2^63 points was accepted")
+	}
+	// The largest products that still fit are fine.
+	spec.StoreQs = spec.StoreQs[:1]
+	p, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Points() != 1<<51 {
+		t.Errorf("Points() = %d, want 2^51", p.Points())
+	}
+}
+
+// overflowGrid is a 2^63-point grid spec: 2^13 × "BDNA", 2^13 × "REF",
+// 2^13 latencies, 2^12 load queues and 2^12 store queues.
+func overflowGrid() GridSpec {
+	var g GridSpec
+	for i := 0; i < 1<<13; i++ {
+		g.Programs = append(g.Programs, "BDNA")
+		g.Archs = append(g.Archs, "REF")
+		g.Latencies = append(g.Latencies, 1)
+	}
+	g.LoadQs = make([]int, 1<<12)
+	g.StoreQs = make([]int, 1<<12)
+	return g
 }

@@ -44,16 +44,6 @@ type wireRow struct {
 	CacheMisses int64  `json:"cacheMisses,omitempty"`
 }
 
-type wireSimRequest struct {
-	Program   string `json:"program"`
-	Arch      string `json:"arch"`
-	Latency   int64  `json:"latency"`
-	LoadQ     int    `json:"loadq,omitempty"`
-	StoreQ    int    `json:"storeq,omitempty"`
-	TimeoutMs int64  `json:"timeoutMs,omitempty"`
-	Raw       bool   `json:"raw,omitempty"`
-}
-
 // wireStats is the /statsz slice the executor reads for its cache baseline.
 type wireStats struct {
 	Cache *struct {
@@ -88,10 +78,11 @@ type RemoteOptions struct {
 	TimeoutMs int64
 }
 
-// Remote is the executor for one dvad worker. Chunks go out as explicit-
-// cells /v1/sweep requests in streaming mode; single cells ride the
-// /v1/simulate raw path. Both answer with the canonical binary result
-// encoding, so a merge across workers is byte-identical to a local run.
+// Remote is the executor for one dvad worker. Every chunk, a single cell
+// or a single-cell retry included, goes out as an explicit-cells /v1/sweep
+// request in streaming mode. Its rows carry the canonical binary result
+// encoding, so a merge across workers is byte-identical to a local run,
+// and its trailer carries the worker's cache counters.
 //
 // Failures retry with exponential backoff — the whole chunk after a 429,
 // 5xx or transport error, only the cells not yet received after a
@@ -218,9 +209,6 @@ func (r *Remote) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 // still owed. A *retryError invites another attempt; other errors are
 // final.
 func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*sim.Result, cellErrs *[]error) ([]int, error) {
-	if len(pending) == 1 {
-		return r.simulateOne(ctx, cells, pending[0], out)
-	}
 	wreq := wireSweepRequest{Stream: true, TimeoutMs: r.timeoutMs}
 	wreq.Cells = make([]wireCell, len(pending))
 	for k, pi := range pending {
@@ -280,39 +268,6 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 		// request deadline passed and it drained them unrun. Retryable.
 		return still, &retryError{fmt.Errorf("worker %s: %d cells timed out worker-side", r.name, len(still))}
 	}
-	return nil, nil
-}
-
-// simulateOne answers a single-cell chunk through /v1/simulate in raw
-// mode: the response body is the canonical binary result itself.
-func (r *Remote) simulateOne(ctx context.Context, cells []Cell, ci int, out []*sim.Result) ([]int, error) {
-	wc := wireCellOf(cells[ci])
-	body, err := json.Marshal(wireSimRequest{
-		Program:   wc.Program,
-		Arch:      wc.Arch,
-		Latency:   wc.Latency,
-		LoadQ:     wc.LoadQ,
-		StoreQ:    wc.StoreQ,
-		TimeoutMs: r.timeoutMs,
-		Raw:       true,
-	})
-	if err != nil {
-		return []int{ci}, err
-	}
-	resp, err := r.do(ctx, "/v1/simulate", body)
-	if err != nil {
-		return []int{ci}, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return []int{ci}, &retryError{fmt.Errorf("worker %s: reading result: %v", r.name, err)}
-	}
-	res, err := sim.DecodeResult(bytes.NewReader(payload))
-	if err != nil {
-		return []int{ci}, fmt.Errorf("worker %s: cell %d: undecodable result: %v", r.name, ci, err)
-	}
-	out[ci] = res
 	return nil, nil
 }
 

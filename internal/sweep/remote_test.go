@@ -43,7 +43,7 @@ func dvadServer(t *testing.T, store *simcache.Store) *httptest.Server {
 // it — the byte-identity reference for whatever the wire returns.
 func canonical(t *testing.T, suite *experiments.Suite, c sweep.Cell) []byte {
 	t.Helper()
-	res, err := suite.RunCtx(context.Background(), c.Program, c.Arch, c.Cfg)
+	res, err := suite.RunCtx(context.Background(), c.Program, c.Job().RunSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
 				}
-				res, err := suite.RunCtx(r.Context(), p, experiments.Arch(req.Cells[i].Arch), sim.DefaultConfig(req.Cells[i].Latency))
+				res, err := suite.RunCtx(r.Context(), p, experiments.RunSpec{Arch: experiments.Arch(req.Cells[i].Arch), Cfg: sim.DefaultConfig(req.Cells[i].Latency)})
 				if err != nil {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
@@ -180,10 +180,15 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 	}
 }
 
-// A single-cell chunk rides /v1/simulate in raw mode and must return the
-// same canonical bytes.
-func TestRemoteSingleCellRawPath(t *testing.T) {
-	ts := dvadServer(t, nil)
+// A single-cell chunk rides the /v1/sweep stream like any other chunk: it
+// must return the canonical bytes, and its trailer must reach Stats, so
+// the one cold cell on a store-backed worker counts as one cache miss.
+func TestRemoteSingleCell(t *testing.T) {
+	store, err := simcache.Open(t.TempDir(), simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := dvadServer(t, store)
 	rr := sweep.NewRemote(ts.URL, sweep.RemoteOptions{Retries: 2, Backoff: time.Millisecond})
 	cells := planCells(t, 3)[1:2]
 	out, err := rr.Run(context.Background(), cells)
@@ -192,7 +197,10 @@ func TestRemoteSingleCellRawPath(t *testing.T) {
 	}
 	suite := experiments.NewSuite(0.05)
 	if !bytes.Equal(encodeOf(t, out[0]), canonical(t, suite, cells[0])) {
-		t.Error("raw /v1/simulate result differs from the local run")
+		t.Error("single-cell result differs from the local run")
+	}
+	if st := rr.Stats(); st.CacheMisses != 1 || st.CacheHits != 0 {
+		t.Errorf("Stats() = %d hits, %d misses; want 0 hits, 1 miss", st.CacheHits, st.CacheMisses)
 	}
 }
 
