@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"decvec/internal/ideal"
 	"decvec/internal/sim"
@@ -130,6 +131,12 @@ func (s *Suite) Simulations() int64 {
 	defer s.mu.Unlock()
 	return s.sims
 }
+
+// Coalesced returns the number of runs answered by another caller's work:
+// from the in-memory tier, or by joining an identical run in flight. Every
+// RunCtx, RunSourceCtx and distinct RunBatch cell is one run; a run that
+// went to the disk tier or the simulator itself is not coalesced.
+func (s *Suite) Coalesced() int64 { return s.runs.shared.Load() }
 
 // CacheStats returns the persistent store's counters, or zeroes when the
 // suite runs without one.
@@ -292,6 +299,9 @@ type flightGroup[K comparable, V any] struct {
 	mu       *sync.Mutex
 	cache    map[K]V
 	inflight map[K]*flightCall[V]
+	// shared counts the calls answered without running fn: cache hits
+	// and joins of an in-flight call that return its outcome.
+	shared *atomic.Int64
 }
 
 // flightCall is one in-progress computation other callers can wait on.
@@ -306,6 +316,7 @@ func newFlightGroup[K comparable, V any]() flightGroup[K, V] {
 		mu:       new(sync.Mutex),
 		cache:    make(map[K]V),
 		inflight: make(map[K]*flightCall[V]),
+		shared:   new(atomic.Int64),
 	}
 }
 
@@ -317,6 +328,9 @@ func (g *flightGroup[K, V]) get(key K) (V, bool) {
 	g.mu.Lock()
 	v, ok := g.cache[key]
 	g.mu.Unlock()
+	if ok {
+		g.shared.Add(1)
+	}
 	return v, ok
 }
 
@@ -332,6 +346,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, fn func(context.Conte
 		g.mu.Lock()
 		if v, ok := g.cache[key]; ok {
 			g.mu.Unlock()
+			g.shared.Add(1)
 			return v, nil
 		}
 		if c, ok := g.inflight[key]; ok {
@@ -341,6 +356,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, fn func(context.Conte
 				if isContextErr(c.err) && ctx.Err() == nil {
 					continue // abandoned winner; retry under our own context
 				}
+				g.shared.Add(1)
 				return c.v, c.err
 			case <-ctx.Done():
 				var zero V

@@ -20,9 +20,12 @@ type ServerMetric struct {
 	MaxConcurrent int     `json:"maxConcurrent"`    // admission slot count
 	MaxQueue      int     `json:"maxQueue"`         // admission wait-queue bound
 	Simulations   int64   `json:"simulations"`      // simulator invocations actually run
-	// Coalesced counts requests answered without their own simulation —
-	// served from a cache tier or riding a concurrent identical request.
-	// served ≫ simulations is the daemon doing its job.
+	// Coalesced counts runs, not requests: a /v1/simulate request is one
+	// run, a buffered /v1/sweep one per distinct cell, a streamed one one
+	// per cell. It counts the runs answered by another run's work, from the
+	// memory tier or by joining an identical run in flight. Disk hits are
+	// not coalescing; they count in cache.hits. served ≫ simulations is the
+	// daemon doing its job.
 	Coalesced int64        `json:"coalesced"`
 	Cache     *CacheMetric `json:"cache,omitempty"`
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -234,9 +235,7 @@ func (s *Server) Stats() report.ServerMetric {
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		MaxQueue:      s.cfg.MaxQueue,
 		Simulations:   s.suite.Simulations(),
-	}
-	if coalesced := m.Served - m.Simulations; coalesced > 0 {
-		m.Coalesced = coalesced
+		Coalesced:     s.suite.Coalesced(),
 	}
 	if s.cfg.Store != nil {
 		m.Cache = report.CacheMetricOf(s.cfg.Store.Stats())
@@ -270,6 +269,21 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // maxBodyBytes bounds request bodies; uploaded traces dominate the budget.
 const maxBodyBytes = 64 << 20
+
+// decodeBody decodes a request body holding exactly one JSON value into v.
+// A field v does not declare, or anything but white space after the value,
+// is an error: a misspelt knob must not silently run the default.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: data after the JSON value")
+	}
+	return nil
+}
 
 // SimulateRequest is the /v1/simulate body: one program (by name) or one
 // uploaded trace (binary trace format, base64), an architecture, and the
@@ -396,8 +410,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SimulateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("decoding request: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	spec, err := req.config()
@@ -438,20 +452,28 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err, http.StatusInternalServerError)
 		return
 	}
-	var b []byte
+	var cache *simcache.Stats
 	if s.cfg.Store != nil {
-		b, err = report.MetricsJSONWithCache(res, s.cfg.Store.Stats())
-	} else {
-		b, err = report.MetricsJSON(res)
+		st := s.cfg.Store.Stats()
+		cache = &st
 	}
+	bp := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(bp)
+	b, err := report.AppendMetricsJSON((*bp)[:0], res, cache)
 	if err != nil {
 		s.httpError(w, err, http.StatusInternalServerError)
 		return
 	}
+	b = append(b, '\n')
+	*bp = b
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
+	w.Write(b)
 }
+
+// replyBufs holds the buffers /v1/simulate replies are encoded into, so a
+// steady stream of replies allocates no body.
+var replyBufs = sync.Pool{New: func() any { b := make([]byte, 0, report.MetricsJSONCap); return &b }}
 
 // SweepRequest is the /v1/sweep body: a (program × arch × latency × queue)
 // grid, or an explicit cell list. The grid is a sweep.GridSpec and expands
@@ -495,8 +517,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("decoding request: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	jobs, err := s.sweepJobs(&req)

@@ -255,8 +255,129 @@ func TestCoalescing(t *testing.T) {
 		t.Errorf("Simulations() = %d, want 1: %d identical concurrent requests must coalesce", sims, n)
 	}
 	st := srv.Stats()
-	if st.Coalesced < n-1 {
-		t.Errorf("Stats().Coalesced = %d, want >= %d", st.Coalesced, n-1)
+	if st.Coalesced != n-1 {
+		t.Errorf("Stats().Coalesced = %d, want %d", st.Coalesced, n-1)
+	}
+}
+
+// Coalesced counts runs answered by another run's work, here n identical
+// requests in a row: one simulation and n-1 memory-tier hits.
+func TestCoalescedCountsRepeatRequests(t *testing.T) {
+	const n = 5
+	srv, ts := testServer(t, Config{})
+	for i := 0; i < n; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Program: "TRFD", Arch: "BYP", Latency: 30})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %s: %s", i, resp.Status, body)
+		}
+	}
+	if st := srv.Stats(); st.Served != n || st.Simulations != 1 || st.Coalesced != n-1 {
+		t.Errorf("served %d, sims %d, coalesced %d; want %d, 1, %d", st.Served, st.Simulations, st.Coalesced, n, n-1)
+	}
+}
+
+// A worker restarted on its store answers a streamed sweep from disk: every
+// cell is a disk hit, and no cell was coalesced, since no run shared
+// another's work.
+func TestRestartedWorkerSweepFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	cells := []SweepCell{
+		{Program: "BDNA", Arch: "DVA", Latency: 1},
+		{Program: "BDNA", Arch: "REF", Latency: 1},
+		{Program: "TRFD", Arch: "BYP", Latency: 50},
+		{Program: "TRFD", Arch: "DVA", Latency: 50, LoadQ: 8},
+	}
+	var st report.ServerMetric
+	for round := 0; round < 2; round++ {
+		store, err := simcache.Open(dir, simcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, ts := testServer(t, Config{Store: store})
+		resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Cells: cells, Stream: true})
+		if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte(`"error"`)) {
+			t.Fatalf("round %d: %s: %s", round, resp.Status, body)
+		}
+		st = srv.Stats()
+	}
+	if st.Simulations != 0 || st.Coalesced != 0 || st.Cache.Hits != int64(len(cells)) {
+		t.Errorf("restarted worker: sims %d, coalesced %d, disk hits %d; want 0, 0, %d",
+			st.Simulations, st.Coalesced, st.Cache.Hits, len(cells))
+	}
+}
+
+// Request bodies are strict: a field the request does not declare, or
+// anything but white space after the JSON value, is refused with 400
+// before any simulation.
+func TestStrictRequestBodies(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50,"load_q":4}`},
+		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50} {"program":"TRFD"}`},
+		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50}]`},
+		{"/v1/sweep", `{"programs":["BDNA"],"archs":["DVA"],"latency":[1]}`},
+		{"/v1/sweep", `{"cells":[{"program":"BDNA","arch":"DVA","latency":1,"load_q":4}]}`},
+		{"/v1/sweep", `{"programs":["BDNA"],"archs":["DVA"],"latencies":[1]}{}`},
+	} {
+		if code, body := post(tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s %s: %d (%s), want 400", tc.path, tc.body, code, body)
+		}
+	}
+	if n := srv.Suite().Simulations(); n != 0 {
+		t.Fatalf("refused requests ran %d simulations", n)
+	}
+	// White space after the value is not data.
+	if code, body := post("/v1/simulate", "{\"program\":\"BDNA\",\"arch\":\"DVA\",\"latency\":50}\n\t "); code != http.StatusOK {
+		t.Errorf("body with trailing white space: %d (%s), want 200", code, body)
+	}
+}
+
+// Every /v1/simulate reply is its run's metrics JSON and a newline, byte
+// for byte, whichever pooled buffer it was encoded into.
+func TestSimulateReplyBytes(t *testing.T) {
+	store, err := simcache.Open(t.TempDir(), simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := testServer(t, Config{Store: store})
+	for _, req := range []SimulateRequest{
+		{Program: "BDNA", Arch: "DVA", Latency: 50},
+		{Program: "BDNA", Arch: "REF", Latency: 50},
+		{Program: "TRFD", Arch: "BYP", Latency: 1},
+		{Program: "BDNA", Arch: "DVA", Latency: 50},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: %s: %s", req, resp.Status, body)
+		}
+		p, err := workload.Get(req.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := req.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Suite().RunCtx(context.Background(), p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := report.MetricsJSONWithCache(res, store.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, append(want, '\n')) {
+			t.Errorf("%+v: reply\n%s\nwant\n%s", req, body, want)
+		}
 	}
 }
 
