@@ -9,6 +9,7 @@ import (
 	"decvec/internal/ref"
 	"decvec/internal/report"
 	"decvec/internal/sim"
+	"decvec/internal/tracegen"
 	"decvec/internal/workload"
 )
 
@@ -206,6 +207,43 @@ func TestOOOIdleSkipEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHighJitterEquivalence runs both cycle-level cores with per-access
+// jitter far above a latency-only deadlock window: a legitimate wait then
+// outlasts that window, so both modes must count the jitter in theirs and
+// finish, identically.
+func TestHighJitterEquivalence(t *testing.T) {
+	src := tracegen.Random(7, 200).Trace()
+	cfg := sim.DefaultConfig(1)
+	cfg.LatencyJitter = 1 << 16
+	slowCfg := cfg
+	slowCfg.SlowTick = true
+
+	fastRec, slowRec := sim.NewRecorder(), sim.NewRecorder()
+	fast, err := dva.RunRecorded(src, cfg, fastRec)
+	if err != nil {
+		t.Fatalf("dva fast run: %v", err)
+	}
+	slow, err := dva.RunRecorded(src, slowCfg, slowRec)
+	if err != nil {
+		t.Fatalf("dva slow run: %v", err)
+	}
+	assertIdentical(t, fast, slow)
+	assertSameEvents(t, fastRec, slowRec)
+
+	oooCfg := ooo.Config{Config: cfg, Window: 16, PhysRegs: 32}
+	oooSlowCfg := oooCfg
+	oooSlowCfg.SlowTick = true
+	fast, err = ooo.Run(src, oooCfg)
+	if err != nil {
+		t.Fatalf("ooo fast run: %v", err)
+	}
+	slow, err = ooo.Run(src, oooSlowCfg)
+	if err != nil {
+		t.Fatalf("ooo slow run: %v", err)
+	}
+	assertIdentical(t, fast, slow)
 }
 
 // TestBoundedRecorderEquivalence pins the one documented divergence between

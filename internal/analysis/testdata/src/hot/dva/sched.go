@@ -1,5 +1,5 @@
 // Wake-wheel fixture: pins that a heap-allocating scheduler shape is
-// rejected on the hot path. The real wheel (internal/dva/sched.go) is a
+// rejected on the hot path. The real wheel (sim.Wheel, internal/sim/wheel.go) is a
 // fixed-size array in the machine plus a packed dirty word; every rejected
 // shape below is a way of "upgrading" it to heap-backed event structures —
 // per-tick wheel slices, pushed event nodes, map-keyed wake times — that

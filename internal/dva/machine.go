@@ -118,15 +118,9 @@ type machine struct {
 	// instead of rechecking all 14 queues and the register scoreboards.
 	drainBusy int64
 
-	// Wake wheel (fast path; see sched.go). wake[u] is the earliest cycle
-	// unit u must step again; dirty packs two per-unit bit sets (low half:
-	// step this cycle; high half: step next cycle, covering queue-entry
-	// visibility) raised by queue mutations through the queues' wake
-	// wiring. stallCache[u][:stallN[u]] holds the stall reasons a sleeping
-	// unit owes for every slept cycle. Fixed-size arrays throughout: the
-	// scheduler adds no allocation to the hot path.
-	wake       [numUnits]int64
-	dirty      uint32
+	// Wake wheel (fast path; see sched.go). stallCache[u][:stallN[u]] holds
+	// the stall reasons a sleeping unit owes for every slept cycle.
+	wheel      sim.Wheel
 	stallCache [numUnits][2]sim.StallReason
 	stallN     [numUnits]int8
 	// lastStep[u] is the cycle unit u last stepped at; the fast path uses it
@@ -157,9 +151,7 @@ func (m *machine) pushDrain(d drain) {
 	}
 	m.drains[i] = d
 	m.drainLen++
-	if d.doneAt < m.wake[uDrain] {
-		m.wake[uDrain] = d.doneAt
-	}
+	m.wheel.WakeBy(uDrain, d.doneAt)
 }
 
 // popDrain retires the oldest in-flight drain.
@@ -215,13 +207,6 @@ func (m *machine) allQueues() []queueMeta {
 	}
 }
 
-// deadlockWindow is how many cycles without any progress the machine
-// tolerates before declaring a deadlock. Every legitimate passive wait is
-// bounded by memory latency plus a pipeline's worth of cycles.
-func (m *machine) deadlockWindow() int64 {
-	return 16*(m.cfg.MemLatency+isa.MaxVL+m.cfg.DivDepth) + 4096
-}
-
 func (m *machine) progress() {
 	m.lastProgress = m.now
 	m.progressCount++
@@ -229,12 +214,8 @@ func (m *machine) progress() {
 
 // declint:hotpath
 func (m *machine) run() error {
-	window := m.deadlockWindow()
+	window := m.cfg.DeadlockWindow(16)
 	fast := !m.cfg.SlowTick
-	// idleSteps counts progress-free loop iterations; with the idle-skip
-	// fast path active every such iteration spans at least one cycle, so the
-	// per-cycle deadlock window stays a valid (conservative) bound.
-	var idleSteps int64
 	for {
 		m.nCycleStalls = 0
 		m.mutated = false
@@ -260,11 +241,9 @@ func (m *machine) run() error {
 			if m.drainLen > 0 {
 				m.tickUnit(uDrain)
 			}
-			// Fold the visibility half of the dirty word: queue entries
-			// pushed this cycle become visible next cycle, so their
-			// consumers' next-cycle bits become current-cycle bits.
-			d := m.dirty
-			m.dirty = (d | d>>16) & unitMaskAll
+			// Queue entries pushed this cycle become visible next cycle,
+			// so their consumers' next-cycle bits become current-cycle bits.
+			m.wheel.Fold()
 		} else {
 			m.stepFetch()
 			if m.storePressure() {
@@ -276,9 +255,7 @@ func (m *machine) run() error {
 			}
 			m.stepSP()
 			m.stepVP()
-			if m.drainLen > 0 {
-				m.completeDrains()
-			}
+			m.completeDrains()
 		}
 		// Batched counterpart of stall(): one pass tallies the cycle's stall
 		// reasons, before finished() so a terminal cycle still counts.
@@ -295,11 +272,12 @@ func (m *machine) run() error {
 		progressed := m.lastProgress == m.now
 		m.now++
 		if progressed {
-			idleSteps = 0
 			continue
 		}
-		idleSteps++
-		if idleSteps >= window {
+		// The machine may step through deadline without progress; the
+		// cycle after it is a deadlock, in both modes (see sim.Wheel).
+		deadline := m.lastProgress + window
+		if m.now > deadline {
 			return fmt.Errorf("deadlock at cycle %d: %s", m.now, m.dumpState())
 		}
 		// Idle-skip fast path: the cycle just simulated made no progress and
@@ -307,13 +285,11 @@ func (m *machine) run() error {
 		// inside a progressing step), every dirty bit is clear, and every
 		// unit verifiably sleeps past m.now — the machine repeats the same
 		// cycle verbatim until the earliest wake time. Jump there in one
-		// step, accounting the skipped span in bulk. This is the all-units-
-		// asleep degenerate case of the wake wheel: the skip target is a
-		// six-entry minimum, not a machine-wide timestamp rescan. SlowTick
-		// keeps the plain per-cycle loop as the reference mode the
-		// equivalence suite checks this path against.
+		// step, accounting the skipped span in bulk. SlowTick keeps the
+		// plain per-cycle loop as the reference mode the equivalence suite
+		// checks this path against.
 		if fast && !m.mutated {
-			if h := m.nextWake(); h > m.now {
+			if h := m.nextWake(deadline); h > m.now {
 				m.skipTo(h)
 			}
 		}

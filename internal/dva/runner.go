@@ -165,8 +165,7 @@ func (m *machine) reset(src *trace.Slice, cfg sim.Config) {
 	// Wake wheel: every unit due at cycle 0, no dirty bits, no cached
 	// stalls. The queues' wake wiring is structural (wireWake, once per
 	// machine; Init preserves it), so it is not redone here.
-	m.wake = [numUnits]int64{}
-	m.dirty = 0
+	m.wheel.Reset(numUnits)
 	m.stallCache = [numUnits][2]sim.StallReason{}
 	m.stallN = [numUnits]int8{}
 	m.lastStep = [numUnits]int64{}

@@ -1,49 +1,19 @@
 package dva
 
-// This file implements the per-unit wake scheduler ("wake wheel") the fast
-// path runs on. Every simulated cycle still passes through run()'s loop —
-// sampling, stall batching and the finished() check are per-cycle — but a
-// unit's step function only executes when the unit is *due* (the cycle
-// reached its wake time) or *dirty* (a queue its decisions read mutated
-// since it last stepped). A unit that steps without acting goes back to
-// sleep: its stall reasons are cached, and when it next steps (or the run
-// ends) they are charged for every slept cycle at once — to the counters and
-// as one recorder span per reason — so the stall counters and the recorded
-// event stream stay bit-identical to the SlowTick reference. Its wake time
-// is recomputed as the earliest strictly-future timestamp its decision
-// predicates read.
-// The whole-machine idle skip is the degenerate all-units-asleep case: on a
-// cycle with no progress and no mutation every dirty bit is provably clear
-// (every queue mutation lives inside a progressing step), so the machine
-// jumps to the minimum of six wake times in one hop — the old horizon()
-// full-machine rescan per skip is gone.
-//
-// Correctness rests on the invariants the horizon() scan relied on, now
-// split per unit:
-//
-//   - every step function is a chain of predicates "timestamp <= now" and
-//     queue occupancy tests, so waking a unit early is always safe: it
-//     re-stalls identically and sleeps again;
-//   - a sleeping unit's first failing predicate cannot change without
-//     either a queue mutation (which raises the unit's dirty bit through
-//     the queue's wake wiring, this cycle and the next — the next-cycle
-//     half covers the one-cycle entry-visibility delay) or a stored future
-//     timestamp arriving (covered by the wake time, a conservative
-//     superset of every timestamp the unit's predicates read);
-//   - cross-unit timestamps only grow (bus reservations extend busy spans,
-//     never shrink them), and the one cross-unit predicate without a dirty
-//     bit — the bus — is checked last in every step function, after every
-//     stall it could mask, so a unit sleeping on an earlier stall owes
-//     exactly that stall for every slept cycle, whatever the bus does
-//     meanwhile.
-//
-// Register scoreboards (aReady, sReady, vRegs), functional units, QMOV
-// units, the bypass unit, the store engine and the disambiguation memo are
-// each written only by the unit that reads them; a unit that rewrites its
-// own state has, by definition, acted, and an acting unit is due again the
-// very next cycle.
+// This file runs the DVA core on the wake wheel (sim.Wheel holds the shared
+// contract). What is DVA-specific: the queues raise the dirty bits
+// (wireWake), and every queue mutation lives inside a progressing step. A
+// sleeping unit owes stall debt, its cached stall reasons charged for every
+// slept cycle at once when it next steps, so the counters and recorded
+// events stay bit-identical to SlowTick. Cross-unit timestamps only grow,
+// and the one cross-unit predicate without a dirty bit, the bus, is checked
+// last in every step function, after every stall it could mask, so a unit
+// sleeping on an earlier stall owes exactly that stall whatever the bus does.
 
-import "decvec/internal/queue"
+import (
+	"decvec/internal/queue"
+	"decvec/internal/sim"
+)
 
 // Unit indices of the wake wheel. The within-cycle tick order is fixed by
 // run() — fetch, then AP/store-engine in bus-priority order, SP, VP, drain
@@ -58,33 +28,13 @@ const (
 	numUnits
 )
 
-// unitMaskAll selects every unit's bit in one half of the dirty word.
-const unitMaskAll = 1<<numUnits - 1
-
-// infCycle is the "never" wake time: a unit whose decisions wait on no
-// stored timestamp sleeps until a dirty bit wakes it. The same sentinel the
-// old horizon() used, so an all-quiet machine runs the deadlock window out
-// with identical cycle arithmetic.
-const infCycle = int64(1)<<62 - 1
-
-// wakeBits builds a queue's wake mask: the given units' bits in both the
-// current-cycle (low) and next-cycle (high) halves of the dirty word.
-func wakeBits(units ...int) uint32 {
-	var b uint32
-	for _, u := range units {
-		b |= 1 << u
-	}
-	return b | b<<16
-}
-
-// wireWake points every architectural queue at the machine's dirty word
-// with the wake conditions of the units whose decision predicates read that
+// wireWake points every architectural queue at the wheel's dirty word with
+// the wake conditions of the units whose decision predicates read that
 // queue — the producer side (capacity tests, unblocked by pops of a full
 // queue) and the consumer side (head/peek probes, unblocked by pushes into
-// the shallow prefix the unit actually reads) alike. This generalizes the
-// iqFreed blocked-dispatch gate from one unit to all of them, and the
-// Push/Pop conditions (see queue.Wake) keep units asleep through the bulk
-// of a dispatch burst: a tail push into a backlogged queue wakes nobody.
+// the shallow prefix the unit actually reads) alike. The Push/Pop
+// conditions (see queue.Wake) keep units asleep through the bulk of a
+// dispatch burst: a tail push into a backlogged queue wakes nobody.
 //
 // The conditions encode how each unit reads each queue:
 //
@@ -104,38 +54,34 @@ func wakeBits(units ...int) uint32 {
 // The wiring is structural (pointers into the machine itself) and survives
 // reset.
 func (m *machine) wireWake() {
-	w := &m.dirty
-	m.apIQ.SetWake(w, queue.Wake{PushBelow: wakeBits(uAP), BelowN: 1, PopAlways: wakeBits(uFP)})
-	m.spIQ.SetWake(w, queue.Wake{PushBelow: wakeBits(uSP), BelowN: 1, PopAlways: wakeBits(uFP)})
-	m.vpIQ.SetWake(w, queue.Wake{PushBelow: wakeBits(uVP), BelowN: 1, PopAlways: wakeBits(uFP)})
-	m.avdq.SetWake(w, queue.Wake{PushAlways: wakeBits(uVP), PopFull: wakeBits(uAP)})
-	m.vadq.SetWake(w, queue.Wake{PushAlways: wakeBits(uAP), PushBelow: wakeBits(uST), BelowN: 1, PopAlways: wakeBits(uAP), PopFull: wakeBits(uVP)})
-	m.asdq.SetWake(w, queue.Wake{PushBelow: wakeBits(uSP), BelowN: 1, PopFull: wakeBits(uAP)})
-	m.sadq.SetWake(w, queue.Wake{PushBelow: wakeBits(uST), BelowN: 1, PopFull: wakeBits(uSP)})
-	m.svdq.SetWake(w, queue.Wake{PushBelow: wakeBits(uVP), BelowN: 1, PopFull: wakeBits(uSP)})
-	m.vsdq.SetWake(w, queue.Wake{PushBelow: wakeBits(uSP), BelowN: 1, PopFull: wakeBits(uVP)})
-	m.saaq.SetWake(w, queue.Wake{PushBelow: wakeBits(uAP), BelowN: 2, PopFull: wakeBits(uSP)})
-	m.ssaq.SetWake(w, queue.Wake{PushBelow: wakeBits(uST), BelowN: 1, PopAlways: wakeBits(uAP)})
-	m.vsaq.SetWake(w, queue.Wake{PushBelow: wakeBits(uST), BelowN: 1, PopAlways: wakeBits(uAP)})
-	m.afbq.SetWake(w, queue.Wake{PushBelow: wakeBits(uFP), BelowN: 1, PopFull: wakeBits(uAP)})
-	m.sfbq.SetWake(w, queue.Wake{PushBelow: wakeBits(uFP), BelowN: 1, PopFull: wakeBits(uSP)})
+	w, bits := m.wheel.DirtyWord(), sim.WakeBits
+	m.apIQ.SetWake(w, queue.Wake{PushBelow: bits(uAP), BelowN: 1, PopAlways: bits(uFP)})
+	m.spIQ.SetWake(w, queue.Wake{PushBelow: bits(uSP), BelowN: 1, PopAlways: bits(uFP)})
+	m.vpIQ.SetWake(w, queue.Wake{PushBelow: bits(uVP), BelowN: 1, PopAlways: bits(uFP)})
+	m.avdq.SetWake(w, queue.Wake{PushAlways: bits(uVP), PopFull: bits(uAP)})
+	m.vadq.SetWake(w, queue.Wake{PushAlways: bits(uAP), PushBelow: bits(uST), BelowN: 1, PopAlways: bits(uAP), PopFull: bits(uVP)})
+	m.asdq.SetWake(w, queue.Wake{PushBelow: bits(uSP), BelowN: 1, PopFull: bits(uAP)})
+	m.sadq.SetWake(w, queue.Wake{PushBelow: bits(uST), BelowN: 1, PopFull: bits(uSP)})
+	m.svdq.SetWake(w, queue.Wake{PushBelow: bits(uVP), BelowN: 1, PopFull: bits(uSP)})
+	m.vsdq.SetWake(w, queue.Wake{PushBelow: bits(uSP), BelowN: 1, PopFull: bits(uVP)})
+	m.saaq.SetWake(w, queue.Wake{PushBelow: bits(uAP), BelowN: 2, PopFull: bits(uSP)})
+	m.ssaq.SetWake(w, queue.Wake{PushBelow: bits(uST), BelowN: 1, PopAlways: bits(uAP)})
+	m.vsaq.SetWake(w, queue.Wake{PushBelow: bits(uST), BelowN: 1, PopAlways: bits(uAP)})
+	m.afbq.SetWake(w, queue.Wake{PushBelow: bits(uFP), BelowN: 1, PopFull: bits(uAP)})
+	m.sfbq.SetWake(w, queue.Wake{PushBelow: bits(uFP), BelowN: 1, PopFull: bits(uSP)})
 }
 
-// tickUnit runs unit u's slot of the current cycle: step it when due or
-// dirty, otherwise leave it asleep — a sleeping unit costs two loads and a
-// branch. The slept cycles are settled in bulk when the unit next steps:
-// its cached stall reasons are exactly what every slept cycle would have
-// emitted, so charging each reason once per slept cycle is exact (see
-// settleStall, and settleStallDebt for the end-of-run flush).
+// tickUnit runs unit u's slot of the current cycle: step it when due,
+// settling the stalls it owes for the cycles it slept (settleStall; see
+// settleStallDebt for the end-of-run flush), otherwise leave it asleep.
 // declint:hotpath
 func (m *machine) tickUnit(u int) {
-	if m.dirty&(1<<u) == 0 && m.now < m.wake[u] {
+	due, dirty := m.wheel.Due(u, m.now)
+	if !due {
 		return
 	}
 	m.settleStall(u, m.now-m.lastStep[u]-1)
 	m.lastStep[u] = m.now
-	wasDirty := m.dirty&(1<<u) != 0
-	m.dirty &^= 1 << u
 	stallBase := m.nCycleStalls
 	p0 := m.progressCount
 	mut0 := m.mutated
@@ -155,29 +101,21 @@ func (m *machine) tickUnit(u int) {
 	default:
 		panic("dva: unknown scheduler unit")
 	}
-	if m.progressCount != p0 || (m.mutated && !mut0) {
-		// The unit acted (or mutated state on a stall path, as a hazard
-		// flush does); its post-action state may admit another decision
-		// immediately, so it is due next cycle and caches nothing.
-		m.wake[u] = m.now + 1
-		m.stallN[u] = 0
-		return
-	}
+	// Mutating state on a stall path, as a hazard flush does, counts as
+	// acting: the post-action state may admit another decision at once. An
+	// acting unit owes nothing for the cycles it is due next.
+	acted := m.progressCount != p0 || (m.mutated && !mut0)
 	n := m.nCycleStalls - stallBase
+	if acted {
+		n = 0
+	}
 	for i := int32(0); i < n; i++ {
 		m.stallCache[u][i] = m.cycleStalls[stallBase+i]
 	}
 	m.stallN[u] = int8(n)
-	if wasDirty {
-		// A dirty-triggered stall is almost always mid-burst: the queues
-		// around the unit are moving and another dirty bit is a cycle or
-		// two away, so a full predicate scan would be wasted work. Stay due
-		// (waking early is always safe) and let the scan run at the first
-		// stall with no dirt — the actual transition into a quiet phase.
-		m.wake[u] = m.now + 1
-		return
+	if m.wheel.Stepped(u, m.now, acted, dirty) {
+		m.wheel.Sleep(u, m.unitWake(u))
 	}
-	m.wake[u] = m.unitWake(u)
 }
 
 // settleStall charges unit u's cached stall reasons for the d cycles it
@@ -209,11 +147,9 @@ func (m *machine) settleStallDebt() {
 	}
 }
 
-// unitWake computes unit u's wake time after a step that did not act: the
-// earliest strictly-future timestamp among those the unit's predicates
-// read. Each set is the per-unit partition of the old horizon() scan and is
-// deliberately a superset of what the unit's current stall needs — waking
-// early is safe, sleeping late is the bug class.
+// unitWake computes unit u's wake time after a clean stall: the earliest
+// strictly-future timestamp among those the unit's predicates read, a
+// deliberate superset of what its current stall needs.
 // declint:hotpath
 func (m *machine) unitWake(u int) int64 {
 	switch u {
@@ -221,7 +157,7 @@ func (m *machine) unitWake(u int) int64 {
 		// Fetch reads no timestamps: dispatch capacity changes only through
 		// instruction-queue pops and branch-queue pushes, both dirty-bit
 		// sites.
-		return infCycle
+		return sim.Never
 	case uAP:
 		return m.wakeAP()
 	case uST:
@@ -232,22 +168,12 @@ func (m *machine) unitWake(u int) int64 {
 		return m.wakeVP()
 	case uDrain:
 		if m.drainLen > 0 {
-			return lowerFuture(infCycle, m.now, m.drainFront().doneAt)
+			return sim.LowerFuture(sim.Never, m.now, m.drainFront().doneAt)
 		}
-		return infCycle
+		return sim.Never
 	default:
 		panic("dva: unknown scheduler unit")
 	}
-}
-
-// lowerFuture folds candidate timestamp t into the running minimum h,
-// counting only strictly-future cycles: a timestamp at or before now
-// already satisfies its predicate and can never flip it again.
-func lowerFuture(h, now, t int64) int64 {
-	if t > now && t < h {
-		return t
-	}
-	return h
 }
 
 // wakeAP collects the AP's timestamp set: A-register ready times, the
@@ -259,20 +185,20 @@ func lowerFuture(h, now, t int64) int64 {
 // declint:hotpath
 func (m *machine) wakeAP() int64 {
 	now := m.now
-	h := infCycle
+	h := sim.Never
 	for _, t := range m.aReady {
-		h = lowerFuture(h, now, t)
+		h = sim.LowerFuture(h, now, t)
 	}
 	for i := 0; i < 2; i++ {
 		s, ok := m.saaq.PeekAt(now, i)
 		if !ok {
 			break
 		}
-		h = lowerFuture(h, now, s.readyAt)
+		h = sim.LowerFuture(h, now, s.readyAt)
 	}
-	h = lowerFuture(h, now, m.bus.FreeCycle())
-	h = lowerFuture(h, now, m.bypassBusyUntil)
-	m.vadq.All(now, func(v *vslot) bool { h = lowerFuture(h, now, v.readyAt); return true })
+	h = sim.LowerFuture(h, now, m.bus.FreeCycle())
+	h = sim.LowerFuture(h, now, m.bypassBusyUntil)
+	m.vadq.All(now, func(v *vslot) bool { h = sim.LowerFuture(h, now, v.readyAt); return true })
 	return h
 }
 
@@ -284,22 +210,22 @@ func (m *machine) wakeAP() int64 {
 func (m *machine) wakeST() int64 {
 	now := m.now
 	if m.storeActive {
-		return lowerFuture(infCycle, now, m.storeDoneAt)
+		return sim.LowerFuture(sim.Never, now, m.storeDoneAt)
 	}
-	h := infCycle
+	h := sim.Never
 	if st, ok := m.ssaq.Head(now); ok && !st.needsData {
-		h = lowerFuture(h, now, st.dataReadyAt)
+		h = sim.LowerFuture(h, now, st.dataReadyAt)
 	}
 	if st, ok := m.vsaq.Head(now); ok && !st.needsData {
-		h = lowerFuture(h, now, st.dataReadyAt)
+		h = sim.LowerFuture(h, now, st.dataReadyAt)
 	}
 	if s, ok := m.sadq.Head(now); ok {
-		h = lowerFuture(h, now, s.readyAt)
+		h = sim.LowerFuture(h, now, s.readyAt)
 	}
 	if v, ok := m.vadq.Head(now); ok {
-		h = lowerFuture(h, now, v.readyAt)
+		h = sim.LowerFuture(h, now, v.readyAt)
 	}
-	h = lowerFuture(h, now, m.bus.FreeCycle())
+	h = sim.LowerFuture(h, now, m.bus.FreeCycle())
 	return h
 }
 
@@ -308,15 +234,15 @@ func (m *machine) wakeST() int64 {
 // declint:hotpath
 func (m *machine) wakeSP() int64 {
 	now := m.now
-	h := infCycle
+	h := sim.Never
 	for _, t := range m.sReady {
-		h = lowerFuture(h, now, t)
+		h = sim.LowerFuture(h, now, t)
 	}
 	if s, ok := m.asdq.Head(now); ok {
-		h = lowerFuture(h, now, s.readyAt)
+		h = sim.LowerFuture(h, now, s.readyAt)
 	}
 	if s, ok := m.vsdq.Head(now); ok {
-		h = lowerFuture(h, now, s.readyAt)
+		h = sim.LowerFuture(h, now, s.readyAt)
 	}
 	return h
 }
@@ -328,49 +254,41 @@ func (m *machine) wakeSP() int64 {
 // declint:hotpath
 func (m *machine) wakeVP() int64 {
 	now := m.now
-	h := infCycle
-	h = lowerFuture(h, now, m.fu1Busy)
-	h = lowerFuture(h, now, m.fu2Busy)
+	h := sim.Never
+	h = sim.LowerFuture(h, now, m.fu1Busy)
+	h = sim.LowerFuture(h, now, m.fu2Busy)
 	for _, t := range m.qmovBusy {
-		h = lowerFuture(h, now, t)
+		h = sim.LowerFuture(h, now, t)
 	}
 	chain := m.cfg.ChainDelay
 	for i := range m.vRegs {
 		v := &m.vRegs[i]
-		h = lowerFuture(h, now, v.writeReady)
-		h = lowerFuture(h, now, v.readBusyUntil)
+		h = sim.LowerFuture(h, now, v.writeReady)
+		h = sim.LowerFuture(h, now, v.readBusyUntil)
 		if v.chainable {
-			h = lowerFuture(h, now, v.writeStart+chain)
+			h = sim.LowerFuture(h, now, v.writeStart+chain)
 		}
 	}
 	if s, ok := m.svdq.Head(now); ok {
-		h = lowerFuture(h, now, s.readyAt)
+		h = sim.LowerFuture(h, now, s.readyAt)
 	}
 	if v, ok := m.avdq.PeekAt(now, m.drainLen); ok {
-		h = lowerFuture(h, now, v.readyAt)
+		h = sim.LowerFuture(h, now, v.readyAt)
 	}
 	return h
 }
 
-// nextWake returns the earliest wake time across the wheel — the idle-skip
-// target. Called only after a cycle with no progress and no mutation, when
-// every unit was either stepped (and recomputed a future wake) or verified
-// asleep, so every entry is strictly beyond m.now. The drain slot counts
-// only while drains are in flight (its wake time is stale otherwise). The
-// bus joins the minimum not as a decision input but as a sampling boundary:
+// nextWake returns the idle-skip target: the wheel's minimum, no later than
+// deadline. The drain slot's wake time goes stale once its ring empties, so
+// it is parked at Never then; pushDrain brings it forward again. The bus
+// joins the minimum not as a decision input but as a sampling boundary:
 // skipTo accounts the whole span under one (FU2, FU1, LD) state, and the LD
 // bit flips when a port's reservation runs out even if no unit wakes for
 // it, so a span must never cross a port release.
 // declint:hotpath
-func (m *machine) nextWake() int64 {
-	h := m.wake[uFP]
-	for u := uAP; u <= uVP; u++ {
-		if m.wake[u] < h {
-			h = m.wake[u]
-		}
+func (m *machine) nextWake(deadline int64) int64 {
+	if m.drainLen == 0 {
+		m.wheel.Sleep(uDrain, sim.Never)
 	}
-	if m.drainLen > 0 && m.wake[uDrain] < h {
-		h = m.wake[uDrain]
-	}
-	return lowerFuture(h, m.now, m.bus.FreeCycle())
+	return sim.LowerFuture(m.wheel.Min(deadline), m.now, m.bus.FreeCycle())
 }

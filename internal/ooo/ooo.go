@@ -126,12 +126,9 @@ type machine struct {
 	maxDone      int64
 	lastProgress int64
 
-	// Wake wheel (see sched.go): per-unit wake times, the dirty byte the
-	// tick wrapper raises along the fetch→issue→retire→fetch action edges,
-	// and the per-cycle action counter tick uses to detect that a step
-	// function did something.
-	wake          [numUnits]int64
-	dirty         uint8
+	// Wake wheel (see sched.go) and the action counter tick uses to detect
+	// that a step function did something.
+	wheel         sim.Wheel
 	progressCount int64
 }
 
@@ -196,12 +193,8 @@ func Run(src *trace.Slice, cfg Config) (*sim.Result, error) {
 
 // declint:hotpath
 func (m *machine) run() error {
-	window := 64*(m.cfg.MemLatency+isa.MaxVL+m.cfg.DivDepth) + 4096
+	window := m.cfg.DeadlockWindow(64)
 	fast := !m.cfg.SlowTick
-	// idleSteps counts progress-free loop iterations; with the idle-skip
-	// fast path active every such iteration spans at least one cycle, so the
-	// per-cycle deadlock window stays a valid (conservative) bound.
-	var idleSteps int64
 	for {
 		if fast {
 			m.tick(oFetch)
@@ -219,23 +212,22 @@ func (m *machine) run() error {
 		progressed := m.lastProgress == m.now
 		m.now++
 		if progressed {
-			idleSteps = 0
 			continue
 		}
-		idleSteps++
-		if idleSteps >= window {
+		// The machine may step through deadline without progress; the
+		// cycle after it is a deadlock, in both modes (see sim.Wheel).
+		deadline := m.lastProgress + window
+		if m.now > deadline {
 			return fmt.Errorf("deadlock at cycle %d (window %d entries)", m.now, m.wLen)
 		}
 		// Idle skip: on a progress-free cycle every dirty bit is clear (bits
 		// are only raised by acting steps, and each unit's tick consumed any
 		// bit left from the previous cycle), so the machine repeats the cycle
 		// verbatim until the earliest wake time — jump there, accounting the
-		// constant (FU2, FU1, LD) state in bulk. Unlike the old horizon scan
-		// this is a three-entry minimum, not a window rescan, so it runs on
-		// the first idle cycle. SlowTick keeps the plain per-cycle loop as
-		// the equivalence suite's reference mode.
+		// constant (FU2, FU1, LD) state in bulk. SlowTick keeps the plain
+		// per-cycle loop as the equivalence suite's reference mode.
 		if fast {
-			if h := m.nextWake(); h > m.now {
+			if h := m.nextWake(deadline); h > m.now {
 				m.states.ObserveN(sim.MakeState(m.now < m.fu2Busy, m.now < m.fu1Busy, m.bus.BusyAt(m.now)), h-m.now)
 				m.now = h
 			}

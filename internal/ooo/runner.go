@@ -88,7 +88,6 @@ func (m *machine) reset(src *trace.Slice, cfg Config) {
 
 	// Wake wheel: every unit due at cycle 0 with no dirty bits —
 	// bit-identical to a fresh machine.
-	m.wake = [numUnits]int64{}
-	m.dirty = 0
+	m.wheel.Reset(numUnits)
 	m.progressCount = 0
 }

@@ -1,23 +1,25 @@
 package ooo
 
-// This file is the out-of-order core's instance of the per-unit wake
-// scheduler (see internal/dva/sched.go for the full contract). The machine
-// has three units — fetch/rename, issue, retire — coupled through the
-// window ring instead of architectural queues, so dirty bits are raised
-// directly by the tick wrapper from the action graph rather than by queue
-// hooks: a fetch inserts an entry the issue scan must see (same cycle — the
-// window has no visibility delay), an issue flips the flags and value
-// timestamps retirement and younger issues read (same cycle), and a
-// retirement frees the window slot and physical register fetch is blocked
-// on (next cycle — fetch's slot has already run, so the bit survives to the
-// following tick). The OOO core records no stall events, so a sleeping unit
-// replays nothing; only the stepping decisions matter, and those follow the
-// same rule as the DVA: waking early is safe, every predicate is
-// "timestamp <= now" over state that only the owning unit rewrites, and the
-// bus and functional units only ever extend their busy spans.
+// This file runs the out-of-order core on the wake wheel (sim.Wheel, which
+// holds the contract shared with the DVA core). The machine has three units
+// — fetch/rename, issue, retire — coupled through the window ring instead
+// of architectural queues, so the tick wrapper raises dirty bits straight
+// from the action graph rather than through queue hooks: a fetch inserts an
+// entry the issue scan must see (same cycle — the window has no visibility
+// delay), an issue flips the flags and value timestamps retirement and
+// younger issues read (same cycle), and a retirement frees the window slot
+// and physical register fetch is blocked on (next cycle — fetch's slot has
+// already run, so the bit survives to the following tick). The OOO core
+// records no stall events, so a sleeping unit owes nothing; only the
+// stepping decisions matter. The bus and functional units only ever extend
+// their busy spans.
+
+import "decvec/internal/sim"
 
 // Unit indices of the wake wheel; the within-cycle order is fetch, issue,
-// retire, matching the SlowTick reference loop.
+// retire, matching the SlowTick reference loop. The action edges form the
+// ring fetch→issue→retire→fetch: an acting unit dirties unit u+1 mod
+// numUnits.
 const (
 	oFetch = iota
 	oIssue
@@ -25,20 +27,15 @@ const (
 	numUnits
 )
 
-// infCycle is the "never" wake time, matching the sentinel the horizon scan
-// used so deadlocked machines run the window out with identical arithmetic.
-const infCycle = int64(1)<<62 - 1
-
 // tick runs unit u's slot of the current cycle: step it when due or dirty,
-// raise the dirty bits of the units its action feeds, and put it back to
+// raise the dirty bit of the unit its action feeds, and put it back to
 // sleep at the earliest future timestamp it reads otherwise.
 // declint:hotpath
 func (m *machine) tick(u int) {
-	if m.dirty&(1<<u) == 0 && m.now < m.wake[u] {
+	due, dirty := m.wheel.Due(u, m.now)
+	if !due {
 		return
 	}
-	wasDirty := m.dirty&(1<<u) != 0
-	m.dirty &^= 1 << u
 	p0 := m.progressCount
 	switch u {
 	case oFetch:
@@ -50,39 +47,23 @@ func (m *machine) tick(u int) {
 	default:
 		panic("ooo: unknown scheduler unit")
 	}
-	if m.progressCount != p0 {
-		m.wake[u] = m.now + 1
-		switch u {
-		case oFetch:
-			m.dirty |= 1 << oIssue
-		case oIssue:
-			m.dirty |= 1 << oRetire
-		case oRetire:
-			m.dirty |= 1 << oFetch
-		default:
-			panic("ooo: unknown scheduler unit")
-		}
-		return
+	acted := m.progressCount != p0
+	if acted {
+		m.wheel.Raise((u + 1) % numUnits)
 	}
-	if wasDirty {
-		// Dirty-triggered stall: mid-burst, a predicate scan would be
-		// wasted — stay due (early waking is safe) and scan at the first
-		// clean stall instead.
-		m.wake[u] = m.now + 1
-		return
+	if m.wheel.Stepped(u, m.now, acted, dirty) {
+		m.wheel.Sleep(u, m.unitWake(u))
 	}
-	m.wake[u] = m.unitWake(u)
 }
 
-// unitWake computes unit u's wake time after a step that did not act — the
-// per-unit partition of the old horizon() scan.
+// unitWake computes unit u's wake time after a clean stall.
 // declint:hotpath
 func (m *machine) unitWake(u int) int64 {
 	switch u {
 	case oFetch:
 		// Fetch waits only on a window slot or a physical register, both
 		// freed by retirement — a dirty-bit site, not a timestamp.
-		return infCycle
+		return sim.Never
 	case oIssue:
 		return m.wakeIssue()
 	case oRetire:
@@ -92,24 +73,15 @@ func (m *machine) unitWake(u int) int64 {
 	}
 }
 
-// lowerFuture folds candidate timestamp t into the running minimum h,
-// counting only strictly-future cycles.
-func lowerFuture(h, now, t int64) int64 {
-	if t > now && t < h {
-		return t
-	}
-	return h
-}
-
 // lowerValue folds a renamed value's wake points into h: its completion
 // and, for chainable producers, its chain-start point. Values whose
 // producers have not issued carry no timestamp — they wake only through an
 // issue, which raises the dirty bit instead.
 func (m *machine) lowerValue(h int64, v *value) int64 {
 	if v != nil && v.valid {
-		h = lowerFuture(h, m.now, v.ready)
+		h = sim.LowerFuture(h, m.now, v.ready)
 		if v.chainable {
-			h = lowerFuture(h, m.now, v.start+m.cfg.ChainDelay)
+			h = sim.LowerFuture(h, m.now, v.start+m.cfg.ChainDelay)
 		}
 	}
 	return h
@@ -122,10 +94,10 @@ func (m *machine) lowerValue(h int64, v *value) int64 {
 // declint:hotpath
 func (m *machine) wakeIssue() int64 {
 	now := m.now
-	h := infCycle
-	h = lowerFuture(h, now, m.fu1Busy)
-	h = lowerFuture(h, now, m.fu2Busy)
-	h = lowerFuture(h, now, m.bus.FreeCycle())
+	h := sim.Never
+	h = sim.LowerFuture(h, now, m.fu1Busy)
+	h = sim.LowerFuture(h, now, m.fu2Busy)
+	h = sim.LowerFuture(h, now, m.bus.FreeCycle())
 	for i := 0; i < m.wLen; i++ {
 		e := m.winAt(i)
 		if e.issued {
@@ -143,33 +115,26 @@ func (m *machine) wakeIssue() int64 {
 // declint:hotpath
 func (m *machine) wakeRetire() int64 {
 	if m.wLen == 0 {
-		return infCycle
+		return sim.Never
 	}
 	e := m.winAt(0)
 	if !e.issued || e.dst == nil || !e.dst.valid {
-		return infCycle
+		return sim.Never
 	}
-	return lowerFuture(infCycle, m.now, e.dst.ready)
+	return sim.LowerFuture(sim.Never, m.now, e.dst.ready)
 }
 
-// nextWake returns the idle-skip target: the earliest wake time across the
-// wheel, floored by the sampling and termination boundaries — the
+// nextWake returns the idle-skip target: the wheel's minimum, no later than
+// deadline, floored by the sampling and termination boundaries — the
 // functional-unit and bus-port releases (the (FU2, FU1, LD) state must be
 // constant over a bulk-accounted span) and maxDone (the drained machine
 // finishes exactly there).
 // declint:hotpath
-func (m *machine) nextWake() int64 {
-	h := m.wake[oFetch]
-	if m.wake[oIssue] < h {
-		h = m.wake[oIssue]
-	}
-	if m.wake[oRetire] < h {
-		h = m.wake[oRetire]
-	}
+func (m *machine) nextWake(deadline int64) int64 {
 	now := m.now
-	h = lowerFuture(h, now, m.fu1Busy)
-	h = lowerFuture(h, now, m.fu2Busy)
-	h = lowerFuture(h, now, m.bus.FreeCycle())
-	h = lowerFuture(h, now, m.maxDone)
-	return h
+	h := m.wheel.Min(deadline)
+	h = sim.LowerFuture(h, now, m.fu1Busy)
+	h = sim.LowerFuture(h, now, m.fu2Busy)
+	h = sim.LowerFuture(h, now, m.bus.FreeCycle())
+	return sim.LowerFuture(h, now, m.maxDone)
 }

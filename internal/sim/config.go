@@ -203,6 +203,14 @@ func (c *Config) String() string {
 	return fmt.Sprintf("%s %d/%d L=%d", ArchName("DVA", c.Bypass), c.AVDQSize, c.VADQSize, c.MemLatency)
 }
 
+// DeadlockWindow is how many cycles without progress a cycle-level core
+// tolerates before declaring a deadlock: every legitimate passive wait is
+// bounded by the worst memory latency plus a pipeline's worth of cycles,
+// times the core's factor k for waits queued back to back.
+func (c *Config) DeadlockWindow(k int64) int64 {
+	return k*(c.MemLatency+c.LatencyJitter+isa.MaxVL+c.DivDepth) + 4096
+}
+
 // AccessLatency returns the effective memory latency of a load issued with
 // the given base address and sequence number. With LatencyJitter zero it is
 // simply MemLatency; otherwise a deterministic per-access excess in

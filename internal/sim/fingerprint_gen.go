@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:650cb2de5a9edce9a5498ca509a89c5fb8398743136cbbd2e4321a3aaf5d0a53"
+const ModelFingerprint = "mh1:c5f24053feef7b072a5969a5c375a847a03729991d770ee98c5f218174c9ab25"
