@@ -278,7 +278,7 @@ func (m *machine) run() error {
 		// cycle after it is a deadlock, in both modes (see sim.Wheel).
 		deadline := m.lastProgress + window
 		if m.now > deadline {
-			return fmt.Errorf("deadlock at cycle %d: %s", m.now, m.dumpState())
+			return &sim.DeadlockError{Core: "DVA", Cycle: m.now, LastProgress: m.lastProgress, Window: window, State: m.dumpState()}
 		}
 		// Idle-skip fast path: the cycle just simulated made no progress and
 		// mutated nothing, so no queue moved (every queue mutation lives

@@ -218,7 +218,8 @@ func (m *machine) run() error {
 		// cycle after it is a deadlock, in both modes (see sim.Wheel).
 		deadline := m.lastProgress + window
 		if m.now > deadline {
-			return fmt.Errorf("deadlock at cycle %d (window %d entries)", m.now, m.wLen)
+			return &sim.DeadlockError{Core: "OOO", Cycle: m.now, LastProgress: m.lastProgress, Window: window,
+				State: fmt.Sprintf("window %d entries", m.wLen)}
 		}
 		// Idle skip: on a progress-free cycle every dirty bit is clear (bits
 		// are only raised by acting steps, and each unit's tick consumed any

@@ -1,9 +1,9 @@
 package report
 
 import (
-	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"decvec/internal/sim"
@@ -27,6 +27,13 @@ const (
 // The bus gets its own timeline row below the per-processor ones.
 const busTid = int(sim.NumProcs)
 
+// tefBufs holds the encoders' buffers between calls, so a run rendered
+// after another reuses its 64 KiB.
+var tefBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, tefBufSize)
+	return &b
+}}
+
 // WriteTraceEvents writes the recorded event stream of a run as a Trace
 // Event Format JSON file loadable in chrome://tracing or Perfetto. One
 // timeline thread per unit plus one for the address bus; queue occupancies
@@ -34,12 +41,20 @@ const busTid = int(sim.NumProcs)
 // Timestamps are simulated cycles (rendered as microseconds by the viewer).
 // The output is buffered: w sees writes of about 64 KiB.
 func WriteTraceEvents(w io.Writer, res *sim.Result, rec *sim.Recorder) error {
-	t := &tefEncoder{w: w, buf: make([]byte, 0, tefBufSize)}
+	bp := tefBufs.Get().(*[]byte)
+	t := &tefEncoder{w: w, buf: (*bp)[:0]}
 	t.buf = append(t.buf, `{"displayTimeUnit":"ns","traceEvents":[`...)
 
-	// Metadata: name the process after the run and each thread after its unit.
+	// Metadata: name the process after the run, "Arch (Config)", and each
+	// thread after its unit. The process name's two parts are escaped one
+	// by one, which escapes the whole name alike: the text between them is
+	// ASCII.
 	t.head("", "process_name", "M", 0, 0, 0)
-	t.stringArg("name", fmt.Sprintf("%s (%s)", res.Arch, res.Config.String()))
+	t.buf = append(t.buf, `,"args":{"name":"`...)
+	t.buf = appendJSONEscaped(t.buf, res.Arch)
+	t.buf = append(t.buf, " ("...)
+	t.buf = appendJSONEscaped(t.buf, res.Config.String())
+	t.buf = append(t.buf, `)"}}`...)
 	for p := sim.Proc(0); p < sim.NumProcs; p++ {
 		t.head("", "thread_name", "M", 0, 0, int(p))
 		t.stringArg("name", p.String())
@@ -54,6 +69,8 @@ func WriteTraceEvents(w io.Writer, res *sim.Result, rec *sim.Recorder) error {
 	rec.Each(t.event)
 	t.buf = append(t.buf, "]}\n"...)
 	t.flush()
+	*bp = t.buf
+	tefBufs.Put(bp)
 	return t.err
 }
 

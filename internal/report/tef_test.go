@@ -67,7 +67,7 @@ func (c tefCell) record(tb testing.TB) (*sim.Result, *sim.Recorder) {
 
 // tefCells lists the six simulated programs on REF, DVA and BYP at L=50,
 // the cells `dvasim -events` is benchmarked on, plus one bounded recorder
-// that drops events (its bound is a whole number of storage chunks).
+// that drops events.
 func tefCells(tb testing.TB) []tefCell {
 	tb.Helper()
 	var cells []tefCell

@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // This file is the observability layer shared by the simulators: a typed,
 // cycle-stamped event stream (issue, stall, queue push/pop, bus grant,
@@ -298,11 +301,19 @@ type Event struct {
 // whose N grows, which keeps long waits (a 100-cycle memory latency) from
 // bloating the stream.
 //
-// Events are stored packed, one 32-byte slot each, in fixed chunks of
-// chunkLen, so a growing stream never copies what it already holds and a
-// reset recorder reuses its chunks. A slot names its queue or label by an
-// index into the recorder's table of interned names; Each and Events decode
-// the slots back into Events.
+// Events are stored as variable-length records in one append-only byte
+// stream held in fixed chunks of chunkBytes, so a growing stream never
+// copies what it already holds and a reset recorder reuses its chunks. A
+// record starts with a header byte, kind in bits 0-2 and proc in bits 3-5
+// (procEscape there puts the proc in the next byte), followed by the cycle
+// as a zigzag varint delta from the previous record's cycle, signed since
+// stall settlement emits earlier cycles, and then only the fields its kind
+// carries (see kindFields): an
+// interned name index as a uvarint, the seq as a zigzag varint delta from
+// the previous seq, N as a zigzag varint. A stall record instead carries its
+// reason byte and N as a fixed little-endian 8-byte field, so coalescing
+// patches N in place, in any chunk. Each and Events decode the records back
+// into Events.
 type Recorder struct {
 	// MaxEvents bounds the stored stream; 0 means unlimited. Events beyond
 	// the bound are counted in Dropped instead of stored. Stall coalescing
@@ -311,13 +322,18 @@ type Recorder struct {
 	// Dropped counts events discarded because of MaxEvents.
 	Dropped int64
 
-	// chunks hold the stream: event i is chunks[i/chunkLen][i%chunkLen].
-	// Chunks past the one holding event n-1 are kept from before a Reset.
-	chunks [][]slot
-	n      int // stored events
-	// lastStall[r] is 1+index of the most recent EvStall event for reason r,
-	// used to coalesce consecutive stalled cycles. 0 means none.
-	lastStall [NumStallReasons]int
+	// chunks[:nChunks] hold the stream, each chunk's records in
+	// chunks[i][:len]; a record never straddles two chunks. Chunks past
+	// nChunks are kept from before a Reset.
+	chunks  [][]byte
+	nChunks int
+	n       int                // stored events
+	counts  [NumEventKinds]int // stored events per kind
+	// cycle and seq are the values the next record's deltas are taken from.
+	cycle, seq int64
+	// lastStall[r] locates the most recent EvStall record of reason r, used
+	// to coalesce consecutive stalled cycles.
+	lastStall [NumStallReasons]stallTail
 
 	// names is an open-addressed table of interned names, hashed into
 	// positions 1 to nameSlots: a name's index is its position, and position
@@ -331,19 +347,40 @@ type Recorder struct {
 	moreIdx map[string]uint32
 }
 
-// slot is the packed form of an Event. No event carries both a Queue and a
-// Label, so they share name, an index into the recorder's interned names.
-type slot struct {
-	cycle, seq, n int64
-	name          uint32
-	kind          EventKind
-	proc          Proc
-	reason        StallReason
+// stallTail locates a coalescable stall record: pos is the stream offset
+// (chunk*chunkBytes + offset) of its 8-byte N, 0 when there is none, and end
+// is its Cycle+N, the cycle a contiguous stall starts at.
+type stallTail struct {
+	pos int
+	end int64
+}
+
+// The fields a record carries after its header and cycle delta, by kind.
+const (
+	fName = 1 << iota // interned Queue or Label index
+	fSeq              // Seq delta
+	fN                // N
+)
+
+var kindFields = [NumEventKinds]uint8{
+	EvIssue:     fName | fSeq,
+	EvQueuePush: fName | fN,
+	EvQueuePop:  fName | fN,
+	EvBusGrant:  fSeq | fN,
+	EvBypass:    fSeq | fN,
+	EvFlush:     fSeq,
+	// EvStall carries a reason byte and a fixed 8-byte N instead.
 }
 
 const (
-	// chunkLen is the number of slots per storage chunk (128 KiB of slots).
-	chunkLen = 4096
+	// chunkBytes is the size of one storage chunk.
+	chunkBytes = 64 << 10
+	// maxRecord bounds a record's length: a header, an escaped proc byte and
+	// three 64-bit varints (a bus grant's cycle, seq and N). A record is
+	// started in a new chunk when less room than this is left.
+	maxRecord = 2 + 3*binary.MaxVarintLen64
+	// procEscape in a header's proc bits means the proc follows as a byte.
+	procEscape = 7
 	// nameSlots is the number of hashed positions in the interned-name
 	// table. It is filled to nameCap names at most, so a probe soon meets
 	// an empty position.
@@ -361,8 +398,9 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.Dropped = 0
-	r.n = 0
-	r.lastStall = [NumStallReasons]int{}
+	r.nChunks, r.n, r.counts = 0, 0, [NumEventKinds]int{}
+	r.cycle, r.seq = 0, 0
+	r.lastStall = [NumStallReasons]stallTail{}
 	r.names, r.nNames = [nameSlots + 1]string{}, 0
 	r.more = r.more[:0]
 	clear(r.moreIdx)
@@ -372,21 +410,79 @@ func (r *Recorder) Reset() {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Each calls fn on every stored event in emission order. It walks the
-// stream without copying it: every slot is decoded into one Event the walk
-// reuses, so the *Event is valid only during fn's call and a caller that
-// keeps an event must copy it.
+// stream without copying it: every record is decoded into one Event the
+// walk reuses, so the *Event is valid only during fn's call and a caller
+// that keeps an event must copy it.
 func (r *Recorder) Each(fn func(*Event)) {
 	if r == nil {
 		return
 	}
 	var e Event
-	for c := 0; c*chunkLen < r.n; c++ {
-		chunk := r.chunks[c][:min(chunkLen, r.n-c*chunkLen)]
-		for i := range chunk {
-			r.decode(&e, &chunk[i])
+	var cycle, seq, d int64
+	var x uint64
+	for _, c := range r.chunks[:r.nChunks] {
+		for i := 0; i < len(c); {
+			h := c[i]
+			e.Kind, e.Proc = EventKind(h&7), Proc(h>>3)
+			if e.Proc == procEscape {
+				e.Proc = Proc(c[i+1])
+				i++
+			}
+			d, i = varint(c, i+1)
+			cycle += d
+			e.Cycle, e.Reason, e.Queue, e.Label, e.Seq, e.N = cycle, 0, "", "", 0, 0
+			if e.Kind == EvStall {
+				e.Reason = StallReason(c[i])
+				e.N = int64(binary.LittleEndian.Uint64(c[i+1:]))
+				i += 9
+			} else {
+				f := kindFields[e.Kind]
+				if f&fName != 0 {
+					x, i = uvarint(c, i)
+					if e.Kind == EvIssue {
+						e.Label = r.name(uint32(x))
+					} else {
+						e.Queue = r.name(uint32(x))
+					}
+				}
+				if f&fSeq != 0 {
+					d, i = varint(c, i)
+					seq += d
+					e.Seq = seq
+				}
+				if f&fN != 0 {
+					e.N, i = varint(c, i)
+				}
+			}
 			fn(&e)
 		}
 	}
+}
+
+// uvarint decodes the uvarint at b[i:] and returns it and the offset past
+// it. The stream is the recorder's own, so the encoding is not validated:
+// binary.Uvarint's overflow checks and reslicing doubled a walk's cost.
+func uvarint(b []byte, i int) (uint64, int) {
+	x := uint64(b[i])
+	if x < 0x80 {
+		return x, i + 1
+	}
+	x &= 0x7f
+	for s := uint(7); ; s += 7 {
+		i++
+		c := b[i]
+		x |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return x, i + 1
+		}
+	}
+}
+
+// varint decodes the zigzag varint at b[i:], as binary.AppendVarint wrote
+// it, and returns it and the offset past it.
+func varint(b []byte, i int) (int64, int) {
+	ux, i := uvarint(b, i)
+	return int64(ux>>1) ^ -int64(ux&1), i
 }
 
 // Events returns a copy of the recorded stream in emission order, flattened
@@ -411,26 +507,10 @@ func (r *Recorder) Len() int {
 
 // Count returns the number of stored events of one kind.
 func (r *Recorder) Count(k EventKind) int64 {
-	if r == nil {
+	if r == nil || k >= NumEventKinds {
 		return 0
 	}
-	var n int64
-	for i := 0; i < r.n; i++ {
-		if r.at(i).kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// decode unpacks a stored slot into e field by field, which is cheaper than
-// building an Event and copying it.
-func (r *Recorder) decode(e *Event, s *slot) {
-	e.Cycle, e.Kind, e.Proc, e.Reason, e.Seq, e.N = s.cycle, s.kind, s.proc, s.reason, s.seq, s.n
-	e.Queue, e.Label = "", r.name(s.name)
-	if s.kind == EvQueuePush || s.kind == EvQueuePop {
-		e.Queue, e.Label = e.Label, ""
-	}
+	return int64(r.counts[k])
 }
 
 // intern returns the index of name, adding the name if it is new. It finds
@@ -482,27 +562,70 @@ func (r *Recorder) name(idx uint32) string {
 	return r.more[idx-nameSlots-1]
 }
 
-// at returns the stored slot with index i.
-func (r *Recorder) at(i int) *slot { return &r.chunks[i/chunkLen][i%chunkLen] }
-
 // full reports whether the MaxEvents bound forbids storing another event.
 func (r *Recorder) full() bool { return r.MaxEvents > 0 && r.n >= r.MaxEvents }
 
-// push stores s as the newest event, adding a chunk when the last is full.
-func (r *Recorder) push(s slot) {
-	if r.n/chunkLen == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]slot, chunkLen))
+// begin counts a new event of kind k and starts its record: it returns the
+// open chunk with the header and cycle delta appended, moving to the next
+// chunk first when the open one has less than maxRecord bytes of room. The
+// caller appends the kind's fields and stores the chunk back with end.
+func (r *Recorder) begin(k EventKind, p Proc, cycle int64) []byte {
+	if r.nChunks == 0 || cap(r.chunks[r.nChunks-1])-len(r.chunks[r.nChunks-1]) < maxRecord {
+		if r.nChunks == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]byte, 0, chunkBytes))
+		}
+		r.chunks[r.nChunks] = r.chunks[r.nChunks][:0]
+		r.nChunks++
 	}
-	*r.at(r.n) = s
 	r.n++
+	r.counts[k]++
+	b := r.chunks[r.nChunks-1]
+	if p < procEscape {
+		b = append(b, byte(k)|byte(p)<<3)
+	} else {
+		b = append(b, byte(k)|procEscape<<3, byte(p))
+	}
+	b = binary.AppendVarint(b, cycle-r.cycle)
+	r.cycle = cycle
+	return b
 }
 
-func (r *Recorder) record(s slot) {
+// end stores the open chunk b back after a record was appended to it.
+func (r *Recorder) end(b []byte) { r.chunks[r.nChunks-1] = b }
+
+// record stores one event of a kind other than EvStall, encoding the fields
+// kindFields lists for it, or counts it as dropped at the MaxEvents bound.
+func (r *Recorder) record(k EventKind, p Proc, cycle, seq, n int64, name uint32) {
 	if r.full() {
 		r.Dropped++
 		return
 	}
-	r.push(s)
+	b := r.begin(k, p, cycle)
+	f := kindFields[k]
+	if f&fName != 0 {
+		b = binary.AppendUvarint(b, uint64(name))
+	}
+	if f&fSeq != 0 {
+		b = binary.AppendVarint(b, seq-r.seq)
+		r.seq = seq
+	}
+	if f&fN != 0 {
+		b = binary.AppendVarint(b, n)
+	}
+	r.end(b)
+}
+
+// stall stores a stall record of n cycles and returns the stream offset of
+// its N, or 0 when the MaxEvents bound dropped it.
+func (r *Recorder) stall(cycle int64, reason StallReason, n int64) int {
+	if r.full() {
+		r.Dropped++
+		return 0
+	}
+	b := append(r.begin(EvStall, reason.Proc(), cycle), byte(reason))
+	pos := (r.nChunks-1)*chunkBytes + len(b)
+	r.end(binary.LittleEndian.AppendUint64(b, uint64(n)))
+	return pos
 }
 
 // Issue records that proc issued the instruction with sequence number seq.
@@ -511,7 +634,7 @@ func (r *Recorder) Issue(cycle int64, p Proc, seq int64, label string) {
 	if r == nil {
 		return
 	}
-	r.record(slot{cycle: cycle, kind: EvIssue, proc: p, seq: seq, name: r.intern(label)})
+	r.record(EvIssue, p, cycle, seq, 0, r.intern(label))
 }
 
 // Stall records one stalled cycle for the reason, coalescing runs of
@@ -520,7 +643,7 @@ func (r *Recorder) Stall(cycle int64, reason StallReason) {
 	if r == nil {
 		return
 	}
-	r.StallSpan(cycle, reason, 1)
+	r.stallSpan(cycle, reason, 1)
 }
 
 // StallSpan records n consecutive stalled cycles starting at cycle as a
@@ -536,19 +659,23 @@ func (r *Recorder) StallSpan(cycle int64, reason StallReason, n int64) {
 	if r == nil || n <= 0 {
 		return
 	}
-	if i := r.lastStall[reason]; i > 0 {
-		s := r.at(i - 1)
-		if s.cycle+s.n == cycle {
-			s.n += n
-			return
-		}
-	}
-	if r.full() {
-		r.Dropped++
+	r.stallSpan(cycle, reason, n)
+}
+
+// stallSpan is StallSpan past its argument checks: it adds n to the
+// reason's last stall record in place when the span continues it, and
+// stores a new coalescable record otherwise.
+func (r *Recorder) stallSpan(cycle int64, reason StallReason, n int64) {
+	t := &r.lastStall[reason]
+	if t.pos > 0 && t.end == cycle {
+		b := r.chunks[t.pos/chunkBytes][t.pos%chunkBytes:]
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+uint64(n))
+		t.end += n
 		return
 	}
-	r.push(slot{cycle: cycle, kind: EvStall, proc: reason.Proc(), reason: reason, n: n})
-	r.lastStall[reason] = r.n
+	if pos := r.stall(cycle, reason, n); pos > 0 {
+		*t = stallTail{pos: pos, end: cycle + n}
+	}
 }
 
 // StallN records n consecutive stalled cycles starting at cycle (used by the
@@ -557,7 +684,7 @@ func (r *Recorder) StallN(cycle int64, reason StallReason, n int64) {
 	if r == nil || n <= 0 {
 		return
 	}
-	r.record(slot{cycle: cycle, kind: EvStall, proc: reason.Proc(), reason: reason, n: n})
+	r.stall(cycle, reason, n)
 }
 
 // BusGrant records that proc reserved the address bus for n cycles.
@@ -565,7 +692,7 @@ func (r *Recorder) BusGrant(cycle int64, p Proc, seq, n int64) {
 	if r == nil {
 		return
 	}
-	r.record(slot{cycle: cycle, kind: EvBusGrant, proc: p, seq: seq, n: n})
+	r.record(EvBusGrant, p, cycle, seq, n, 0)
 }
 
 // Bypass records a load serviced by the VADQ->AVDQ bypass unit.
@@ -573,7 +700,7 @@ func (r *Recorder) Bypass(cycle, seq, vl int64) {
 	if r == nil {
 		return
 	}
-	r.record(slot{cycle: cycle, kind: EvBypass, proc: ProcAP, seq: seq, n: vl})
+	r.record(EvBypass, ProcAP, cycle, seq, vl, 0)
 }
 
 // Flush records a hazard-forced store-queue drain; seq is the youngest
@@ -582,7 +709,7 @@ func (r *Recorder) Flush(cycle, seq int64) {
 	if r == nil {
 		return
 	}
-	r.record(slot{cycle: cycle, kind: EvFlush, proc: ProcAP, seq: seq})
+	r.record(EvFlush, ProcAP, cycle, seq, 0, 0)
 }
 
 // QueueEvent records a push or pop with the queue's new length. It
@@ -595,5 +722,5 @@ func (r *Recorder) QueueEvent(cycle int64, name string, push bool, newLen int) {
 	if push {
 		k = EvQueuePush
 	}
-	r.record(slot{cycle: cycle, kind: k, n: int64(newLen), name: r.intern(name)})
+	r.record(k, 0, cycle, 0, int64(newLen), r.intern(name))
 }

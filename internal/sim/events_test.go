@@ -195,24 +195,25 @@ func TestRecorderCountsAndKinds(t *testing.T) {
 	}
 }
 
-// Each yields the stored events in order, also while a nested walk of the
-// same recorder runs inside its callback.
+// Each yields the stored events in order, across chunks, also while a
+// nested walk of the same recorder runs inside its callback.
 func TestEachNilAndOrder(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Each(func(*Event) { t.Error("nil recorder yielded an event") })
 
 	r := NewRecorder()
-	const n = 2*chunkLen + 3
-	for i := int64(0); i < n; i++ {
-		r.Issue(i, ProcAP, i, "x")
+	const n = 40_000
+	fillIssues(r, n)
+	if r.nChunks < 3 {
+		t.Fatalf("%d events fill %d chunks, want at least 3", n, r.nChunks)
 	}
 	var next int64
 	r.Each(func(e *Event) {
-		if next%chunkLen == 0 {
+		if next%4096 == 0 {
 			r.Events()
 		}
-		if e.Seq != next {
-			t.Fatalf("Each yielded seq %d at position %d", e.Seq, next)
+		if e.Seq != next || e.Cycle != next {
+			t.Fatalf("Each yielded cycle %d seq %d at position %d", e.Cycle, e.Seq, next)
 		}
 		next++
 	})
@@ -228,54 +229,91 @@ func fillIssues(r *Recorder, n int) {
 	}
 }
 
-// A stall stored as the last event of a full chunk keeps coalescing after
+// stallRecordLen is the length of a stall record whose cycle delta fits one
+// byte: header, cycle, reason and the fixed 8-byte N.
+const stallRecordLen = 1 + 1 + 1 + 8
+
+// room returns the bytes left in r's open chunk.
+func room(r *Recorder) int {
+	c := r.chunks[r.nChunks-1]
+	return cap(c) - len(c)
+}
+
+// fillChunk stores issue events, the one at cycle i with seq i, until the
+// open chunk has room for one more stall record and none after it: a stall
+// recorded next at cycle Len() is the last record of the chunk.
+func fillChunk(r *Recorder) {
+	for r.nChunks == 0 || room(r) >= maxRecord+stallRecordLen {
+		r.Issue(int64(r.Len()), ProcFP, int64(r.Len()), "x")
+	}
+}
+
+// A stall stored as the last record of a full chunk keeps coalescing after
 // later events open the next chunk.
 func TestStallCoalescesAcrossChunkBoundary(t *testing.T) {
 	r := NewRecorder()
-	fillIssues(r, chunkLen-1)
-	r.Stall(100, StallAPBus) // event chunkLen-1, the last of chunk 0
-	r.Issue(100, ProcVP, 0, "y")
-	r.Stall(101, StallAPBus)
-	r.StallSpan(102, StallAPBus, 5)
-	if r.Len() != chunkLen+1 {
-		t.Fatalf("Len = %d, want %d", r.Len(), chunkLen+1)
+	fillChunk(r)
+	k := r.Len()
+	c := int64(k)
+	r.Stall(c, StallAPBus) // the last record of chunk 0
+	if r.nChunks != 1 || room(r) >= maxRecord {
+		t.Fatalf("after the stall: %d chunks, %d bytes of room; want 1 chunk with under %d", r.nChunks, room(r), maxRecord)
+	}
+	r.Issue(c, ProcVP, 0, "y")
+	if r.nChunks != 2 {
+		t.Fatalf("the issue after the stall left %d chunks open, want 2", r.nChunks)
+	}
+	r.Stall(c+1, StallAPBus)
+	r.StallSpan(c+2, StallAPBus, 5)
+	if r.Len() != k+2 || r.nChunks != 2 {
+		t.Fatalf("Len = %d in %d chunks, want %d in 2", r.Len(), r.nChunks, k+2)
 	}
 	ev := r.Events()
-	if e := ev[chunkLen-1]; e.Kind != EvStall || e.Cycle != 100 || e.N != 7 {
-		t.Errorf("boundary stall = %+v, want cycle 100 N 7", e)
+	if e := ev[k]; e.Kind != EvStall || e.Cycle != c || e.N != 7 {
+		t.Errorf("boundary stall = %+v, want cycle %d N 7", e, c)
 	}
-	if e := ev[chunkLen]; e.Kind != EvIssue || e.Label != "y" {
+	if e := ev[k+1]; e.Kind != EvIssue || e.Label != "y" || e.Cycle != c {
 		t.Errorf("first event of chunk 1 = %+v", e)
 	}
 }
 
-// MaxEvents equal to the chunk size stops storing exactly at the chunk's
-// end, while coalescing into the full chunk continues.
+// MaxEvents equal to the number of records one chunk holds stops storing
+// exactly at the chunk's end, while coalescing into the full chunk
+// continues.
 func TestMaxEventsAtChunkSize(t *testing.T) {
+	probe := NewRecorder()
+	fillChunk(probe)
+	probe.StallSpan(int64(probe.Len()), StallVPData, 2)
+	if room(probe) >= maxRecord {
+		t.Fatalf("probe chunk has %d bytes of room, want under %d", room(probe), maxRecord)
+	}
+	perChunk := probe.Len()
+
 	r := NewRecorder()
-	r.MaxEvents = chunkLen
-	fillIssues(r, chunkLen-1)
-	r.StallSpan(100, StallVPData, 2)
-	r.Issue(102, ProcFP, 0, "dropped")
-	r.Stall(102, StallVPData)       // coalesces: N 3
-	r.Stall(200, StallVPData)       // gap: dropped
-	r.StallSpan(300, StallAPBus, 9) // new reason: dropped as one
-	r.StallN(400, StallAPBus, 4)
-	if r.Len() != chunkLen || r.Dropped != 4 {
-		t.Errorf("Len %d Dropped %d, want %d and 4", r.Len(), r.Dropped, chunkLen)
+	r.MaxEvents = perChunk
+	fillChunk(r)
+	c := int64(r.Len())
+	r.StallSpan(c, StallVPData, 2)
+	r.Issue(c+2, ProcFP, 0, "dropped")
+	r.Stall(c+2, StallVPData)         // coalesces: N 3
+	r.Stall(c+100, StallVPData)       // gap: dropped
+	r.StallSpan(c+200, StallAPBus, 9) // new reason: dropped as one
+	r.StallN(c+300, StallAPBus, 4)
+	if r.Len() != perChunk || r.Dropped != 4 {
+		t.Errorf("Len %d Dropped %d, want %d and 4", r.Len(), r.Dropped, perChunk)
 	}
 	if len(r.chunks) != 1 {
 		t.Errorf("bounded recorder allocated %d chunks, want 1", len(r.chunks))
 	}
-	if e := r.Events()[chunkLen-1]; e.Cycle != 100 || e.N != 3 {
-		t.Errorf("last stored stall = %+v, want cycle 100 N 3", e)
+	if e := r.Events()[perChunk-1]; e.Cycle != c || e.N != 3 {
+		t.Errorf("last stored stall = %+v, want cycle %d N 3", e, c)
 	}
 }
 
 // Recording into a reset recorder reuses its chunks and records exactly
 // what a fresh recorder does.
 func TestResetReusesChunks(t *testing.T) {
-	const n = 3*chunkLen + 5
+	const n = 12_293 // records enough for several chunks
 	labels := []string{"salu", "vload", "", "branch"}
 	queues := []string{"AVDQ", "VADQ", "SFBQ"}
 	record := func(r *Recorder) {
@@ -327,8 +365,9 @@ func recordMixed(r *Recorder, events int) {
 	}
 }
 
-// A stored event costs its 32-byte slot and next to nothing else: chunk
-// rounding and the chunk index stay under one byte per event at 100k.
+// A stored event costs its record, about 4 bytes for an issue, a queue
+// event or a bus grant and 11 for a stall, and next to nothing else: chunk
+// rounding and the chunk index add well under one byte per event at 100k.
 func TestBytesPerStoredEvent(t *testing.T) {
 	const events = 100_000
 	var before, after runtime.MemStats
@@ -339,8 +378,8 @@ func TestBytesPerStoredEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Len())
 	t.Logf("%.3f B per event", perEvent)
-	if perEvent > 33 {
-		t.Errorf("recording %d events allocated %.2f B per event, want at most 33", r.Len(), perEvent)
+	if perEvent > 6.5 {
+		t.Errorf("recording %d events allocated %.2f B per event, want at most 6.5", r.Len(), perEvent)
 	}
 	for k := EventKind(0); k < NumEventKinds; k++ {
 		if k != EvBypass && k != EvFlush && r.Count(k) == 0 {
@@ -452,4 +491,17 @@ func TestInternAtMaxEvents(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecorderEach walks a 100k-event mixed stream with a trivial
+// callback; ns/event is the decode cost of one stored event.
+func BenchmarkRecorderEach(b *testing.B) {
+	r := NewRecorder()
+	recordMixed(r, 100_000)
+	var sum int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Each(func(e *Event) { sum += e.N })
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Len()), "ns/event")
 }

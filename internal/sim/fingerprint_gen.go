@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:c5f24053feef7b072a5969a5c375a847a03729991d770ee98c5f218174c9ab25"
+const ModelFingerprint = "mh1:813204c3c6a966803facd508a068dcb32722b564d59435af28167af200c71b21"

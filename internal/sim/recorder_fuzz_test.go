@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strconv"
 	"testing"
 )
@@ -126,11 +127,57 @@ func fuzzName(a, b byte) string {
 	return "n" + strconv.Itoa(int(a&0x7f)<<8|int(b))
 }
 
+// fuzzEdges are the operand and cycle-jump values a fuzz byte of 0xf0 or
+// more selects (index byte-0xf0): the int64 extremes; the varint length
+// boundaries of the stream encoding, where a zigzag field needs a second
+// byte at -65 and 64 and a third at 8192, and a uvarint a second at 128
+// and a third at 16384; 2^31, 2^32-1, 2^32 and ±2^62. Stall spans of 127
+// or 2^32-1 followed by one more cycle coalesce N across a boundary.
+var fuzzEdges = [16]int64{
+	math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1,
+	-1, -65, 64, 127, 128, 8192, 16384, 1 << 31, 1<<32 - 1, 1 << 32,
+	-(1 << 62), 1 << 62,
+}
+
+// fuzzInt maps a fuzz byte to an operand: the byte's value below 0xf0, an
+// edge value from 0xf0 on.
+func fuzzInt(b byte) int64 {
+	if b >= 0xf0 {
+		return fuzzEdges[b-0xf0]
+	}
+	return int64(b)
+}
+
+// fuzzSpan maps a fuzz byte to a stall span: 0-4 (so spans often coalesce)
+// below 0xf0, an edge value from 0xf0 on.
+func fuzzSpan(b byte) int64 {
+	if b >= 0xf0 {
+		return fuzzEdges[b-0xf0]
+	}
+	return int64(b % 5)
+}
+
+// fuzzAdvance moves the cycle by a fuzz byte: forward by 0-3 below 0x80 (so
+// stalls often coalesce), backward by 1-112 from 0x80, and by an edge value,
+// wrapping, from 0xf0 on.
+func fuzzAdvance(cycle int64, b byte) int64 {
+	switch {
+	case b >= 0xf0:
+		return cycle + fuzzEdges[b-0xf0]
+	case b >= 0x80:
+		return cycle - int64(b-0x7f)
+	}
+	return cycle + int64(b%4)
+}
+
 // FuzzRecorder drives a Recorder and the oracle through the same call
 // sequence and checks that they hold the same stream. The first byte sets
 // MaxEvents (below 128: unbounded); each following group of four bytes is
-// one call: the method, a cycle advance of 0-3 (so stalls often coalesce),
-// and two operand bytes.
+// one call: the method, a cycle move (fuzzAdvance) and two operand bytes.
+// The first operand byte is the call's Proc as is, so procs past the
+// header's escape value occur, and its stall reason modulo their number;
+// seqs, Ns and queue lengths map through fuzzInt, stall spans through
+// fuzzSpan.
 func FuzzRecorder(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 5, 0, 1, 1, 5, 0, 0, 2, 0x85, 9})
 	f.Add([]byte{130, 0, 0, 1, 2, 1, 1, 3, 0, 7, 1, 1, 1, 8, 0, 0, 0, 2, 0, 4, 3})
@@ -143,29 +190,29 @@ func FuzzRecorder(f *testing.F) {
 		var cycle int64
 		for i := 1; i+4 <= len(data); i += 4 {
 			op, a, b := data[i], data[i+2], data[i+3]
-			cycle += int64(data[i+1] % 4)
-			p, reason := Proc(a%uint8(NumProcs)), StallReason(a%uint8(NumStallReasons))
+			cycle = fuzzAdvance(cycle, data[i+1])
+			p, reason := Proc(a), StallReason(a%uint8(NumStallReasons))
 			if op%10 == 9 {
 				checkAgainst(t, r, o)
 			}
 			for _, s := range []eventSink{r, o} {
 				switch op % 10 {
 				case 0:
-					s.Issue(cycle, p, int64(b), fuzzName(a, b))
+					s.Issue(cycle, p, fuzzInt(b), fuzzName(a, b))
 				case 1:
 					s.Stall(cycle, reason)
 				case 2:
-					s.StallSpan(cycle, reason, int64(b%5))
+					s.StallSpan(cycle, reason, fuzzSpan(b))
 				case 3:
-					s.StallN(cycle, reason, int64(b%5))
+					s.StallN(cycle, reason, fuzzSpan(b))
 				case 4:
-					s.BusGrant(cycle, p, int64(a), int64(b))
+					s.BusGrant(cycle, p, fuzzInt(a), fuzzInt(b))
 				case 5:
-					s.Bypass(cycle, int64(a), int64(b))
+					s.Bypass(cycle, fuzzInt(a), fuzzInt(b))
 				case 6:
-					s.Flush(cycle, int64(b))
+					s.Flush(cycle, fuzzInt(b))
 				case 7, 8:
-					s.QueueEvent(cycle, fuzzName(a, b), op%10 == 7, int(b))
+					s.QueueEvent(cycle, fuzzName(a, b), op%10 == 7, int(fuzzInt(b)))
 				case 9:
 					s.Reset()
 				}

@@ -3,6 +3,7 @@ package decvec_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"decvec"
@@ -102,6 +103,45 @@ func TestRecordedStreamMatchesCounters(t *testing.T) {
 		if e.Cycle < 0 || e.Cycle > res.Cycles+1 {
 			t.Fatalf("event outside the run: %+v (run is %d cycles)", e, res.Cycles)
 		}
+	}
+}
+
+// A recorded run keeps its stream in a few bytes per event. Over the cells
+// of `dvasim -events` — the six simulated programs on REF, DVA and BYP at
+// L=50, here at trace scale 0.25 — the bytes a recorded run allocates
+// beyond the same run with no recorder, divided by the events it stored,
+// stay under the bound.
+func TestRecordedBytesPerEvent(t *testing.T) {
+	var extra, events uint64
+	for _, name := range decvec.SimulatedWorkloads() {
+		w, err := decvec.LoadWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := w.Trace(0.25)
+		for _, arch := range []string{"REF", "DVA", "BYP"} {
+			cfg := decvec.DefaultConfig(50)
+			run := func(rec *decvec.Recorder) uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := decvec.RunSourceRecorded(src, arch, cfg, rec); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			run(nil) // warm any pooled machine state
+			plain := run(nil)
+			rec := decvec.NewRecorder()
+			recorded := run(rec)
+			extra += recorded - min(plain, recorded)
+			events += uint64(rec.Len())
+		}
+	}
+	perEvent := float64(extra) / float64(events)
+	t.Logf("%d events, %.3f B per event", events, perEvent)
+	if perEvent > 7 {
+		t.Errorf("recorded runs allocated %.2f B per stored event beyond unrecorded ones, want at most 7", perEvent)
 	}
 }
 
