@@ -69,11 +69,12 @@ profile:
 	./dvabench.bin -q -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof dvabench.bin cpu.pprof)"
 
-# verify mirrors CI's build, vet, fingerprint, lint and race steps. The
-# cmd/dvaperf benchmark is a module of its own, so ./... skips it; it gets
-# its own vet and race run.
+# verify mirrors CI's build, format, vet, fingerprint, lint and race steps.
+# The cmd/dvaperf benchmark is a module of its own, so ./... skips it; it
+# gets its own vet and race run.
 verify:
 	$(GO) build ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/modelhash -check
 	$(GO) run ./cmd/declint ./...

@@ -58,19 +58,11 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 		slowTick   = flag.Bool("slowtick", false, "disable the idle-skip fast path and simulate every cycle (same output, ~3x slower)")
-
-		cacheMode   = flag.String("cache", "on", "persistent result cache: on or off")
-		cacheDir    = flag.String("cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
-		cacheMaxMB  = flag.Int64("cache-max-mb", 512, "result cache size cap in MiB, enforced after the run (0 = unbounded)")
-		cacheVerify = flag.Float64("cache-verify", 0, "re-simulate this fraction of cache hits and fail on any mismatch (1 audits every hit)")
 	)
+	cache := decvec.RegisterCacheFlags("enforced after the run")
 	flag.Parse()
-	if *cacheMaxMB < 0 {
-		fmt.Fprintf(os.Stderr, "dvabench: -cache-max-mb must be >= 0 (0 = unbounded), got %d\n", *cacheMaxMB)
-		return 2
-	}
-	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
-		fmt.Fprintf(os.Stderr, "dvabench: -cache-verify must be a fraction in [0, 1], got %v\n", *cacheVerify)
+	if err := cache.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
 		return 2
 	}
 	// Reject a misspelled experiment before any other one spends its run.
@@ -115,27 +107,8 @@ func run() int {
 
 	suite := decvec.NewSuite(*scale)
 	suite.SlowTick = *slowTick
-	suite.VerifyFraction = *cacheVerify
-	if *cacheMode != "off" {
-		dir := *cacheDir
-		if dir == "" {
-			dir = decvec.DefaultCacheDir()
-		}
-		if dir == "" {
-			fmt.Fprintln(os.Stderr, "dvabench: no cache directory available; running uncached (set -cache-dir)")
-		} else {
-			maxBytes := *cacheMaxMB << 20
-			if *cacheMaxMB == 0 {
-				maxBytes = -1 // unbounded
-			}
-			store, err := decvec.OpenCache(dir, decvec.CacheOptions{MaxBytes: maxBytes})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dvabench: %v; running uncached\n", err)
-			} else {
-				suite.Disk = store
-			}
-		}
-	}
+	suite.VerifyFraction = cache.Verify
+	suite.Disk = cache.Open("dvabench")
 
 	// A mid-run failure stops launching experiments but still falls through
 	// to the cache GC and counters below — completed runs were already

@@ -9,8 +9,9 @@
 //	     [-cache on|off] [-cache-dir DIR] [-cache-max-mb 512] [-cache-verify F]
 //
 // Endpoints: POST /v1/simulate (one run, `-metrics-json`-shaped reply),
-// POST /v1/sweep (a program × arch × latency × queue grid), GET /healthz,
-// GET /statsz (counters; ?format=table for ASCII).
+// POST /v1/sweep (an explicit cell list, answered as a stream of NDJSON rows;
+// dvasweep -workers expands a grid into it), GET /healthz, GET /statsz
+// (counters; ?format=table for ASCII).
 //
 // Identical concurrent requests coalesce into one simulation; an admission
 // gate bounds concurrent simulations and sheds load with 429 when the wait
@@ -40,43 +41,14 @@ func main() {
 		maxQueue = flag.Int("max-queue", 0, "max simulations waiting for a slot before 429 (0 = 4x max-concurrent)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-request wall-time cap (requests answer 504 past it)")
 		gcEvery  = flag.Duration("gc-interval", 5*time.Minute, "periodic cache GC interval (0 disables; the shutdown GC always runs)")
-
-		cacheMode   = flag.String("cache", "on", "persistent result cache: on or off")
-		cacheDir    = flag.String("cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
-		cacheMaxMB  = flag.Int64("cache-max-mb", 512, "result cache size cap in MiB, enforced periodically and at shutdown (0 = unbounded)")
-		cacheVerify = flag.Float64("cache-verify", 0, "re-simulate this fraction of cache hits and fail the request on any mismatch")
 	)
+	cache := decvec.RegisterCacheFlags("enforced periodically and at shutdown")
 	flag.Parse()
-	if *cacheMaxMB < 0 {
-		fmt.Fprintf(os.Stderr, "dvad: -cache-max-mb must be >= 0 (0 = unbounded), got %d\n", *cacheMaxMB)
+	if err := cache.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "dvad: %v\n", err)
 		os.Exit(2)
 	}
-	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
-		fmt.Fprintf(os.Stderr, "dvad: -cache-verify must be a fraction in [0, 1], got %v\n", *cacheVerify)
-		os.Exit(2)
-	}
-
-	var store *decvec.CacheStore
-	if *cacheMode != "off" {
-		dir := *cacheDir
-		if dir == "" {
-			dir = decvec.DefaultCacheDir()
-		}
-		if dir == "" {
-			fmt.Fprintln(os.Stderr, "dvad: no cache directory available; serving without the disk tier (set -cache-dir)")
-		} else {
-			maxBytes := *cacheMaxMB << 20
-			if *cacheMaxMB == 0 {
-				maxBytes = -1 // unbounded
-			}
-			var err error
-			store, err = decvec.OpenCache(dir, decvec.CacheOptions{MaxBytes: maxBytes})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dvad: %v; serving without the disk tier\n", err)
-				store = nil
-			}
-		}
-	}
+	store := cache.Open("dvad")
 
 	srv := decvec.NewServer(decvec.ServerConfig{
 		Scale:          *scale,
@@ -86,7 +58,7 @@ func main() {
 		Store:          store,
 		GCInterval:     *gcEvery,
 	})
-	srv.Suite().VerifyFraction = *cacheVerify
+	srv.Suite().VerifyFraction = cache.Verify
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

@@ -68,18 +68,11 @@ func run() error {
 		eventsOut = flag.String("events", "", "write a chrome://tracing event trace to this file ('-' for stdout)")
 		jsonOut   = flag.String("metrics-json", "", "write the metrics summary as JSON to this file ('-' for stdout)")
 		maxEvents = flag.Int("max-events", 0, "cap the recorded event stream (0 = unlimited)")
-
-		cacheMode   = flag.String("cache", "on", "persistent result cache: on or off (event recording always simulates)")
-		cacheDir    = flag.String("cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
-		cacheMaxMB  = flag.Int64("cache-max-mb", 512, "result cache size cap in MiB, enforced after the run (0 = unbounded)")
-		cacheVerify = flag.Float64("cache-verify", 0, "re-simulate this fraction of cache hits and fail on any mismatch")
 	)
+	cache := decvec.RegisterCacheFlags("enforced after the run")
 	flag.Parse()
-	if *cacheMaxMB < 0 {
-		return usageError{fmt.Errorf("-cache-max-mb must be >= 0 (0 = unbounded), got %d", *cacheMaxMB)}
-	}
-	if !(*cacheVerify >= 0 && *cacheVerify <= 1) { // also rejects NaN
-		return usageError{fmt.Errorf("-cache-verify must be a fraction in [0, 1], got %v", *cacheVerify)}
+	if err := cache.Validate(); err != nil {
+		return usageError{err}
 	}
 
 	cfg := decvec.DefaultConfig(*latency)
@@ -129,22 +122,8 @@ func run() error {
 	// Event recording observes the simulation, so a recorded run never comes
 	// from the cache.
 	var store *decvec.CacheStore
-	if *cacheMode != "off" && rec == nil {
-		dir := *cacheDir
-		if dir == "" {
-			dir = decvec.DefaultCacheDir()
-		}
-		if dir != "" {
-			maxBytes := *cacheMaxMB << 20
-			if *cacheMaxMB == 0 {
-				maxBytes = -1 // unbounded
-			}
-			var err error
-			if store, err = decvec.OpenCache(dir, decvec.CacheOptions{MaxBytes: maxBytes}); err != nil {
-				fmt.Fprintf(os.Stderr, "dvasim: %v; running uncached\n", err)
-				store = nil
-			}
-		}
+	if rec == nil {
+		store = cache.Open("dvasim")
 	}
 	// The store is shared with dvabench and dvad; dvasim-only usage must
 	// respect the size cap too, so GC on every exit path from here on.
@@ -157,7 +136,7 @@ func run() error {
 	}
 	var res *decvec.Result
 	if store != nil {
-		res, err = decvec.RunSourceCached(store, src, archName, cfg, *cacheVerify)
+		res, err = decvec.RunSourceCached(store, src, archName, cfg, cache.Verify)
 	} else {
 		res, err = decvec.RunSourceRecorded(src, archName, cfg, rec)
 	}

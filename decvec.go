@@ -19,8 +19,10 @@ package decvec
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"decvec/internal/dva"
@@ -230,10 +232,8 @@ func MetricsJSONWithCache(res *Result, st CacheStats) ([]byte, error) {
 type CacheStore = simcache.Store
 
 // CacheOptions configures OpenCache. MaxBytes is the GC size cap: 0 applies
-// the 512 MiB default, and a negative value means explicitly unbounded —
-// callers exposing a size flag should validate user input themselves
-// (dvabench, dvasim and dvad all reject a negative -cache-max-mb) and map
-// their documented "0 = unbounded" convention onto a negative MaxBytes.
+// the 512 MiB default, and a negative value means unbounded (CacheFlags maps
+// the commands' "-cache-max-mb 0 = unbounded" onto it).
 type CacheOptions = simcache.Options
 
 // CacheStats are a store's lifetime counters.
@@ -248,6 +248,66 @@ func OpenCache(dir string, opts CacheOptions) (*CacheStore, error) {
 // DefaultCacheDir returns the conventional cache location
 // ($XDG_CACHE_HOME/decvec), or "" when the environment defines none.
 func DefaultCacheDir() string { return simcache.DefaultDir() }
+
+// CacheFlags are the persistent-cache flags dvabench, dvasim and dvad share:
+// -cache, -cache-dir, -cache-max-mb and -cache-verify.
+type CacheFlags struct {
+	mode, dir string
+	maxMB     int64
+	// Verify is -cache-verify, the fraction of cache hits re-simulated and
+	// byte-compared.
+	Verify float64
+}
+
+// RegisterCacheFlags defines the cache flags on the command-line flag set.
+// gcWhen completes the -cache-max-mb help: when the size cap is enforced.
+func RegisterCacheFlags(gcWhen string) *CacheFlags {
+	c := new(CacheFlags)
+	flag.StringVar(&c.mode, "cache", "on", "persistent result cache: on or off")
+	flag.StringVar(&c.dir, "cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
+	flag.Int64Var(&c.maxMB, "cache-max-mb", 512, "result cache size cap in MiB, "+gcWhen+" (0 = unbounded)")
+	flag.Float64Var(&c.Verify, "cache-verify", 0, "re-simulate this fraction of cache hits and fail on any mismatch (1 audits every hit)")
+	return c
+}
+
+// Validate range-checks the parsed flags: -cache-max-mb must be >= 0 and
+// -cache-verify a fraction in [0, 1]. Its error is a usage error (exit 2).
+func (c *CacheFlags) Validate() error {
+	if c.maxMB < 0 {
+		return fmt.Errorf("-cache-max-mb must be >= 0 (0 = unbounded), got %d", c.maxMB)
+	}
+	if !(c.Verify >= 0 && c.Verify <= 1) { // also rejects NaN
+		return fmt.Errorf("-cache-verify must be a fraction in [0, 1], got %v", c.Verify)
+	}
+	return nil
+}
+
+// Open opens the store the flags name. It returns nil, to run uncached,
+// under -cache=off, or after a warning on stderr prefixed "cmd: " when no
+// cache directory is known or the store does not open.
+func (c *CacheFlags) Open(cmd string) *CacheStore {
+	if c.mode == "off" {
+		return nil
+	}
+	dir := c.dir
+	if dir == "" {
+		dir = DefaultCacheDir()
+	}
+	if dir == "" {
+		fmt.Fprintf(os.Stderr, "%s: no cache directory available; running uncached (set -cache-dir)\n", cmd)
+		return nil
+	}
+	maxBytes := c.maxMB << 20
+	if c.maxMB == 0 {
+		maxBytes = -1 // unbounded
+	}
+	store, err := OpenCache(dir, CacheOptions{MaxBytes: maxBytes})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v; running uncached\n", cmd, err)
+		return nil
+	}
+	return store
+}
 
 // CacheTable renders a store's counters as an ASCII table.
 func CacheTable(st CacheStats) string { return report.CacheTable(st) }

@@ -22,8 +22,8 @@
 //   - function literals inside loops that capture surrounding state:
 //     each iteration allocates a fresh closure;
 //   - defer statements outside an if: a hot function defers only behind
-//     a guard, as the cores' deferred Recorder emissions sit behind
-//     `if m.rec != nil`, so recording off pays no deferred call per cycle.
+//     a guard such as `if m.rec != nil`, so recording off pays no
+//     deferred call per cycle.
 //
 // make/new are deliberately not flagged: amortized growth of a reused
 // buffer (arena chunks, scratch capacity doubling) is the legitimate way

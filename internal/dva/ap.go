@@ -29,14 +29,6 @@ func (m *machine) stepAP() {
 		m.flushWaitSeq = -1
 	}
 	in := u.in
-	if m.rec != nil {
-		seq, class, pops := in.Seq, in.Class, m.apIQ.Pops()
-		defer func() {
-			if m.apIQ.Pops() > pops {
-				m.rec.Issue(m.now, sim.ProcAP, seq, class.String())
-			}
-		}()
-	}
 	switch in.Class {
 	case isa.ClassScalarALU:
 		m.apScalarALU(in)
@@ -93,7 +85,7 @@ func (m *machine) apScalarALU(in *isa.Inst) {
 	if in.Dst.Kind == isa.RegA {
 		m.aReady[in.Dst.Idx] = m.now + 1
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -110,7 +102,7 @@ func (m *machine) apBranch(in *isa.Inst) {
 	if !m.afbq.Push(m.now, in.Seq) {
 		panic("dva: AFBQ push failed after capacity check")
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -209,7 +201,7 @@ func (m *machine) apScalarLoad(in *isa.Inst) {
 	} else {
 		m.aReady[in.Dst.Idx] = dataAt
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -239,7 +231,7 @@ func (m *machine) apScalarStore(in *isa.Inst) {
 	if !m.ssaq.Push(m.now, entry) {
 		panic("dva: SSAQ push failed after capacity check")
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -278,7 +270,7 @@ func (m *machine) apVectorLoad(in *isa.Inst) {
 	if !m.avdq.Push(m.now, vslot{seq: in.Seq, vl: vl, readyAt: m.now + m.cfg.AccessLatency(in.Base, in.Seq) + vl}) {
 		panic("dva: AVDQ push failed after capacity check")
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -317,7 +309,7 @@ func (m *machine) apTryBypass(in *isa.Inst, storeSeq, vl int64) {
 	m.bypasses++
 	m.bypElems += vl
 	m.rec.Bypass(m.now, in.Seq, vl)
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 
@@ -342,7 +334,7 @@ func (m *machine) apVectorStore(in *isa.Inst) {
 	}) {
 		panic("dva: VSAQ push failed after capacity check")
 	}
-	m.popIQ(&m.apIQ)
+	m.popIQ(&m.apIQ, sim.ProcAP)
 	m.progress()
 }
 

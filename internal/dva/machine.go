@@ -391,11 +391,16 @@ func (m *machine) stall(r sim.StallReason) {
 	}
 }
 
-// popIQ pops one instruction-queue entry, raising the flag a capacity-blocked
-// fetch dispatch waits on. All three instruction queues pop through here.
-func (m *machine) popIQ(q *queue.Q[uop]) {
-	q.Pop(m.now)
+// popIQ pops one instruction-queue entry — the issue of its uop by unit p —
+// raising the flag a capacity-blocked fetch dispatch waits on and, when
+// recording, emitting the Issue event. All three instruction queues pop
+// through here, and every call is the unit's last event of the cycle.
+func (m *machine) popIQ(q *queue.Q[uop], p sim.Proc) {
+	u, _ := q.Pop(m.now)
 	m.iqFreed = true
+	if m.rec != nil {
+		m.rec.Issue(m.now, p, u.in.Seq, uopLabel(&u))
+	}
 }
 
 // storePressure reports whether either store address queue is at least

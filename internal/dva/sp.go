@@ -16,14 +16,6 @@ func (m *machine) stepSP() {
 	if !ok {
 		return
 	}
-	if m.rec != nil {
-		seq, label, pops := u.in.Seq, uopLabel(u), m.spIQ.Pops()
-		defer func() {
-			if m.spIQ.Pops() > pops {
-				m.rec.Issue(m.now, sim.ProcSP, seq, label)
-			}
-		}()
-	}
 	in := u.in
 	switch u.kind {
 	case uExec:
@@ -40,7 +32,7 @@ func (m *machine) stepSP() {
 		}
 		m.asdq.Pop(m.now)
 		m.sReady[in.Dst.Idx] = m.now + 1
-		m.popIQ(&m.spIQ)
+		m.popIQ(&m.spIQ, sim.ProcSP)
 		m.progress()
 	case uQMovVStoS:
 		// VSDQ -> S register: a reduction result computed by the VP.
@@ -54,7 +46,7 @@ func (m *machine) stepSP() {
 		}
 		m.vsdq.Pop(m.now)
 		m.sReady[in.Dst.Idx] = m.now + 1
-		m.popIQ(&m.spIQ)
+		m.popIQ(&m.spIQ, sim.ProcSP)
 		m.progress()
 	case uQMovStoSA:
 		// S register -> SADQ: scalar store data. The data register of a
@@ -94,7 +86,7 @@ func (m *machine) spMoveOut(in *isa.Inst, src isa.Reg, q interface {
 	if !q.Push(m.now, sslot{seq: in.Seq, readyAt: m.now + 1}) {
 		panic("dva: QMOV push failed after capacity check")
 	}
-	m.popIQ(&m.spIQ)
+	m.popIQ(&m.spIQ, sim.ProcSP)
 	m.progress()
 }
 
@@ -132,6 +124,6 @@ func (m *machine) spExec(in *isa.Inst) {
 	default: // declint:nonexhaustive — memory and vector classes route to the AP/VP; reaching here is a routing bug
 		panic(fmt.Sprintf("dva: SP cannot execute class %s", in.Class))
 	}
-	m.popIQ(&m.spIQ)
+	m.popIQ(&m.spIQ, sim.ProcSP)
 	m.progress()
 }

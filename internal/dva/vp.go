@@ -16,14 +16,6 @@ func (m *machine) stepVP() {
 	if !ok {
 		return
 	}
-	if m.rec != nil {
-		seq, label, pops := u.in.Seq, uopLabel(u), m.vpIQ.Pops()
-		defer func() {
-			if m.vpIQ.Pops() > pops {
-				m.rec.Issue(m.now, sim.ProcVP, seq, label)
-			}
-		}()
-	}
 	in := u.in
 	switch u.kind {
 	case uExec:
@@ -117,7 +109,7 @@ func (m *machine) vpQMovLoad(in *isa.Inst) {
 	reg.writeStart = m.now
 	reg.writeReady = m.now + m.cfg.QMovDepth + vl
 	reg.chainable = true
-	m.popIQ(&m.vpIQ)
+	m.popIQ(&m.vpIQ, sim.ProcVP)
 	m.progress()
 }
 
@@ -143,7 +135,7 @@ func (m *machine) vpQMovStore(in *isa.Inst) {
 	if !m.vadq.Push(m.now, vslot{seq: in.Seq, vl: vl, readyAt: m.now + m.cfg.QMovDepth + vl}) {
 		panic("dva: VADQ push failed after capacity check")
 	}
-	m.popIQ(&m.vpIQ)
+	m.popIQ(&m.vpIQ, sim.ProcVP)
 	m.progress()
 }
 
@@ -206,6 +198,6 @@ func (m *machine) vpExec(in *isa.Inst) {
 		reg.writeReady = m.now + m.cfg.Depth(in.Op) + vl
 		reg.chainable = true
 	}
-	m.popIQ(&m.vpIQ)
+	m.popIQ(&m.vpIQ, sim.ProcVP)
 	m.progress()
 }

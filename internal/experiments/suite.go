@@ -321,7 +321,7 @@ func newFlightGroup[K comparable, V any]() flightGroup[K, V] {
 }
 
 // get returns the cached value for key without joining or starting a
-// computation. dvad answers most /v1/simulate and streamed /v1/sweep cells
+// computation. dvad answers most /v1/simulate and /v1/sweep cells
 // from a warm suite through RunCtx, so this hit path stays free of the
 // closure and flight bookkeeping do needs.
 func (g *flightGroup[K, V]) get(key K) (V, bool) {

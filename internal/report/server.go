@@ -21,11 +21,10 @@ type ServerMetric struct {
 	MaxQueue      int     `json:"maxQueue"`         // admission wait-queue bound
 	Simulations   int64   `json:"simulations"`      // simulator invocations actually run
 	// Coalesced counts runs, not requests: a /v1/simulate request is one
-	// run, a buffered /v1/sweep one per distinct cell, a streamed one one
-	// per cell. It counts the runs answered by another run's work, from the
-	// memory tier or by joining an identical run in flight. Disk hits are
-	// not coalescing; they count in cache.hits. served ≫ simulations is the
-	// daemon doing its job.
+	// run, a /v1/sweep request one per cell. It counts the runs answered by
+	// another run's work, from the memory tier or by joining an identical
+	// run in flight. Disk hits are not coalescing; they count in cache.hits.
+	// served ≫ simulations is the daemon doing its job.
 	Coalesced int64        `json:"coalesced"`
 	Cache     *CacheMetric `json:"cache,omitempty"`
 }

@@ -13,7 +13,8 @@ import (
 // and /v1/sweep (sweep true) through the daemon's handler. No body may
 // panic a handler, every answer must carry a status the handlers document,
 // and a request refused with a 4xx must not have run a simulation. The
-// point cap is 8, so the committed 12-point grid seed is refused.
+// cell cap is 8, so the committed nine-cell seed is refused, as are the
+// seeds in the removed grid and streaming-knob request shapes.
 func FuzzServerRequests(f *testing.F) {
 	srv := New(Config{Scale: 0.01, MaxSweepPoints: 8})
 	f.Cleanup(func() {

@@ -6,10 +6,11 @@
 //
 //   - POST /v1/simulate — one (workload or uploaded trace) × arch × config
 //     run, answering the `dvasim -metrics-json` payload.
-//   - POST /v1/sweep — a (program × arch × latency × queue) grid or an
-//     explicit cell list, run as one suite batch and answered as compact
-//     per-point rows, or streamed as NDJSON rows carrying the canonical
-//     binary result encoding (the dvasweep remote executor's one transport).
+//   - POST /v1/sweep — an explicit cell list (sweep.Request), answered as
+//     a stream of NDJSON rows (sweep.Row), one per cell in completion order
+//     carrying the canonical binary result encoding, then a trailer with the
+//     cache counters. It is the dvasweep remote executor's one transport; a
+//     grid reaches dvad only as the cells dvasweep expands it into.
 //   - GET  /healthz — liveness.
 //   - GET  /statsz — request counters, admission gauges, simulation count
 //     and cache counters (report.ServerMetric; ?format=table for ASCII).
@@ -41,7 +42,6 @@ import (
 	"decvec/internal/report"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
-	"decvec/internal/sweep"
 	"decvec/internal/trace"
 	"decvec/internal/workload"
 )
@@ -75,7 +75,7 @@ type Config struct {
 	// cap; 0 disables periodic GC (the final shutdown GC still runs).
 	GCInterval time.Duration
 
-	// MaxSweepPoints bounds the grid size of one /v1/sweep request.
+	// MaxSweepPoints bounds the number of cells in one /v1/sweep request.
 	// 0 = 4096.
 	MaxSweepPoints int
 }
@@ -289,7 +289,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // uploaded trace (binary trace format, base64), an architecture, and the
 // queue/latency knobs of the CLI. The answer is always the metrics JSON;
 // a client that wants the canonical binary result encoding sends the cell
-// to the streamed /v1/sweep instead.
+// to /v1/sweep instead.
 type SimulateRequest struct {
 	Program string `json:"program,omitempty"`
 	// Trace is a base64-encoded binary trace (the dvatrace/WriteTrace
@@ -316,6 +316,9 @@ func (req *SimulateRequest) config() (experiments.RunSpec, error) {
 	core, bypass, err := sim.ParseArch(req.Arch)
 	if err != nil {
 		return experiments.RunSpec{}, err
+	}
+	if req.LoadQ < 0 || req.StoreQ < 0 || req.IQ < 0 || req.Jitter < 0 {
+		return experiments.RunSpec{}, errors.New("loadq, storeq, iq and jitter must be >= 0 (0 = the default)")
 	}
 	cfg := sim.DefaultConfig(req.Latency)
 	if req.LoadQ > 0 {
@@ -474,97 +477,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // replyBufs holds the buffers /v1/simulate replies are encoded into, so a
 // steady stream of replies allocates no body.
 var replyBufs = sync.Pool{New: func() any { b := make([]byte, 0, report.MetricsJSONCap); return &b }}
-
-// SweepRequest is the /v1/sweep body: a (program × arch × latency × queue)
-// grid, or an explicit cell list. The grid is a sweep.GridSpec and expands
-// through sweep.Plan, the expander dvasweep uses: empty dimensions take the
-// paper defaults (simulated programs, REF and DVA, the Figure 3-5 latency
-// sweep, default queues).
-type SweepRequest struct {
-	sweep.GridSpec
-	// Cells lists explicit cells instead of a grid (the dvasweep shard
-	// protocol); mutually exclusive with the grid dimensions.
-	Cells []SweepCell `json:"cells,omitempty"`
-	// Stream selects the NDJSON streaming response (one SweepRow per cell
-	// in completion order, then a Done trailer) instead of the buffered
-	// SweepResponse.
-	Stream    bool  `json:"stream,omitempty"`
-	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-}
-
-// SweepPoint is one cell of the sweep response.
-type SweepPoint struct {
-	Program string  `json:"program"`
-	Arch    string  `json:"arch"`
-	Latency int64   `json:"latency"`
-	LoadQ   int     `json:"loadq"`
-	StoreQ  int     `json:"storeq"`
-	Cycles  int64   `json:"cycles"`
-	IPC     float64 `json:"ipc"`
-}
-
-// SweepResponse is the /v1/sweep payload.
-type SweepResponse struct {
-	Points []SweepPoint `json:"points"`
-	// Simulations is the suite-lifetime count after this sweep; with a
-	// warm cache a large grid adds zero.
-	Simulations int64 `json:"simulations"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	jobs, err := s.sweepJobs(&req)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	if req.Stream {
-		s.streamSweep(w, r, &req, jobs)
-		return
-	}
-	s.sweepReqs.Add(1)
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	// Run the whole request as one batch through the pooled machines
-	// (trace-grouped, cost-sorted, admission-gated); results come back in
-	// request order, one per batch job.
-	var results []*sim.Result
-	_, err = s.await(ctx, func() (*sim.Result, error) {
-		var berr error
-		results, berr = s.suite.RunBatch(ctx, jobs)
-		return nil, berr
-	})
-	if err != nil {
-		s.httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	resp := SweepResponse{Points: make([]SweepPoint, 0, len(jobs))}
-	for i, j := range jobs {
-		res := results[i]
-		resp.Points = append(resp.Points, SweepPoint{
-			Program: j.Program.Name,
-			Arch:    string(j.Arch),
-			Latency: j.Cfg.MemLatency,
-			LoadQ:   j.Cfg.AVDQSize,
-			StoreQ:  j.Cfg.VADQSize,
-			Cycles:  res.Cycles,
-			IPC:     res.IPC(),
-		})
-	}
-	resp.Simulations = s.suite.Simulations()
-	s.served.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
 
 // Compile-time checks: the gates satisfy the suite's admission interface.
 var (

@@ -171,6 +171,7 @@ func TestSimulateBadRequests(t *testing.T) {
 		{"garbage trace", SimulateRequest{Trace: []byte("not a trace"), Arch: "DVA", Latency: 50}},
 		{"latency over the limit", SimulateRequest{Program: "BDNA", Arch: "REF", Latency: sim.MaxMemLatency + 1}},
 		{"load queue over the limit", SimulateRequest{Program: "BDNA", Arch: "DVA", Latency: 50, LoadQ: sim.MaxQueueSlots + 1}},
+		{"negative store queue", SimulateRequest{Program: "BDNA", Arch: "DVA", Latency: 50, StoreQ: -4}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/simulate", tc.body)
@@ -281,7 +282,7 @@ func TestCoalescedCountsRepeatRequests(t *testing.T) {
 // another's work.
 func TestRestartedWorkerSweepFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	cells := []SweepCell{
+	cells := []sweep.WireCell{
 		{Program: "BDNA", Arch: "DVA", Latency: 1},
 		{Program: "BDNA", Arch: "REF", Latency: 1},
 		{Program: "TRFD", Arch: "BYP", Latency: 50},
@@ -294,7 +295,7 @@ func TestRestartedWorkerSweepFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, ts := testServer(t, Config{Store: store})
-		resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Cells: cells, Stream: true})
+		resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
 		if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte(`"error"`)) {
 			t.Fatalf("round %d: %s: %s", round, resp.Status, body)
 		}
@@ -324,9 +325,14 @@ func TestStrictRequestBodies(t *testing.T) {
 		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50,"load_q":4}`},
 		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50} {"program":"TRFD"}`},
 		{"/v1/simulate", `{"program":"BDNA","arch":"DVA","latency":50}]`},
-		{"/v1/sweep", `{"programs":["BDNA"],"archs":["DVA"],"latency":[1]}`},
 		{"/v1/sweep", `{"cells":[{"program":"BDNA","arch":"DVA","latency":1,"load_q":4}]}`},
-		{"/v1/sweep", `{"programs":["BDNA"],"archs":["DVA"],"latencies":[1]}{}`},
+		{"/v1/sweep", `{"cells":[{"program":"BDNA","arch":"DVA","latency":1}]}{}`},
+		// Shapes /v1/sweep does not take: a grid body, a streaming knob,
+		// and a sweep with no cells, which must not run a default grid.
+		{"/v1/sweep", `{"programs":["BDNA"],"archs":["DVA"],"latencies":[1]}`},
+		{"/v1/sweep", `{"cells":[{"program":"BDNA","arch":"DVA","latency":1}],"stream":true}`},
+		{"/v1/sweep", `{"cells":[]}`},
+		{"/v1/sweep", `{}`},
 	} {
 		if code, body := post(tc.path, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s %s: %d (%s), want 400", tc.path, tc.body, code, body)
@@ -582,28 +588,29 @@ func TestShutdownRunsFinalGC(t *testing.T) {
 
 func TestStatszAndSweep(t *testing.T) {
 	srv, ts := testServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{
-		Programs:  []string{"BDNA", "TRFD"},
-		Archs:     []string{"REF", "DVA"},
-		Latencies: []int64{1, 50},
-	}})
+	var cells []sweep.WireCell
+	for _, prog := range []string{"BDNA", "TRFD"} {
+		for _, arch := range []string{"REF", "DVA"} {
+			for _, lat := range []int64{1, 50} {
+				cells = append(cells, sweep.WireCell{Program: prog, Arch: arch, Latency: lat})
+			}
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep: %s: %s", resp.Status, body)
 	}
-	var sw SweepResponse
-	if err := json.Unmarshal(body, &sw); err != nil {
-		t.Fatal(err)
+	rows, done := sweepRows(t, body)
+	if len(rows) != 8 {
+		t.Fatalf("sweep returned %d rows, want 2x2x2 = 8", len(rows))
 	}
-	if len(sw.Points) != 8 {
-		t.Fatalf("sweep returned %d points, want 2x2x2 = 8", len(sw.Points))
-	}
-	for _, p := range sw.Points {
-		if p.Cycles <= 0 {
-			t.Errorf("point %+v has nonpositive cycles", p)
+	for i, res := range rows {
+		if res.Cycles <= 0 {
+			t.Errorf("cell %d (%+v) has nonpositive cycles", i, cells[i])
 		}
 	}
-	if sw.Simulations != 8 {
-		t.Errorf("sweep Simulations = %d, want 8", sw.Simulations)
+	if done.Simulations != 8 {
+		t.Errorf("sweep trailer Simulations = %d, want 8", done.Simulations)
 	}
 
 	// statsz reflects the traffic.
@@ -632,18 +639,6 @@ func TestStatszAndSweep(t *testing.T) {
 	tb, _ := io.ReadAll(tresp.Body)
 	if !strings.Contains(string(tb), "dvad server") {
 		t.Errorf("statsz table rendering missing header: %q", tb)
-	}
-}
-
-func TestSweepGridCap(t *testing.T) {
-	_, ts := testServer(t, Config{MaxSweepPoints: 4})
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{GridSpec: sweep.GridSpec{
-		Programs:  []string{"BDNA"},
-		Archs:     []string{"REF", "DVA"},
-		Latencies: []int64{1, 10, 20},
-	}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized sweep: %s (%s), want 400", resp.Status, body)
 	}
 }
 

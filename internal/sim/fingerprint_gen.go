@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:813204c3c6a966803facd508a068dcb32722b564d59435af28167af200c71b21"
+const ModelFingerprint = "mh1:7a3ce77a54bdf7b081a8bf0ebb65c84f05957526f7a8de911b80af045282a033"

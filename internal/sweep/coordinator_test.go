@@ -228,3 +228,15 @@ func (e *errOnceExec) Run(ctx context.Context, cells []Cell) ([]*sim.Result, err
 	}
 	return out, nil
 }
+
+// Trailers of concurrent chunks are read in any order. A trailer read after
+// a newer one must not pull the worker's sweep-window counters back.
+func TestRemoteCountersIgnoreStaleTrailers(t *testing.T) {
+	r := NewRemote("http://worker.invalid", RemoteOptions{})
+	r.noteCounters(10, 4) // no /statsz baseline: the first trailer is it
+	r.noteCounters(40, 6)
+	r.noteCounters(25, 5) // an older chunk's trailer, read last
+	if st := r.Stats(); st.CacheHits != 30 || st.CacheMisses != 2 {
+		t.Errorf("hits %d, misses %d; want 30, 2", st.CacheHits, st.CacheMisses)
+	}
+}

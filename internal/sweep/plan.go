@@ -5,7 +5,7 @@
 // cell on the worker whose disk tier already holds it — and drains the
 // shards through pluggable executors: an in-process executor over
 // experiments.Suite.RunBatch, and a remote executor speaking the dvad
-// streamed /v1/sweep protocol with bounded inflight, retry-with-
+// /v1/sweep protocol (wire.go) with bounded inflight, retry-with-
 // backoff on 429/5xx, and failover re-sharding when a worker drops.
 //
 // Results merge deterministically in plan order whatever the workers'
@@ -142,7 +142,8 @@ type Cell struct {
 	Arch    experiments.Arch
 	Cfg     sim.Config
 
-	// Raw dimension values for the dvad wire protocol (0 = worker default).
+	// Raw dimension values for the dvad wire protocol, WireCell
+	// (0 = worker default).
 	Latency int64
 	LoadQ   int
 	StoreQ  int
@@ -150,9 +151,8 @@ type Cell struct {
 
 // Cell decodes the i-th cell of plan order: programs outermost, then
 // architectures, latencies, load queues, store queues innermost — programs
-// outermost as in the experiment drivers' grids, and the order dvad's grid mode
-// answers in, so a distributed merge compares row-for-row with a local batch
-// of the same grid.
+// outermost as in the experiment drivers' grids, so a distributed merge
+// compares row-for-row with a local batch of the same grid.
 func (p *Plan) Cell(i int) Cell {
 	n := i
 	sq := p.storeQs[n%len(p.storeQs)]

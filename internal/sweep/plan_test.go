@@ -21,8 +21,9 @@ func TestPlanDefaults(t *testing.T) {
 	}
 }
 
-// Cell decode must enumerate exactly the nested-loop order the dvad grid
-// mode uses: programs outermost, then archs, latencies, loadQs, storeQs.
+// Cell decode must enumerate exactly the nested-loop order of the
+// experiment drivers' grids: programs outermost, then archs, latencies,
+// loadQs, storeQs.
 func TestPlanCellOrder(t *testing.T) {
 	spec := GridSpec{
 		Programs:  []string{"BDNA", "OCEAN"},

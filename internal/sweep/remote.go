@@ -16,34 +16,6 @@ import (
 	"decvec/internal/sim"
 )
 
-// The remote executor mirrors the dvad wire types rather than importing
-// internal/server: sweep sits in the harness layer and may not depend on
-// the serving layer (the same discipline cmd/dvadload follows). The
-// contract is the JSON shape, pinned by the root integration test against
-// a real server.
-type wireCell struct {
-	Program string `json:"program"`
-	Arch    string `json:"arch"`
-	Latency int64  `json:"latency"`
-	LoadQ   int    `json:"loadq,omitempty"`
-	StoreQ  int    `json:"storeq,omitempty"`
-}
-
-type wireSweepRequest struct {
-	Cells     []wireCell `json:"cells"`
-	Stream    bool       `json:"stream"`
-	TimeoutMs int64      `json:"timeoutMs,omitempty"`
-}
-
-type wireRow struct {
-	I           int    `json:"i"`
-	Result      []byte `json:"result,omitempty"`
-	Error       string `json:"error,omitempty"`
-	Done        bool   `json:"done,omitempty"`
-	CacheHits   int64  `json:"cacheHits,omitempty"`
-	CacheMisses int64  `json:"cacheMisses,omitempty"`
-}
-
 // wireStats is the /statsz slice the executor reads for its cache baseline.
 type wireStats struct {
 	Cache *struct {
@@ -79,8 +51,8 @@ type RemoteOptions struct {
 }
 
 // Remote is the executor for one dvad worker. Every chunk, a single cell
-// or a single-cell retry included, goes out as an explicit-cells /v1/sweep
-// request in streaming mode. Its rows carry the canonical binary result
+// or a single-cell retry included, goes out as one /v1/sweep Request. Its
+// rows carry the canonical binary result
 // encoding, so a merge across workers is byte-identical to a local run,
 // and its trailer carries the worker's cache counters.
 //
@@ -152,16 +124,6 @@ func (r *Remote) Stats() ExecutorStats {
 	return st
 }
 
-func wireCellOf(c Cell) wireCell {
-	return wireCell{
-		Program: c.Program.Name,
-		Arch:    sim.ArchName(string(c.Arch), c.Cfg.Bypass),
-		Latency: c.Latency,
-		LoadQ:   c.LoadQ,
-		StoreQ:  c.StoreQ,
-	}
-}
-
 // Run implements Executor.
 func (r *Remote) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 	out := make([]*sim.Result, len(cells))
@@ -209,10 +171,9 @@ func (r *Remote) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 // still owed. A *retryError invites another attempt; other errors are
 // final.
 func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*sim.Result, cellErrs *[]error) ([]int, error) {
-	wreq := wireSweepRequest{Stream: true, TimeoutMs: r.timeoutMs}
-	wreq.Cells = make([]wireCell, len(pending))
+	wreq := Request{Cells: make([]WireCell, len(pending)), TimeoutMs: r.timeoutMs}
 	for k, pi := range pending {
-		wreq.Cells[k] = wireCellOf(cells[pi])
+		wreq.Cells[k] = cells[pi].wire()
 	}
 	body, err := json.Marshal(wreq)
 	if err != nil {
@@ -228,7 +189,7 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 	doneSeen := false
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var row wireRow
+		var row Row
 		if err := dec.Decode(&row); err != nil {
 			if err == io.EOF {
 				break
@@ -329,7 +290,9 @@ func (r *Remote) fetchBaseline(ctx context.Context) {
 	r.mu.Unlock()
 }
 
-// noteCounters records a trailer's absolute worker counters.
+// noteCounters records a trailer's absolute worker counters. Concurrent
+// chunks' trailers are read in any order and the counters only grow, so the
+// largest seen is the latest.
 func (r *Remote) noteCounters(hits, misses int64) {
 	r.mu.Lock()
 	if !r.haveBase {
@@ -340,8 +303,8 @@ func (r *Remote) noteCounters(hits, misses int64) {
 		r.baseHits = hits
 		r.baseMisses = misses
 	}
-	r.lastHits = hits
-	r.lastMisses = misses
+	r.lastHits = max(r.lastHits, hits)
+	r.lastMisses = max(r.lastMisses, misses)
 	r.haveCounters = true
 	r.mu.Unlock()
 }

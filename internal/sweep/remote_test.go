@@ -130,7 +130,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 		if r.URL.Path == "/v1/sweep" && sweeps.Add(1) == 1 {
 			// Serve the first two cells for real, then drop the
 			// connection before the trailer.
-			var req server.SweepRequest
+			var req sweep.Request
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Cells) < 3 {
 				t.Errorf("first sweep request malformed: %v (%d cells)", err, len(req.Cells))
 				panic(http.ErrAbortHandler)
@@ -148,7 +148,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
 				}
-				enc.Encode(server.SweepRow{I: i, Result: encodeOf(t, res)})
+				enc.Encode(sweep.Row{I: i, Result: encodeOf(t, res)})
 				w.(http.Flusher).Flush()
 			}
 			panic(http.ErrAbortHandler)
