@@ -236,11 +236,7 @@ func (s *Suite) diskTier(ctx context.Context, tr *trace.Slice, k runKey) (*sim.R
 			if err != nil {
 				return nil, err
 			}
-			freshBytes, err := simcache.EncodeResultBytes(fresh)
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(freshBytes, payload) {
+			if !bytes.Equal(sim.AppendResult(nil, fresh), payload) {
 				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", k.spec.Arch, k.spec.Cfg.String(), tr.Name(), key[:16], s.Disk.Dir())
 			}
 		}

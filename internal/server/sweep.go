@@ -9,7 +9,7 @@ import (
 	"sync"
 
 	"decvec/internal/experiments"
-	"decvec/internal/simcache"
+	"decvec/internal/sim"
 	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
@@ -89,6 +89,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var payload []byte // reused: writeRow encodes the row before returning
 			for i := range idx {
 				if ctx.Err() != nil {
 					continue // drain without running; the client retries these
@@ -98,11 +99,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					writeRow(sweep.Row{I: i, Error: err.Error()})
 					continue
 				}
-				payload, err := simcache.EncodeResultBytes(res)
-				if err != nil {
-					writeRow(sweep.Row{I: i, Error: err.Error()})
-					continue
-				}
+				payload = sim.AppendResult(payload[:0], res)
 				writeRow(sweep.Row{I: i, Result: payload})
 			}
 		}()

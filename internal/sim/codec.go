@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,208 +23,176 @@ import (
 // to read bytes written by the same model fingerprint (a fingerprint change
 // invalidates every cache key), so a format change simply bumps the magic and
 // old entries become cache misses.
+//
+// Shape: AppendResult appends to a caller's buffer and DecodeResultBytes reads
+// in place from a slice; the io.Writer/io.Reader forms wrap them.
 
 // resultMagic identifies the serialized-result format and its version.
 const resultMagic = "DVRES1\n"
 
 // Decoder sanity caps: a corrupt or hostile header must not drive
-// allocations beyond what a genuine result could ever hold.
+// allocations beyond what a genuine result could ever hold. Every count is
+// also bounded by the bytes left, since each counted item takes at least one.
 const (
 	maxCodecName    = 256     // queue/arch name length
 	maxCodecBuckets = 1 << 24 // histogram buckets
 	maxCodecQueues  = 1 << 12 // queue stats per result
 )
 
+// codecNames are the arch and queue names the cores write into a Result.
+// The decoder returns these constants instead of copying the name bytes;
+// any other name still decodes, as a copy.
+var codecNames = [...]string{
+	"REF", "DVA", "BYP", "OOO",
+	"APIQ", "SPIQ", "VPIQ", "AVDQ", "VADQ", "ASDQ", "SADQ",
+	"SVDQ", "VSDQ", "SAAQ", "SSAQ", "VSAQ", "AFBQ", "SFBQ",
+}
+
 // EncodeResult writes the canonical binary encoding of r to w.
 func EncodeResult(w io.Writer, r *Result) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(resultMagic); err != nil {
-		return err
-	}
-	e := &resultEncoder{w: bw}
-	e.string(r.Arch)
-	e.config(&r.Config)
-	e.varint(r.Cycles)
-	for s := 0; s < NumStates; s++ {
-		e.varint(r.States.Cycles[s])
-	}
-	e.varint(r.Counts.ScalarInsts)
-	e.varint(r.Counts.VectorInsts)
-	e.varint(r.Counts.VectorOps)
-	e.varint(r.Counts.BasicBlocks)
-	e.varint(r.Counts.SpillMemOps)
-	e.varint(r.Counts.MemInsts)
-	e.varint(r.Traffic.LoadElems)
-	e.varint(r.Traffic.StoreElems)
-	e.histogram(r.AVDQBusy)
-	e.histogram(r.VADQBusy)
-	e.varint(r.Bypasses)
-	e.varint(r.BypassedElems)
-	e.varint(r.Flushes)
-	e.varint(r.ScalarCacheHits)
-	e.varint(r.ScalarCacheMisses)
-	e.uvarint(uint64(NumStallReasons))
-	for i := 0; i < int(NumStallReasons); i++ {
-		e.varint(r.Stalls[i])
-	}
-	e.queues(r.Queues)
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
+	_, err := w.Write(AppendResult(make([]byte, 0, 1024), r))
+	return err
 }
 
-// resultEncoder accumulates the first write error so the field encoders can
-// chain without per-call error handling.
-type resultEncoder struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (e *resultEncoder) varint(v int64) {
-	if e.err != nil {
-		return
+// AppendResult appends the canonical binary encoding of r to dst and
+// returns the extended buffer; into a buffer with room it does not allocate.
+func AppendResult(dst []byte, r *Result) []byte {
+	b := append(dst, resultMagic...)
+	b = appendString(b, r.Arch)
+	// Config, every field in declaration order with SlowTick canonicalized
+	// to false. codec_test pins the field count so a new Config field
+	// cannot be forgotten here silently.
+	c := &r.Config
+	for _, v := range [...]int64{c.MemLatency, c.AddDepth, c.MulDepth, c.DivDepth,
+		c.SqrtDepth, c.QMovDepth, c.ChainDelay, int64(c.ScalarCacheLines),
+		int64(c.ScalarCacheLineBytes), int64(c.IQSize), int64(c.ScalarQSize),
+		int64(c.AVDQSize), int64(c.VADQSize), int64(c.VSAQSize), int64(c.MemPorts),
+		int64(c.QMovUnits)} {
+		b = binary.AppendVarint(b, v)
 	}
-	n := binary.PutVarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+	b = appendBool(b, c.Bypass)
+	b = binary.AppendVarint(b, c.LatencyJitter)
+	b = appendBool(b, false) // SlowTick, canonicalized
 
-func (e *resultEncoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
+	b = binary.AppendVarint(b, r.Cycles)
+	for _, v := range r.States.Cycles {
+		b = binary.AppendVarint(b, v)
 	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *resultEncoder) byte(b byte) {
-	if e.err != nil {
-		return
+	n := &r.Counts
+	for _, v := range [...]int64{n.ScalarInsts, n.VectorInsts, n.VectorOps,
+		n.BasicBlocks, n.SpillMemOps, n.MemInsts,
+		r.Traffic.LoadElems, r.Traffic.StoreElems} {
+		b = binary.AppendVarint(b, v)
 	}
-	e.err = e.w.WriteByte(b)
-}
-
-func (e *resultEncoder) bool(b bool) {
-	if b {
-		e.byte(1)
-	} else {
-		e.byte(0)
+	b = appendHistogram(b, r.AVDQBusy)
+	b = appendHistogram(b, r.VADQBusy)
+	for _, v := range [...]int64{r.Bypasses, r.BypassedElems, r.Flushes,
+		r.ScalarCacheHits, r.ScalarCacheMisses} {
+		b = binary.AppendVarint(b, v)
 	}
-}
-
-func (e *resultEncoder) string(s string) {
-	e.uvarint(uint64(len(s)))
-	if e.err != nil {
-		return
+	b = binary.AppendUvarint(b, uint64(NumStallReasons))
+	for _, v := range r.Stalls {
+		b = binary.AppendVarint(b, v)
 	}
-	_, e.err = e.w.WriteString(s)
-}
-
-func (e *resultEncoder) float(f float64) {
-	if e.err != nil {
-		return
+	if r.Queues == nil {
+		return append(b, 0)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	_, e.err = e.w.Write(b[:])
+	b = append(b, 1)
+	b = binary.AppendUvarint(b, uint64(len(r.Queues)))
+	for i := range r.Queues {
+		q := &r.Queues[i]
+		b = appendString(b, q.Name)
+		b = binary.AppendVarint(b, int64(q.Cap))
+		b = binary.AppendVarint(b, q.Pushes)
+		b = binary.AppendVarint(b, q.Pops)
+		b = binary.AppendVarint(b, int64(q.Peak))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(q.MeanLen))
+		b = binary.AppendVarint(b, q.FullCycles)
+	}
+	return b
 }
 
-// config encodes every Config field in declaration order, with SlowTick
-// canonicalized to false. codec_test pins the field count so a new Config
-// field cannot be forgotten here silently.
-func (e *resultEncoder) config(c *Config) {
-	e.varint(c.MemLatency)
-	e.varint(c.AddDepth)
-	e.varint(c.MulDepth)
-	e.varint(c.DivDepth)
-	e.varint(c.SqrtDepth)
-	e.varint(c.QMovDepth)
-	e.varint(c.ChainDelay)
-	e.varint(int64(c.ScalarCacheLines))
-	e.varint(int64(c.ScalarCacheLineBytes))
-	e.varint(int64(c.IQSize))
-	e.varint(int64(c.ScalarQSize))
-	e.varint(int64(c.AVDQSize))
-	e.varint(int64(c.VADQSize))
-	e.varint(int64(c.VSAQSize))
-	e.varint(int64(c.MemPorts))
-	e.varint(int64(c.QMovUnits))
-	e.bool(c.Bypass)
-	e.varint(c.LatencyJitter)
-	e.bool(false) // SlowTick, canonicalized
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-func (e *resultEncoder) histogram(h *Histogram) {
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendHistogram(b []byte, h *Histogram) []byte {
 	if h == nil {
-		e.byte(0)
-		return
+		return append(b, 0)
 	}
-	e.byte(1)
-	e.uvarint(uint64(len(h.Buckets)))
+	b = binary.AppendUvarint(append(b, 1), uint64(len(h.Buckets)))
 	for _, c := range h.Buckets {
-		e.varint(c)
+		b = binary.AppendVarint(b, c)
 	}
-	e.varint(h.Clamped)
+	return binary.AppendVarint(b, h.Clamped)
 }
 
-func (e *resultEncoder) queues(qs []QueueStat) {
-	if qs == nil {
-		e.byte(0)
-		return
-	}
-	e.byte(1)
-	e.uvarint(uint64(len(qs)))
-	for _, q := range qs {
-		e.string(q.Name)
-		e.varint(int64(q.Cap))
-		e.varint(q.Pushes)
-		e.varint(q.Pops)
-		e.varint(int64(q.Peak))
-		e.float(q.MeanLen)
-		e.varint(q.FullCycles)
-	}
-}
-
-// DecodeResult reads a result written by EncodeResult. Any malformed input —
-// truncation, bad magic, implausible lengths — returns an error; the decoder
-// never panics, so corrupt cache entries degrade into misses.
+// DecodeResult reads a result written by EncodeResult from r, to its end.
 func DecodeResult(r io.Reader) (*Result, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(resultMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("sim: result magic: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("sim: reading result: %w", err)
 	}
-	if string(magic) != resultMagic {
-		return nil, fmt.Errorf("sim: bad result magic %q", magic)
+	return DecodeResultBytes(b)
+}
+
+// DecodeResultBytes decodes a result written by AppendResult from exactly
+// b. Any malformed input — truncation, bad magic, implausible lengths,
+// trailing bytes — returns an error; the decoder never panics, so corrupt
+// cache entries degrade into misses. The result shares no memory with b.
+func DecodeResultBytes(b []byte) (*Result, error) {
+	if len(b) < len(resultMagic) || string(b[:len(resultMagic)]) != resultMagic {
+		return nil, fmt.Errorf("sim: bad result magic %q", b[:min(len(b), len(resultMagic))])
 	}
-	d := &resultDecoder{r: br}
-	res := &Result{}
-	res.Arch = d.string(maxCodecName)
-	d.configInto(&res.Config)
+	d := &resultDecoder{b: b[len(resultMagic):]}
+	// One allocation holds the result and both histogram headers.
+	blk := new(struct {
+		res  Result
+		hist [2]Histogram
+	})
+	res := &blk.res
+	res.Arch = d.name()
+	c := &res.Config
+	for _, p := range [...]*int64{&c.MemLatency, &c.AddDepth, &c.MulDepth,
+		&c.DivDepth, &c.SqrtDepth, &c.QMovDepth, &c.ChainDelay} {
+		*p = d.varint()
+	}
+	for _, p := range [...]*int{&c.ScalarCacheLines, &c.ScalarCacheLineBytes,
+		&c.IQSize, &c.ScalarQSize, &c.AVDQSize, &c.VADQSize, &c.VSAQSize,
+		&c.MemPorts, &c.QMovUnits} {
+		*p = int(d.varint())
+	}
+	c.Bypass = d.bool()
+	c.LatencyJitter = d.varint()
+	c.SlowTick = d.bool()
+
 	res.Cycles = d.varint()
-	for s := 0; s < NumStates; s++ {
+	for s := range res.States.Cycles {
 		res.States.Cycles[s] = d.varint()
 	}
-	res.Counts.ScalarInsts = d.varint()
-	res.Counts.VectorInsts = d.varint()
-	res.Counts.VectorOps = d.varint()
-	res.Counts.BasicBlocks = d.varint()
-	res.Counts.SpillMemOps = d.varint()
-	res.Counts.MemInsts = d.varint()
-	res.Traffic.LoadElems = d.varint()
-	res.Traffic.StoreElems = d.varint()
-	res.AVDQBusy = d.histogram()
-	res.VADQBusy = d.histogram()
-	res.Bypasses = d.varint()
-	res.BypassedElems = d.varint()
-	res.Flushes = d.varint()
-	res.ScalarCacheHits = d.varint()
-	res.ScalarCacheMisses = d.varint()
-	if n := d.uvarint(1 << 8); d.err == nil && n != uint64(NumStallReasons) {
+	n := &res.Counts
+	for _, p := range [...]*int64{&n.ScalarInsts, &n.VectorInsts, &n.VectorOps,
+		&n.BasicBlocks, &n.SpillMemOps, &n.MemInsts,
+		&res.Traffic.LoadElems, &res.Traffic.StoreElems} {
+		*p = d.varint()
+	}
+	res.AVDQBusy = d.histogram(&blk.hist[0])
+	res.VADQBusy = d.histogram(&blk.hist[1])
+	for _, p := range [...]*int64{&res.Bypasses, &res.BypassedElems, &res.Flushes,
+		&res.ScalarCacheHits, &res.ScalarCacheMisses} {
+		*p = d.varint()
+	}
+	if n := d.count(1 << 8); d.err == nil && n != int(NumStallReasons) {
 		return nil, fmt.Errorf("sim: result has %d stall reasons, this model has %d", n, NumStallReasons)
 	}
-	for i := 0; i < int(NumStallReasons); i++ {
+	for i := range res.Stalls {
 		res.Stalls[i] = d.varint()
 	}
 	res.Queues = d.queues()
@@ -233,53 +201,69 @@ func DecodeResult(r io.Reader) (*Result, error) {
 	}
 	// The encoding must end exactly here; trailing bytes mean a mismatched
 	// writer and a checksum that no longer covers what we decoded.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("sim: trailing bytes after result")
+	if len(d.b) != 0 {
+		return nil, errors.New("sim: trailing bytes after result")
 	}
 	return res, nil
 }
 
+// resultDecoder consumes b from the front. The first error sticks and
+// empties b, so every later read fails too and the field decoders can
+// chain without per-call error handling.
 type resultDecoder struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (d *resultDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
+func (d *resultDecoder) fail(err error) {
+	if d.err == nil {
 		d.err = err
 	}
+	d.b = nil
+}
+
+func (d *resultDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.failVarint(n)
+		return 0
+	}
+	d.b = d.b[n:]
 	return v
 }
 
-func (d *resultDecoder) uvarint(max uint64) uint64 {
-	if d.err != nil {
+// count reads a length, bounded by max and by the bytes left.
+func (d *resultDecoder) count(max int) int {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.failVarint(n)
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = err
+	d.b = d.b[n:]
+	if v > uint64(max) || v > uint64(len(d.b)) {
+		d.fail(fmt.Errorf("length %d exceeds cap %d or the %d bytes left", v, max, len(d.b)))
 		return 0
 	}
-	if v > max {
-		d.err = fmt.Errorf("length %d exceeds cap %d", v, max)
-		return 0
+	return int(v)
+}
+
+// failVarint records why binary.Varint or Uvarint read n <= 0 bytes.
+func (d *resultDecoder) failVarint(n int) {
+	if n == 0 {
+		d.fail(io.ErrUnexpectedEOF)
+	} else {
+		d.fail(errors.New("varint overflows a 64-bit integer"))
 	}
-	return v
 }
 
 func (d *resultDecoder) byte() byte {
-	if d.err != nil {
+	if len(d.b) == 0 {
+		d.fail(io.ErrUnexpectedEOF)
 		return 0
 	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = err
-	}
-	return b
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
 }
 
 func (d *resultDecoder) bool() bool {
@@ -289,69 +273,45 @@ func (d *resultDecoder) bool() bool {
 	case 1:
 		return true
 	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("bad bool byte %d", b)
-		}
+		d.fail(fmt.Errorf("bad bool byte %d", b))
 		return false
 	}
 }
 
-func (d *resultDecoder) string(max uint64) string {
-	n := d.uvarint(max)
-	if d.err != nil || n == 0 {
-		return ""
+// name reads a string, returning the codecNames constant it equals
+// without allocating, or else a copy.
+func (d *resultDecoder) name() string {
+	n := d.count(maxCodecName)
+	s := d.b[:n]
+	d.b = d.b[n:]
+	for _, k := range codecNames {
+		if string(s) == k {
+			return k
+		}
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(b)
+	return string(s)
 }
 
 func (d *resultDecoder) float() float64 {
-	if d.err != nil {
+	if len(d.b) < 8 {
+		d.fail(io.ErrUnexpectedEOF)
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		d.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
 }
 
-func (d *resultDecoder) configInto(c *Config) {
-	c.MemLatency = d.varint()
-	c.AddDepth = d.varint()
-	c.MulDepth = d.varint()
-	c.DivDepth = d.varint()
-	c.SqrtDepth = d.varint()
-	c.QMovDepth = d.varint()
-	c.ChainDelay = d.varint()
-	c.ScalarCacheLines = int(d.varint())
-	c.ScalarCacheLineBytes = int(d.varint())
-	c.IQSize = int(d.varint())
-	c.ScalarQSize = int(d.varint())
-	c.AVDQSize = int(d.varint())
-	c.VADQSize = int(d.varint())
-	c.VSAQSize = int(d.varint())
-	c.MemPorts = int(d.varint())
-	c.QMovUnits = int(d.varint())
-	c.Bypass = d.bool()
-	c.LatencyJitter = d.varint()
-	c.SlowTick = d.bool()
-}
-
-func (d *resultDecoder) histogram() *Histogram {
+// histogram decodes into h and returns it, or nil for an absent histogram.
+func (d *resultDecoder) histogram(h *Histogram) *Histogram {
 	if d.byte() == 0 {
 		return nil
 	}
-	n := d.uvarint(maxCodecBuckets)
+	n := d.count(maxCodecBuckets)
 	if d.err != nil {
 		return nil
 	}
-	h := &Histogram{Buckets: make([]int64, n)}
+	h.Buckets = make([]int64, n)
 	for i := range h.Buckets {
 		h.Buckets[i] = d.varint()
 	}
@@ -363,25 +323,20 @@ func (d *resultDecoder) queues() []QueueStat {
 	if d.byte() == 0 {
 		return nil
 	}
-	n := d.uvarint(maxCodecQueues)
+	n := d.count(maxCodecQueues)
 	if d.err != nil {
 		return nil
 	}
-	qs := make([]QueueStat, 0, n)
-	for i := uint64(0); i < n; i++ {
-		q := QueueStat{
-			Name:   d.string(maxCodecName),
-			Cap:    int(d.varint()),
-			Pushes: d.varint(),
-			Pops:   d.varint(),
-			Peak:   int(d.varint()),
-		}
+	qs := make([]QueueStat, n)
+	for i := range qs {
+		q := &qs[i]
+		q.Name = d.name()
+		q.Cap = int(d.varint())
+		q.Pushes = d.varint()
+		q.Pops = d.varint()
+		q.Peak = int(d.varint())
 		q.MeanLen = d.float()
 		q.FullCycles = d.varint()
-		if d.err != nil {
-			return nil
-		}
-		qs = append(qs, q)
 	}
 	return qs
 }

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -161,21 +165,24 @@ func TestCodecCoversAllFields(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResult asserts the decoder never panics on arbitrary bytes, and
-// that anything it accepts re-encodes and re-decodes to the same value (the
-// decoded form is a fixed point of the codec).
+// FuzzDecodeResult asserts the decoder never panics on arbitrary bytes, that
+// the reader and slice paths agree on every input, that anything accepted
+// re-encodes and re-decodes to the same value (the decoded form is a fixed
+// point of the codec), and that AppendResult onto a non-empty buffer keeps
+// it and appends exactly the EncodeResult bytes.
 func FuzzDecodeResult(f *testing.F) {
 	for _, r := range []*Result{sampleResult(), refResult()} {
-		var buf bytes.Buffer
-		if err := EncodeResult(&buf, r); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(AppendResult(nil, r))
 	}
+	f.Add(hostileBucketsPayload())
 	f.Add([]byte(resultMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeResult(bytes.NewReader(data))
+		r, err := DecodeResultBytes(data)
+		rr, rerr := DecodeResult(bytes.NewReader(data))
+		if (err == nil) != (rerr == nil) || !reflect.DeepEqual(r, rr) {
+			t.Fatalf("slice and reader paths disagree: %v / %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
@@ -183,18 +190,96 @@ func FuzzDecodeResult(f *testing.F) {
 		if err := EncodeResult(&buf, r); err != nil {
 			t.Fatalf("re-encoding accepted input: %v", err)
 		}
-		r2, err := DecodeResult(bytes.NewReader(buf.Bytes()))
+		out := AppendResult(append([]byte(nil), data...), r)
+		if !bytes.Equal(out[:len(data)], data) || !bytes.Equal(out[len(data):], buf.Bytes()) {
+			t.Fatal("AppendResult onto a prefix differs from prefix + EncodeResult")
+		}
+		r2, err := DecodeResultBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
-		var buf2 bytes.Buffer
-		if err := EncodeResult(&buf2, r2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		if !bytes.Equal(buf.Bytes(), AppendResult(nil, r2)) {
 			t.Error("decode∘encode is not a fixed point")
 		}
 	})
+}
+
+// The format is pinned byte for byte: these payloads were written by the
+// bufio/io.Reader codec that AppendResult and DecodeResultBytes replaced,
+// so any drift in field order, varint form or canonicalization fails here
+// before it can orphan every cache entry.
+func TestResultCodecGolden(t *testing.T) {
+	for _, c := range []struct {
+		r   *Result
+		hex string
+	}{
+		{sampleResult(), "4456524553310a034259503c0c0e28280402800440208004800420180204010e00aab4de750086897a8c92f401929bee0298a4e8039eade204a4b6dc05aabfd606d00f900380c8016e8c01a006d28c01c43e0181020000000000f001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000c040111c601000000000000000000000000000000000022801106d2e903541f000e1c2a38465462707e8c019a01a801b601c401d201e001ee01fc018a029802a602b402c202d002de02ec02fa0288039603a403010204415644518004d00fcc0f90030000000000a0424018045641445120a006a006200000000000000c40b001"},
+		{refResult(), "4456524553310a03524546020c0e282804028004402080048004200002040000005450040000000000000000000000000000000000000000001f0000000000000000000000000000000000000000000000000000000000001200"},
+	} {
+		want, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendResult(nil, c.r); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoding drifted:\n got %x\nwant %x", c.r.Arch, got, want)
+		}
+		got, err := DecodeResultBytes(want)
+		if err != nil || !reflect.DeepEqual(got, c.r) {
+			t.Errorf("%s: golden payload decodes to %+v, %v", c.r.Arch, got, err)
+		}
+	}
+}
+
+// hostileBucketsPayload is a zero DVA result's encoding cut at the AVDQ
+// histogram, which then claims maxCodecBuckets buckets and ends.
+func hostileBucketsPayload() []byte {
+	r := &Result{Arch: "DVA"}
+	plain := AppendResult(nil, r)
+	r.AVDQBusy = &Histogram{}
+	at := 0
+	for withHist := AppendResult(nil, r); plain[at] == withHist[at]; at++ {
+	}
+	return binary.AppendUvarint(append(plain[:at:at], 1), maxCodecBuckets)
+}
+
+// A count larger than the bytes left is corrupt on its face: the decoder
+// must reject it before allocating, so a short hostile row cannot make
+// the coordinator allocate 128 MiB of buckets.
+func TestDecodeRejectsCountsPastTheEnd(t *testing.T) {
+	payload := hostileBucketsPayload()
+	if len(payload) != 52 {
+		t.Fatalf("hostile payload is %d bytes, want 52", len(payload))
+	}
+	for _, path := range []struct {
+		name   string
+		decode func([]byte) (*Result, error)
+	}{
+		{"slice", DecodeResultBytes},
+		{"reader", func(b []byte) (*Result, error) { return DecodeResult(bytes.NewReader(b)) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := path.decode(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a %d-byte payload claiming %d buckets decoded", path.name, len(payload), maxCodecBuckets)
+		}
+		if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb >= 64 {
+			t.Errorf("%s: rejecting the payload allocated %d KiB, want under 64", path.name, kb)
+		}
+	}
+	// Queue and name counts are bounded the same way: sampleResult's queue
+	// list starts with the count 2 and the name "AVDQ"; either claiming 100
+	// is within its cap and past the bytes left.
+	full := AppendResult(nil, sampleResult())
+	name := bytes.Index(full, []byte("AVDQ")) - 1
+	for what, at := range map[string]int{"queue count": name - 1, "name length": name} {
+		bad := append([]byte(nil), full...)
+		bad[at] = 100
+		if _, err := DecodeResultBytes(bad); err == nil || !strings.Contains(err.Error(), "bytes left") {
+			t.Errorf("%s past the bytes left: got error %v", what, err)
+		}
+	}
 }
 
 // A decoder reading from a stream must consume exactly the encoding (no

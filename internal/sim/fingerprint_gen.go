@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:7a3ce77a54bdf7b081a8bf0ebb65c84f05957526f7a8de911b80af045282a033"
+const ModelFingerprint = "mh1:ba7bf6138da484c08fcb0f1a02ad210fab4b3f6e4181048f1fcc6ed2517b7b1a"

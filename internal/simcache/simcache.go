@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -169,14 +168,6 @@ func (k Key) Prefix() string {
 	return string(k[:KeyPrefixLen])
 }
 
-// ConfigKey renders the canonical key encoding of a configuration: every
-// field in declaration order via the %+v struct formatting (so a new Config
-// field can never be silently dropped from the key), with SlowTick cleared.
-func ConfigKey(cfg sim.Config) string {
-	cfg.SlowTick = false
-	return fmt.Sprintf("%+v", cfg)
-}
-
 // Key derives the cache key for (trace, arch, cfg) under this store's model
 // fingerprint. extra distinguishes runs whose parameters live outside
 // sim.Config (the OOO window/register sweep); pass "" for plain runs.
@@ -190,18 +181,27 @@ func (s *Store) Key(traceHash [sha256.Size]byte, arch string, cfg sim.Config, ex
 // shard — without opening any store of its own: the keys it derives under
 // sim.ModelFingerprint are byte-for-byte the keys the workers' disk tiers
 // are organized by.
+//
+// The preimage is built in a stack buffer: format preamble, fingerprint,
+// trace hash, arch, the configuration in %+v struct formatting (every field
+// in declaration order, so a new Config field can never be silently dropped
+// from the key) with SlowTick cleared, and extra.
 func DeriveKey(fingerprint string, traceHash [sha256.Size]byte, arch string, cfg sim.Config, extra string) Key {
-	h := sha256.New()
-	io.WriteString(h, "decvec-simcache-v1\n")
-	io.WriteString(h, fingerprint)
-	io.WriteString(h, "\n")
-	h.Write(traceHash[:])
-	io.WriteString(h, arch)
-	io.WriteString(h, "\n")
-	io.WriteString(h, ConfigKey(cfg))
-	io.WriteString(h, "\n")
-	io.WriteString(h, extra)
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	var stack [512]byte
+	b := append(stack[:0], "decvec-simcache-v1\n"...)
+	b = append(b, fingerprint...)
+	b = append(b, '\n')
+	b = append(b, traceHash[:]...)
+	b = append(b, arch...)
+	b = append(b, '\n')
+	cfg.SlowTick = false
+	b = fmt.Appendf(b, "%+v", cfg)
+	b = append(b, '\n')
+	b = append(b, extra...)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return Key(key[:])
 }
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, string(k)+entryExt) }
@@ -210,24 +210,8 @@ func (s *Store) path(k Key) string { return filepath.Join(s.dir, string(k)+entry
 // absent, truncated, torn, checksum-mismatched or undecodable entries all
 // read as misses; the corrupt ones are quarantined aside.
 func (s *Store) Get(k Key) (*sim.Result, bool) {
-	path := s.path(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
-	res, err := decodeEntry(data)
-	if err != nil {
-		s.quarantine(path)
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
-	// Touch the entry so GC's LRU order tracks use, not just creation.
-	// Best-effort: a racing eviction only costs a future re-simulation.
-	_ = touch(path)
-	s.hits.Add(1)
-	return res, true
+	res, _, ok := s.GetBytes(k)
+	return res, ok
 }
 
 // GetBytes is Get but also returns the canonical encoded payload, so
@@ -246,6 +230,8 @@ func (s *Store) GetBytes(k Key) (*sim.Result, []byte, bool) {
 		s.misses.Add(1)
 		return nil, nil, false
 	}
+	// Touch the entry so GC's LRU order tracks use, not just creation.
+	// Best-effort: a racing eviction only costs a future re-simulation.
 	_ = touch(path)
 	s.hits.Add(1)
 	return res, data[len(entryMagic)+sha256.Size:], true
@@ -256,23 +242,19 @@ func (s *Store) GetBytes(k Key) (*sim.Result, []byte, bool) {
 // writers for one key are benign — content is deterministic, so whichever
 // rename lands last installs identical bytes.
 func (s *Store) Put(k Key, r *sim.Result) error {
-	payload, err := EncodeResultBytes(r)
-	if err != nil {
-		return fmt.Errorf("simcache: encoding result: %w", err)
-	}
-	sum := sha256.Sum256(payload)
+	// One buffer holds the framing and the payload encoded behind it; 1 KiB
+	// fits a DVA result at the paper's queue sizes.
+	head := len(entryMagic) + sha256.Size
+	entry := sim.AppendResult(make([]byte, head, head+1024), r)
+	copy(entry, entryMagic)
+	sum := sha256.Sum256(entry[head:])
+	copy(entry[len(entryMagic):], sum[:])
 	f, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
 	tmp := f.Name()
-	_, err = f.WriteString(entryMagic)
-	if err == nil {
-		_, err = f.Write(sum[:])
-	}
-	if err == nil {
-		_, err = f.Write(payload)
-	}
+	_, err = f.Write(entry)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -290,16 +272,6 @@ func (s *Store) Put(k Key, r *sim.Result) error {
 	return nil
 }
 
-// EncodeResultBytes returns the canonical serialized form of a result — the
-// byte string cache verification compares against a re-simulation.
-func EncodeResultBytes(r *sim.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := sim.EncodeResult(&buf, r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // decodeEntry validates one cache file end to end: magic, checksum, payload.
 func decodeEntry(data []byte) (*sim.Result, error) {
 	head := len(entryMagic) + sha256.Size
@@ -311,7 +283,7 @@ func decodeEntry(data []byte) (*sim.Result, error) {
 	if !bytes.Equal(sum[:], data[len(entryMagic):head]) {
 		return nil, fmt.Errorf("simcache: entry checksum mismatch")
 	}
-	return sim.DecodeResult(bytes.NewReader(payload))
+	return sim.DecodeResultBytes(payload)
 }
 
 // quarantine moves a corrupt entry aside (best effort) so it stops matching

@@ -352,6 +352,32 @@ func TestKeySeparatesInputs(t *testing.T) {
 	}
 }
 
+// The key derivation is pinned byte for byte: this key was derived through
+// sha256.New, fmt.Sprintf and hex.EncodeToString before DeriveKey built its
+// preimage in a stack buffer, and every worker's disk tier is organized by
+// it. Each sweep cell's key is derived twice, by the coordinator and by the
+// worker, so DeriveKey allocates at most twice: the boxed config and the key.
+func TestDeriveKeyGoldenAndAllocs(t *testing.T) {
+	var th [sha256.Size]byte
+	for i := range th {
+		th[i] = byte(i * 7)
+	}
+	cfg := sim.DefaultConfig(50)
+	cfg.SlowTick = true
+	cfg.Bypass = true
+	cfg.LatencyJitter = 3
+	derive := func() Key { return DeriveKey("0123456789abcdef", th, "BYP", cfg, "window=64 physregs=96") }
+	if got, want := derive(), Key("70acd0df50f95dbb0a1ab2e39955b5a7d7dcb26f1aa9d8b8b85c23bf4c987205"); got != want {
+		t.Errorf("DeriveKey drifted:\n got %s\nwant %s", got, want)
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	if n := testing.AllocsPerRun(50, func() { derive() }); n > 2 {
+		t.Errorf("DeriveKey: %v allocs, want at most 2", n)
+	}
+}
+
 func TestGCRemovesAgedTempOrphans(t *testing.T) {
 	s := testStore(t, Options{})
 	k := testKey(s, "")

@@ -214,7 +214,7 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 				r.name, ci, c.Program.Name, c.Arch, c.Latency, row.Error))
 			continue
 		}
-		res, err := sim.DecodeResult(bytes.NewReader(row.Result))
+		res, err := sim.DecodeResultBytes(row.Result)
 		if err != nil {
 			return unfilled(pending, filled), fmt.Errorf("worker %s: cell %d: undecodable result: %v", r.name, ci, err)
 		}

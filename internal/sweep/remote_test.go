@@ -47,11 +47,7 @@ func canonical(t *testing.T, suite *experiments.Suite, c sweep.Cell) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := simcache.EncodeResultBytes(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return sim.AppendResult(nil, res)
 }
 
 // planCells returns every cell of a one-program, one-arch plan of n
@@ -71,15 +67,6 @@ func planCells(t *testing.T, n int) []sweep.Cell {
 		cells[i] = plan.Cell(i)
 	}
 	return cells
-}
-
-func encodeOf(t *testing.T, r *sim.Result) []byte {
-	t.Helper()
-	b, err := simcache.EncodeResultBytes(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // A worker that sheds load with 429 must be retried with backoff, not
@@ -111,7 +98,7 @@ func TestRemoteRetriesAfter429(t *testing.T) {
 		if r == nil {
 			t.Fatalf("cell %d missing", i)
 		}
-		if !bytes.Equal(encodeOf(t, r), canonical(t, suite, cells[i])) {
+		if !bytes.Equal(sim.AppendResult(nil, r), canonical(t, suite, cells[i])) {
 			t.Errorf("cell %d differs from the local run", i)
 		}
 	}
@@ -148,7 +135,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
 				}
-				enc.Encode(sweep.Row{I: i, Result: encodeOf(t, res)})
+				enc.Encode(sweep.Row{I: i, Result: sim.AppendResult(nil, res)})
 				w.(http.Flusher).Flush()
 			}
 			panic(http.ErrAbortHandler)
@@ -171,7 +158,7 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 		if r == nil {
 			t.Fatalf("cell %d missing after mid-stream recovery", i)
 		}
-		if !bytes.Equal(encodeOf(t, r), canonical(t, ref, cells[i])) {
+		if !bytes.Equal(sim.AppendResult(nil, r), canonical(t, ref, cells[i])) {
 			t.Errorf("cell %d differs from the local run", i)
 		}
 	}
@@ -196,7 +183,7 @@ func TestRemoteSingleCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := experiments.NewSuite(0.05)
-	if !bytes.Equal(encodeOf(t, out[0]), canonical(t, suite, cells[0])) {
+	if !bytes.Equal(sim.AppendResult(nil, out[0]), canonical(t, suite, cells[0])) {
 		t.Error("single-cell result differs from the local run")
 	}
 	if st := rr.Stats(); st.CacheMisses != 1 || st.CacheHits != 0 {
