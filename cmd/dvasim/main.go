@@ -169,11 +169,7 @@ func run() error {
 	}
 
 	fmt.Printf("%s on %s (%s)\n", name, res.Arch, desc)
-	config := cfg.String()
-	if res.Arch == "REF" { // Config.String names the DVA; REF has no queues
-		config = fmt.Sprintf("REF L=%d", cfg.MemLatency)
-	}
-	fmt.Printf("  config:        %s\n", config)
+	fmt.Printf("  config:        %s\n", cfg.Label(res.Arch))
 	fmt.Printf("  cycles:        %d (ideal lower bound %d, ratio %.2f)\n",
 		res.Cycles, idealCycles, float64(res.Cycles)/float64(idealCycles))
 	fmt.Printf("  instructions:  %d scalar, %d vector (%d vector ops, avg VL %.1f)\n",

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"decvec/internal/ooo"
@@ -233,5 +236,74 @@ func TestSuiteFingerprintChangeForcesColdRun(t *testing.T) {
 	}
 	if st := edited.CacheStats(); st.Hits != 0 || st.Misses != 1 {
 		t.Errorf("edited-model cache stats = %+v", st)
+	}
+}
+
+// A run has two forms, its result and its canonical payload, and both
+// entries share one flight group. On a cold suite with a store the payload
+// is the bytes the store wrote; on a warm one it is the stored payload,
+// handed over undecoded, and the result is decoded from it once for every
+// caller. Concurrent callers of either form on a disk hit must see one
+// disk read and agree byte for byte.
+func TestSuiteRunBytesSharesTheRunPath(t *testing.T) {
+	dir := t.TempDir()
+	p, err := workload.Get("ARC2D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{Arch: DVA, Cfg: sim.DefaultConfig(30)}
+	ctx := context.Background()
+
+	cold := diskSuite(t, dir, simcache.Options{})
+	payload, err := cold.RunBytesCtx(ctx, p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cold.RunCtx(ctx, p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.AppendResult(nil, res)
+	if !bytes.Equal(payload, want) {
+		t.Fatal("cold RunBytesCtx differs from the encoding of RunCtx's result")
+	}
+	if n, st := cold.Simulations(), cold.CacheStats(); n != 1 || st.Writes != 1 {
+		t.Fatalf("cold suite: %d simulations, %d writes; want 1 and 1", n, st.Writes)
+	}
+
+	warm := diskSuite(t, dir, simcache.Options{})
+	var wg sync.WaitGroup
+	results := make([]*sim.Result, 8)
+	payloads := make([][]byte, 8)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if i%2 == 0 {
+				results[i], err = warm.RunCtx(ctx, p, spec)
+			} else {
+				payloads[i], err = warm.RunBytesCtx(ctx, p, spec)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range results {
+		if i%2 == 0 {
+			if results[i] != results[0] {
+				t.Errorf("caller %d got its own decode of the stored payload", i)
+			}
+			if !reflect.DeepEqual(results[i], res) {
+				t.Errorf("caller %d: warm result differs from cold", i)
+			}
+		} else if !bytes.Equal(payloads[i], want) {
+			t.Errorf("caller %d: warm payload differs from the cold one", i)
+		}
+	}
+	if n, st := warm.Simulations(), warm.CacheStats(); n != 0 || st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("warm suite: %d simulations, %d hits, %d misses; want 0, 1, 0", n, st.Hits, st.Misses)
 	}
 }

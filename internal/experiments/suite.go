@@ -96,7 +96,7 @@ type Suite struct {
 	// Set it before the first Run.
 	Gate Gate
 
-	runs   flightGroup[runKey, *sim.Result]
+	runs   flightGroup[runKey, *runEntry]
 	ideals flightGroup[string, ideal.Bound]
 
 	mu   sync.Mutex
@@ -111,6 +111,44 @@ type runKey struct {
 	spec  RunSpec
 }
 
+// runEntry is one run's outcome as the memory tier holds it: the result,
+// its canonical payload, or both. A simulation yields the result, and the
+// payload the store wrote for it when there is a store; a disk hit yields
+// the payload alone, undecoded. The missing form is derived the first time
+// a caller asks for it, once per entry, and then shared.
+type runEntry struct {
+	hit     bool // built from a stored payload alone: res is the derived form
+	once    sync.Once
+	res     *sim.Result
+	payload []byte
+	err     error // the decode's error, for a hit
+}
+
+// result returns the run's result, decoding a stored payload on first use.
+func (e *runEntry) result() (*sim.Result, error) {
+	if e.hit {
+		e.once.Do(e.decode)
+	}
+	return e.res, e.err
+}
+
+// bytes returns the run's canonical payload, encoding the result on first
+// use when no store wrote it. Callers must not modify it.
+func (e *runEntry) bytes() []byte {
+	if !e.hit {
+		e.once.Do(e.encode)
+	}
+	return e.payload
+}
+
+func (e *runEntry) decode() { e.res, e.err = sim.DecodeResultBytes(e.payload) }
+
+func (e *runEntry) encode() {
+	if e.payload == nil {
+		e.payload = sim.AppendResult(nil, e.res)
+	}
+}
+
 // NewSuite returns an empty suite at the given trace scale.
 func NewSuite(scale float64) *Suite {
 	if scale <= 0 {
@@ -118,7 +156,7 @@ func NewSuite(scale float64) *Suite {
 	}
 	return &Suite{
 		Scale:  scale,
-		runs:   newFlightGroup[runKey, *sim.Result](),
+		runs:   newFlightGroup[runKey, *runEntry](),
 		ideals: newFlightGroup[string, ideal.Bound](),
 	}
 }
@@ -176,6 +214,28 @@ func (s *Suite) admit(ctx context.Context) (func(), error) {
 // without disturbing the computation other callers still want. A trace
 // that cannot be hashed cannot be keyed, so it simulates uncached.
 func (s *Suite) RunCtx(ctx context.Context, p *workload.Program, spec RunSpec) (*sim.Result, error) {
+	e, err := s.runProgram(ctx, p, spec)
+	if err != nil {
+		return nil, err
+	}
+	return e.result()
+}
+
+// RunBytesCtx is RunCtx answering with the result's canonical payload
+// (sim.AppendResult's bytes), through the same run path, tiers and flight
+// group. A disk hit hands the stored payload over without decoding it and
+// a simulation the bytes the store wrote, so a warm dvad sweep cell costs
+// no codec pass. The payload is shared: callers must not modify it.
+func (s *Suite) RunBytesCtx(ctx context.Context, p *workload.Program, spec RunSpec) ([]byte, error) {
+	e, err := s.runProgram(ctx, p, spec)
+	if err != nil {
+		return nil, err
+	}
+	return e.bytes(), nil
+}
+
+// runProgram runs program p at the suite scale; see RunCtx.
+func (s *Suite) runProgram(ctx context.Context, p *workload.Program, spec RunSpec) (*runEntry, error) {
 	th, err := p.CachedTraceHash(s.Scale)
 	return s.run(ctx, p.CachedTrace(s.Scale), th, err == nil, spec)
 }
@@ -190,13 +250,17 @@ func (s *Suite) RunSourceCtx(ctx context.Context, src *trace.Slice, spec RunSpec
 	if err != nil {
 		return nil, fmt.Errorf("experiments: hashing trace %s: %w", src.Name(), err)
 	}
-	return s.run(ctx, src, th, true, spec)
+	e, err := s.run(ctx, src, th, true, spec)
+	if err != nil {
+		return nil, err
+	}
+	return e.result()
 }
 
 // run is the suite's one run path: memory → disk → simulate. Only an
 // OOO run takes a window and physical-register pool; any other run with
 // either set is refused before it can alias a key without them.
-func (s *Suite) run(ctx context.Context, tr *trace.Slice, th [32]byte, keyed bool, spec RunSpec) (*sim.Result, error) {
+func (s *Suite) run(ctx context.Context, tr *trace.Slice, th [32]byte, keyed bool, spec RunSpec) (*runEntry, error) {
 	if spec.Arch != OOO && (spec.Window != 0 || spec.PhysRegs != 0) {
 		return nil, fmt.Errorf("experiments: %s on %s takes no window or physical registers (got %d, %d)", spec.Arch, tr.Name(), spec.Window, spec.PhysRegs)
 	}
@@ -204,52 +268,66 @@ func (s *Suite) run(ctx context.Context, tr *trace.Slice, th [32]byte, keyed boo
 		spec.Cfg.SlowTick = true
 	}
 	if !keyed {
-		return s.simulate(ctx, tr, spec)
+		return s.simulateEntry(ctx, tr, spec)
 	}
 	key := runKey{trace: th, spec: spec}
-	if r, ok := s.runs.get(key); ok {
-		return r, nil
+	if e, ok := s.runs.get(key); ok {
+		return e, nil
 	}
-	return s.runs.do(ctx, key, func(ctx context.Context) (*sim.Result, error) {
+	return s.runs.do(ctx, key, func(ctx context.Context) (*runEntry, error) {
 		if s.Disk == nil {
-			return s.simulate(ctx, tr, spec)
+			return s.simulateEntry(ctx, tr, spec)
 		}
 		return s.diskTier(ctx, tr, key)
 	})
 }
 
 // diskTier consults the persistent store, falls back to the simulator, and
-// persists what it produced. With VerifyFraction > 0 a deterministic sample
-// of hits is re-simulated and byte-compared against the stored encoding; a
-// mismatch is a hard error, never a silent repair. OOO keys append the
-// window and register pool; REF and DVA keys append nothing.
-func (s *Suite) diskTier(ctx context.Context, tr *trace.Slice, k runKey) (*sim.Result, error) {
+// persists what it produced. A hit is the stored payload, undecoded; a
+// simulation keeps the payload the store wrote beside the result. With
+// VerifyFraction > 0 a deterministic sample of hits is re-simulated and
+// byte-compared against the stored encoding; a mismatch is a hard error,
+// never a silent repair. OOO keys append the window and register pool; REF
+// and DVA keys append nothing.
+func (s *Suite) diskTier(ctx context.Context, tr *trace.Slice, k runKey) (*runEntry, error) {
 	extra := ""
 	if k.spec.Arch == OOO {
 		extra = fmt.Sprintf("window=%d physregs=%d", k.spec.Window, k.spec.PhysRegs)
 	}
 	key := s.Disk.Key(k.trace, string(k.spec.Arch), k.spec.Cfg, extra)
-	if r, payload, ok := s.Disk.GetBytes(key); ok {
-		if simcache.VerifySample(key, s.VerifyFraction) {
-			s.Disk.CountVerified()
-			fresh, err := s.simulate(ctx, tr, k.spec)
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(sim.AppendResult(nil, fresh), payload) {
-				return nil, fmt.Errorf("experiments: cache verification FAILED for %s %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", k.spec.Arch, k.spec.Cfg.String(), tr.Name(), key[:16], s.Disk.Dir())
-			}
+	if payload, ok := s.Disk.GetBytes(key); ok {
+		if !simcache.VerifySample(key, s.VerifyFraction) {
+			return &runEntry{hit: true, payload: payload}, nil
 		}
-		return r, nil
+		s.Disk.CountVerified()
+		fresh, err := s.simulate(ctx, tr, k.spec)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(sim.AppendResult(nil, fresh), payload) {
+			return nil, fmt.Errorf("experiments: cache verification FAILED for %s on %s: stored result differs from re-simulation (key %s…); the store at %s holds results no current model produces — remove it and re-run", k.spec.Cfg.Label(string(k.spec.Arch)), tr.Name(), key[:16], s.Disk.Dir())
+		}
+		return &runEntry{res: fresh, payload: payload}, nil
 	}
 	r, err := s.simulate(ctx, tr, k.spec)
 	if err != nil {
 		return nil, err
 	}
 	// Persistence is best-effort: a full disk or read-only store must not
-	// fail a simulation that already succeeded.
-	_ = s.Disk.Put(key, r)
-	return r, nil
+	// fail a simulation that already succeeded. The encoded payload comes
+	// back whether or not the write landed.
+	payload, _ := s.Disk.PutBytes(key, r)
+	return &runEntry{res: r, payload: payload}, nil
+}
+
+// simulateEntry is simulate for the memory tier: the result alone, its
+// payload encoded only if a caller asks for it.
+func (s *Suite) simulateEntry(ctx context.Context, tr *trace.Slice, spec RunSpec) (*runEntry, error) {
+	r, err := s.simulate(ctx, tr, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &runEntry{res: r}, nil
 }
 
 // simulate performs one uncached simulator invocation on a pooled machine,
@@ -290,29 +368,30 @@ func (s *Suite) Stats(p *workload.Program) *trace.Stats {
 // flightGroup memoizes successful computations per key and deduplicates
 // concurrent requests: duplicate calls for an in-flight key wait for the
 // first caller instead of recomputing. Errors are not cached — a later
-// retry gets a fresh attempt.
+// retry gets a fresh attempt. One map holds every call, in flight or done,
+// so a key is copied into the group once.
 type flightGroup[K comparable, V any] struct {
-	mu       *sync.Mutex
-	cache    map[K]V
-	inflight map[K]*flightCall[V]
+	mu    *sync.Mutex
+	calls map[K]*flightCall[V]
 	// shared counts the calls answered without running fn: cache hits
 	// and joins of an in-flight call that return its outcome.
 	shared *atomic.Int64
 }
 
-// flightCall is one in-progress computation other callers can wait on.
+// flightCall is one computation: in progress, which other callers can wait
+// on, or done and successful, which callers read under the group's lock.
 type flightCall[V any] struct {
 	done chan struct{} // closed when v/err are set
+	ok   bool          // v is published: set under the group's lock
 	v    V
 	err  error
 }
 
 func newFlightGroup[K comparable, V any]() flightGroup[K, V] {
 	return flightGroup[K, V]{
-		mu:       new(sync.Mutex),
-		cache:    make(map[K]V),
-		inflight: make(map[K]*flightCall[V]),
-		shared:   new(atomic.Int64),
+		mu:     new(sync.Mutex),
+		calls:  make(map[K]*flightCall[V]),
+		shared: new(atomic.Int64),
 	}
 }
 
@@ -322,12 +401,15 @@ func newFlightGroup[K comparable, V any]() flightGroup[K, V] {
 // closure and flight bookkeeping do needs.
 func (g *flightGroup[K, V]) get(key K) (V, bool) {
 	g.mu.Lock()
-	v, ok := g.cache[key]
+	c, ok := g.calls[key]
+	ok = ok && c.ok
 	g.mu.Unlock()
-	if ok {
-		g.shared.Add(1)
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	return v, ok
+	g.shared.Add(1)
+	return c.v, true
 }
 
 // do returns the cached value for key, joins an in-flight computation, or
@@ -340,12 +422,12 @@ func (g *flightGroup[K, V]) get(key K) (V, bool) {
 func (g *flightGroup[K, V]) do(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
 	for {
 		g.mu.Lock()
-		if v, ok := g.cache[key]; ok {
-			g.mu.Unlock()
-			g.shared.Add(1)
-			return v, nil
-		}
-		if c, ok := g.inflight[key]; ok {
+		if c, ok := g.calls[key]; ok {
+			if c.ok {
+				g.mu.Unlock()
+				g.shared.Add(1)
+				return c.v, nil
+			}
 			g.mu.Unlock()
 			select {
 			case <-c.done:
@@ -360,19 +442,21 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, fn func(context.Conte
 			}
 		}
 		c := &flightCall[V]{done: make(chan struct{})}
-		g.inflight[key] = c
+		g.calls[key] = c
 		g.mu.Unlock()
 
-		c.v, c.err = fn(ctx)
+		v, err := fn(ctx)
 
 		g.mu.Lock()
-		if c.err == nil {
-			g.cache[key] = c.v
+		c.v, c.err = v, err
+		if err == nil {
+			c.ok = true
+		} else {
+			delete(g.calls, key)
 		}
-		delete(g.inflight, key)
 		g.mu.Unlock()
 		close(c.done)
-		return c.v, c.err
+		return v, err
 	}
 }
 

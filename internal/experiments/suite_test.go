@@ -113,8 +113,9 @@ func TestSuiteRejectsOOOParamsOnInOrderCores(t *testing.T) {
 	}
 }
 
-// A warmed cell is a map lookup through RunCtx, for REF, DVA and OOO alike;
-// dvad answers most requests this way, so it must not allocate.
+// A warmed cell is a map lookup through RunCtx or RunBytesCtx, for REF, DVA
+// and OOO alike; dvad answers most requests this way, so it must not
+// allocate.
 func TestSuiteWarmHitZeroAlloc(t *testing.T) {
 	s := suite(t)
 	p := workload.Simulated()[0]
@@ -130,6 +131,11 @@ func TestSuiteWarmHitZeroAlloc(t *testing.T) {
 		hit := func() { _, _ = s.RunCtx(ctx, p, spec) }
 		if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
 			t.Errorf("warmed %s hit allocated %.1f times per call, want 0", spec.Arch, allocs)
+		}
+		// The payload form is encoded on its first request, then shared.
+		bytesHit := func() { _, _ = s.RunBytesCtx(ctx, p, spec) }
+		if allocs := testing.AllocsPerRun(100, bytesHit); allocs != 0 {
+			t.Errorf("warmed %s payload hit allocated %.1f times per call, want 0", spec.Arch, allocs)
 		}
 	}
 	if n := s.Simulations(); n != int64(len(specs)) {

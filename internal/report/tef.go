@@ -45,16 +45,10 @@ func WriteTraceEvents(w io.Writer, res *sim.Result, rec *sim.Recorder) error {
 	t := &tefEncoder{w: w, buf: (*bp)[:0]}
 	t.buf = append(t.buf, `{"displayTimeUnit":"ns","traceEvents":[`...)
 
-	// Metadata: name the process after the run, "Arch (Config)", and each
-	// thread after its unit. The process name's two parts are escaped one
-	// by one, which escapes the whole name alike: the text between them is
-	// ASCII.
+	// Metadata: name the process after the run, by its label
+	// ("REF L=50", "DVA 256/16 L=50"), and each thread after its unit.
 	t.head("", "process_name", "M", 0, 0, 0)
-	t.buf = append(t.buf, `,"args":{"name":"`...)
-	t.buf = appendJSONEscaped(t.buf, res.Arch)
-	t.buf = append(t.buf, " ("...)
-	t.buf = appendJSONEscaped(t.buf, res.Config.String())
-	t.buf = append(t.buf, `)"}}`...)
+	t.stringArg("name", res.Config.Label(res.Arch))
 	for p := sim.Proc(0); p < sim.NumProcs; p++ {
 		t.head("", "thread_name", "M", 0, 0, int(p))
 		t.stringArg("name", p.String())

@@ -22,7 +22,9 @@ import (
 // recorded cell in tefCells, as `<hex digest>  <cell>` lines. The digests
 // were taken from the json.Marshal-per-event encoder that preceded the
 // append encoder, so they pin the output byte for byte across encoder
-// rewrites.
+// rewrites. They were retaken once, when the process name became the run's
+// label ("REF L=50" for a REF run, which had been named after the DVA);
+// every byte after that first event is unchanged.
 //
 //go:embed testdata/tef.sha256
 var tefGolden string

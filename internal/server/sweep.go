@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"decvec/internal/experiments"
-	"decvec/internal/sim"
 	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
@@ -43,7 +42,10 @@ func (s *Server) sweepJobs(req *sweep.Request) ([]experiments.BatchJob, error) {
 // handleSweep answers a sweep: the cells drain through a bounded worker
 // pool (the admission gate still meters the real simulator invocations
 // underneath), each completion is written — and flushed — as one NDJSON row
-// the moment it lands, and a Done trailer closes the stream. A timeout or
+// the moment it lands, and a Done trailer closes the stream. A cell's row
+// carries the suite's canonical payload as it stands, the stored bytes on
+// a disk hit, appended by hand; error rows and the trailer go through
+// encoding/json. A timeout or
 // client disconnect stops feeding new cells; rows already written stay
 // valid, so a coordinator retries exactly the cells it never received.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -69,14 +71,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	writeRow := func(row sweep.Row) {
+	writeLine := func(line []byte) {
 		mu.Lock()
-		_ = enc.Encode(row)
+		_, _ = w.Write(line)
 		if fl != nil {
 			fl.Flush()
 		}
 		mu.Unlock()
+	}
+	writeRow := func(row sweep.Row) {
+		line, _ := json.Marshal(row)
+		writeLine(append(line, '\n'))
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -89,18 +94,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var payload []byte // reused: writeRow encodes the row before returning
+			var line []byte // reused: writeLine is done with it when it returns
 			for i := range idx {
 				if ctx.Err() != nil {
 					continue // drain without running; the client retries these
 				}
-				res, err := s.suite.RunCtx(ctx, jobs[i].Program, jobs[i].RunSpec)
+				payload, err := s.suite.RunBytesCtx(ctx, jobs[i].Program, jobs[i].RunSpec)
 				if err != nil {
 					writeRow(sweep.Row{I: i, Error: err.Error()})
 					continue
 				}
-				payload = sim.AppendResult(payload[:0], res)
-				writeRow(sweep.Row{I: i, Result: payload})
+				line = sweep.AppendResultRow(line[:0], i, payload)
+				writeLine(line)
 			}
 		}()
 	}

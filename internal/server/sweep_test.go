@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"decvec/internal/experiments"
 	"decvec/internal/sim"
+	"decvec/internal/simcache"
 	"decvec/internal/sweep"
 	"decvec/internal/workload"
 )
@@ -186,5 +189,102 @@ func TestSweepStreaming(t *testing.T) {
 	}
 	if done.Simulations != srv.Suite().Simulations() {
 		t.Errorf("trailer simulations = %d, suite says %d", done.Simulations, srv.Suite().Simulations())
+	}
+}
+
+// A successful row is appended by hand; its bytes must be what json.Encoder
+// writes for the same Row, for REF and DVA payloads and for indices of one
+// to four digits up to the largest a request may carry.
+func TestAppendResultRowMatchesEncodingJSON(t *testing.T) {
+	suite := experiments.NewSuite(0.05)
+	p, err := workload.Get("BDNA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, arch := range []experiments.Arch{experiments.REF, experiments.DVA} {
+		spec := experiments.RunSpec{Arch: arch, Cfg: sim.DefaultConfig(50)}
+		payload, err := suite.RunBytesCtx(ctx, p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := suite.RunCtx(ctx, p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, sim.AppendResult(nil, res)) {
+			t.Fatalf("%s: RunBytesCtx differs from the encoding of RunCtx's result", arch)
+		}
+		for _, i := range []int{0, 9, 10, 127, Config{}.withDefaults().MaxSweepPoints - 1} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(sweep.Row{I: i, Result: payload}); err != nil {
+				t.Fatal(err)
+			}
+			prefix := []byte("previous line\n")
+			got := sweep.AppendResultRow(prefix, i, payload)
+			if !bytes.Equal(got[:len(prefix)], []byte("previous line\n")) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+				t.Errorf("%s row %d:\n got %q\nwant %q", arch, i, got[len(prefix):], want.Bytes())
+			}
+		}
+	}
+}
+
+// A warm sweep cell is a disk read and a write to the socket: a worker
+// restarted on a filled store answers from the stored payloads without
+// decoding or re-encoding them. Here a warm cell costs 16 allocations and
+// about 4.6 KiB, most of it the file read and the recorded reply; a worker
+// that decodes each payload pays 4 allocations and 1.9 KiB more, and
+// json.Encoder's row one allocation and a base64 copy of the payload, so
+// the budgets fail if either comes back.
+func TestWarmSweepCellBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, err := workload.Get("BDNA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	cells := make([]sweep.WireCell, n)
+	for i := range cells {
+		cells[i] = sweep.WireCell{Program: p.Name, Arch: "DVA", Latency: int64(i + 1)}
+	}
+	body, err := json.Marshal(sweep.Request{Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	serve := func() (rows []byte, allocs, alloc uint64) {
+		store, err := simcache.Open(dir, simcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Scale: 0.05, Store: store, MaxConcurrent: 1})
+		defer srv.Shutdown(context.Background())
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec.Body.Bytes(), after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	p.CachedTraceHash(0.05) // keep trace generation out of the measurement
+	cold, _, _ := serve()
+	warm, allocs, total := serve()
+	rows, done := sweepRows(t, warm)
+	if done.Simulations != 0 || done.CacheHits != n || done.CacheMisses != 0 {
+		t.Fatalf("warm pass: %d simulations, %d hits, %d misses; want 0, %d, 0", done.Simulations, done.CacheHits, done.CacheMisses, n)
+	}
+	coldRows, _ := sweepRows(t, cold)
+	for i := range rows {
+		if !bytes.Equal(sim.AppendResult(nil, rows[i]), sim.AppendResult(nil, coldRows[i])) {
+			t.Errorf("cell %d: warm result differs from cold", i)
+		}
+	}
+	perCell, perCellB := float64(allocs)/n, float64(total)/n
+	t.Logf("warm chunk of %d DVA cells: %.1f allocs, %.0f B per cell", n, perCell, perCellB)
+	if perCell > 17 || perCellB > 5.5*1024 {
+		t.Errorf("a warm cell costs %.1f allocs and %.0f B, want at most 17 and 5632: is the worker decoding or re-encoding stored payloads?", perCell, perCellB)
 	}
 }

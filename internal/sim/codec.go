@@ -148,16 +148,35 @@ func DecodeResult(r io.Reader) (*Result, error) {
 // trailing bytes — returns an error; the decoder never panics, so corrupt
 // cache entries degrade into misses. The result shares no memory with b.
 func DecodeResultBytes(b []byte) (*Result, error) {
-	if len(b) < len(resultMagic) || string(b[:len(resultMagic)]) != resultMagic {
-		return nil, fmt.Errorf("sim: bad result magic %q", b[:min(len(b), len(resultMagic))])
-	}
-	d := &resultDecoder{b: b[len(resultMagic):]}
 	// One allocation holds the result and both histogram headers.
 	blk := new(struct {
 		res  Result
 		hist [2]Histogram
 	})
-	res := &blk.res
+	if err := decodeResult(b, &blk.res, &blk.hist[0], &blk.hist[1]); err != nil {
+		return nil, err
+	}
+	return &blk.res, nil
+}
+
+// CheckResultBytes reports whether b decodes, without decoding it: it is
+// DecodeResultBytes's walk keeping no buckets, queues or names, so it
+// accepts exactly what DecodeResultBytes accepts and does not allocate.
+// The result cache checks every stored payload with it before handing the
+// payload out undecoded.
+func CheckResultBytes(b []byte) error {
+	var res Result
+	return decodeResult(b, &res, nil, nil)
+}
+
+// decodeResult decodes b into res, the histograms' buckets into h0 and h1.
+// With nil histograms it only checks: histograms, queues and names are
+// walked and dropped.
+func decodeResult(b []byte, res *Result, h0, h1 *Histogram) error {
+	if len(b) < len(resultMagic) || string(b[:len(resultMagic)]) != resultMagic {
+		return fmt.Errorf("sim: bad result magic %q", b[:min(len(b), len(resultMagic))])
+	}
+	d := &resultDecoder{b: b[len(resultMagic):], check: h0 == nil}
 	res.Arch = d.name()
 	c := &res.Config
 	for _, p := range [...]*int64{&c.MemLatency, &c.AddDepth, &c.MulDepth,
@@ -183,36 +202,38 @@ func DecodeResultBytes(b []byte) (*Result, error) {
 		&res.Traffic.LoadElems, &res.Traffic.StoreElems} {
 		*p = d.varint()
 	}
-	res.AVDQBusy = d.histogram(&blk.hist[0])
-	res.VADQBusy = d.histogram(&blk.hist[1])
+	res.AVDQBusy = d.histogram(h0)
+	res.VADQBusy = d.histogram(h1)
 	for _, p := range [...]*int64{&res.Bypasses, &res.BypassedElems, &res.Flushes,
 		&res.ScalarCacheHits, &res.ScalarCacheMisses} {
 		*p = d.varint()
 	}
 	if n := d.count(1 << 8); d.err == nil && n != int(NumStallReasons) {
-		return nil, fmt.Errorf("sim: result has %d stall reasons, this model has %d", n, NumStallReasons)
+		return fmt.Errorf("sim: result has %d stall reasons, this model has %d", n, NumStallReasons)
 	}
 	for i := range res.Stalls {
 		res.Stalls[i] = d.varint()
 	}
 	res.Queues = d.queues()
 	if d.err != nil {
-		return nil, fmt.Errorf("sim: decoding result: %w", d.err)
+		return fmt.Errorf("sim: decoding result: %w", d.err)
 	}
 	// The encoding must end exactly here; trailing bytes mean a mismatched
 	// writer and a checksum that no longer covers what we decoded.
 	if len(d.b) != 0 {
-		return nil, errors.New("sim: trailing bytes after result")
+		return errors.New("sim: trailing bytes after result")
 	}
-	return res, nil
+	return nil
 }
 
 // resultDecoder consumes b from the front. The first error sticks and
 // empties b, so every later read fails too and the field decoders can
-// chain without per-call error handling.
+// chain without per-call error handling. A checking decoder reads every
+// field but keeps no name, bucket or queue.
 type resultDecoder struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	check bool
 }
 
 func (d *resultDecoder) fail(err error) {
@@ -279,11 +300,14 @@ func (d *resultDecoder) bool() bool {
 }
 
 // name reads a string, returning the codecNames constant it equals
-// without allocating, or else a copy.
+// without allocating, or else a copy; a checking decoder returns "".
 func (d *resultDecoder) name() string {
 	n := d.count(maxCodecName)
 	s := d.b[:n]
 	d.b = d.b[n:]
+	if d.check {
+		return ""
+	}
 	for _, k := range codecNames {
 		if string(s) == k {
 			return k
@@ -302,13 +326,20 @@ func (d *resultDecoder) float() float64 {
 	return v
 }
 
-// histogram decodes into h and returns it, or nil for an absent histogram.
+// histogram decodes into h and returns it, or nil for an absent histogram
+// or a checking decoder.
 func (d *resultDecoder) histogram(h *Histogram) *Histogram {
 	if d.byte() == 0 {
 		return nil
 	}
 	n := d.count(maxCodecBuckets)
 	if d.err != nil {
+		return nil
+	}
+	if d.check {
+		for range n + 1 { // the buckets, then Clamped
+			d.varint()
+		}
 		return nil
 	}
 	h.Buckets = make([]int64, n)
@@ -327,16 +358,26 @@ func (d *resultDecoder) queues() []QueueStat {
 	if d.err != nil {
 		return nil
 	}
+	if d.check {
+		var q QueueStat
+		for range n {
+			d.queue(&q)
+		}
+		return nil
+	}
 	qs := make([]QueueStat, n)
 	for i := range qs {
-		q := &qs[i]
-		q.Name = d.name()
-		q.Cap = int(d.varint())
-		q.Pushes = d.varint()
-		q.Pops = d.varint()
-		q.Peak = int(d.varint())
-		q.MeanLen = d.float()
-		q.FullCycles = d.varint()
+		d.queue(&qs[i])
 	}
 	return qs
+}
+
+func (d *resultDecoder) queue(q *QueueStat) {
+	q.Name = d.name()
+	q.Cap = int(d.varint())
+	q.Pushes = d.varint()
+	q.Pops = d.varint()
+	q.Peak = int(d.varint())
+	q.MeanLen = d.float()
+	q.FullCycles = d.varint()
 }

@@ -9,10 +9,11 @@ import (
 	"decvec/internal/tracegen"
 )
 
-// Allocation budgets of the codec on a real DVA result: a warm sweep cell is
-// decoded twice and encoded once, so these are its codec cost. A decode
-// makes one allocation for the result and its histogram headers, one per
-// histogram's buckets and one for the queue list; a queue or arch name
+// Allocation budgets of the codec on a real DVA result. A warm sweep cell
+// is checked once by the worker's store and decoded once by the
+// coordinator, so these are its codec cost; the check must cost nothing. A
+// decode makes one allocation for the result and its histogram headers, one
+// per histogram's buckets and one for the queue list; a queue or arch name
 // missing from the decoder's name table costs one more each, so a stale
 // table fails here.
 func TestResultCodecAllocs(t *testing.T) {
@@ -29,6 +30,9 @@ func TestResultCodecAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { _, err = sim.DecodeResultBytes(enc) }); n > 4 {
 		t.Errorf("DecodeResultBytes: %v allocs, want at most 4", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { err = sim.CheckResultBytes(enc) }); n != 0 || err != nil {
+		t.Errorf("CheckResultBytes: %v allocs, error %v; want 0 and nil", n, err)
 	}
 	got, err := sim.DecodeResultBytes(enc)
 	if err != nil {

@@ -166,7 +166,8 @@ func TestCodecCoversAllFields(t *testing.T) {
 }
 
 // FuzzDecodeResult asserts the decoder never panics on arbitrary bytes, that
-// the reader and slice paths agree on every input, that anything accepted
+// the reader and slice paths agree on every input, that CheckResultBytes
+// accepts exactly what DecodeResultBytes decodes, that anything accepted
 // re-encodes and re-decodes to the same value (the decoded form is a fixed
 // point of the codec), and that AppendResult onto a non-empty buffer keeps
 // it and appends exactly the EncodeResult bytes.
@@ -182,6 +183,9 @@ func FuzzDecodeResult(f *testing.F) {
 		rr, rerr := DecodeResult(bytes.NewReader(data))
 		if (err == nil) != (rerr == nil) || !reflect.DeepEqual(r, rr) {
 			t.Fatalf("slice and reader paths disagree: %v / %v", err, rerr)
+		}
+		if cerr := CheckResultBytes(data); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckResultBytes says %v, DecodeResultBytes %v", cerr, err)
 		}
 		if err != nil {
 			return

@@ -203,6 +203,16 @@ func (c *Config) String() string {
 	return fmt.Sprintf("%s %d/%d L=%d", ArchName("DVA", c.Bypass), c.AVDQSize, c.VADQSize, c.MemLatency)
 }
 
+// Label names a run of core arch under c as the reports print it: the DVA
+// and the BYP with their queue sizes (String), "DVA 256/16 L=50", and any
+// other core, which has no AVDQ or VADQ, by name and latency, "REF L=50".
+func (c *Config) Label(arch string) string {
+	if arch == "DVA" || arch == "BYP" {
+		return c.String()
+	}
+	return fmt.Sprintf("%s L=%d", arch, c.MemLatency)
+}
+
 // DeadlockWindow is how many cycles without progress a cycle-level core
 // tolerates before declaring a deadlock: every legitimate passive wait is
 // bounded by the worst memory latency plus a pipeline's worth of cycles,

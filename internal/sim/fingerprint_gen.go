@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:ba7bf6138da484c08fcb0f1a02ad210fab4b3f6e4181048f1fcc6ed2517b7b1a"
+const ModelFingerprint = "mh1:9d165d79245f77f22f3472b1e6bbcc715c5759a0f938fae8d731bab842327c8c"

@@ -62,6 +62,16 @@ func TestBypassConfig(t *testing.T) {
 	if got := def.String(); got != "DVA 256/16 L=50" {
 		t.Errorf("String = %q", got)
 	}
+	// Label names the run's own core: a REF or OOO run has no AVDQ or VADQ
+	// to print, and must not read as a DVA run.
+	for arch, want := range map[string]string{"REF": "REF L=50", "OOO": "OOO L=50", "DVA": "DVA 256/16 L=50"} {
+		if got := def.Label(arch); got != want {
+			t.Errorf("Label(%q) = %q, want %q", arch, got, want)
+		}
+	}
+	if got := cfg.Label("BYP"); got != "BYP 4/8 L=30" {
+		t.Errorf("Label(BYP) = %q", got)
+	}
 }
 
 // TestParseArch pins the one architecture parser: every letter case of the

@@ -41,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -183,9 +184,8 @@ func (s *Store) Key(traceHash [sha256.Size]byte, arch string, cfg sim.Config, ex
 // are organized by.
 //
 // The preimage is built in a stack buffer: format preamble, fingerprint,
-// trace hash, arch, the configuration in %+v struct formatting (every field
-// in declaration order, so a new Config field can never be silently dropped
-// from the key) with SlowTick cleared, and extra.
+// trace hash, arch, the configuration as %+v formats it (appendConfig) with
+// SlowTick cleared, and extra.
 func DeriveKey(fingerprint string, traceHash [sha256.Size]byte, arch string, cfg sim.Config, extra string) Key {
 	var stack [512]byte
 	b := append(stack[:0], "decvec-simcache-v1\n"...)
@@ -195,7 +195,7 @@ func DeriveKey(fingerprint string, traceHash [sha256.Size]byte, arch string, cfg
 	b = append(b, arch...)
 	b = append(b, '\n')
 	cfg.SlowTick = false
-	b = fmt.Appendf(b, "%+v", cfg)
+	b = appendConfig(b, &cfg)
 	b = append(b, '\n')
 	b = append(b, extra...)
 	sum := sha256.Sum256(b)
@@ -204,37 +204,82 @@ func DeriveKey(fingerprint string, traceHash [sha256.Size]byte, arch string, cfg
 	return Key(key[:])
 }
 
+// appendConfig appends c as fmt's %+v formats a Config value,
+// "{MemLatency:50 AddDepth:6 ... SlowTick:false}", without boxing it. The
+// fields are listed by hand; a test holds the output to %+v, which names
+// every field in declaration order, so a new Config field cannot be
+// silently dropped from the key.
+func appendConfig(b []byte, c *sim.Config) []byte {
+	b = append(b, '{')
+	for i, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"MemLatency", c.MemLatency}, {"AddDepth", c.AddDepth},
+		{"MulDepth", c.MulDepth}, {"DivDepth", c.DivDepth},
+		{"SqrtDepth", c.SqrtDepth}, {"QMovDepth", c.QMovDepth},
+		{"ChainDelay", c.ChainDelay}, {"ScalarCacheLines", int64(c.ScalarCacheLines)},
+		{"ScalarCacheLineBytes", int64(c.ScalarCacheLineBytes)}, {"IQSize", int64(c.IQSize)},
+		{"ScalarQSize", int64(c.ScalarQSize)}, {"AVDQSize", int64(c.AVDQSize)},
+		{"VADQSize", int64(c.VADQSize)}, {"VSAQSize", int64(c.VSAQSize)},
+		{"MemPorts", int64(c.MemPorts)}, {"QMovUnits", int64(c.QMovUnits)},
+	} {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, f.name...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, f.v, 10)
+	}
+	b = append(b, " Bypass:"...)
+	b = strconv.AppendBool(b, c.Bypass)
+	b = append(b, " LatencyJitter:"...)
+	b = strconv.AppendInt(b, c.LatencyJitter, 10)
+	b = append(b, " SlowTick:"...)
+	b = strconv.AppendBool(b, c.SlowTick)
+	return append(b, '}')
+}
+
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, string(k)+entryExt) }
 
 // Get returns the cached result for the key, or ok=false on any miss —
 // absent, truncated, torn, checksum-mismatched or undecodable entries all
 // read as misses; the corrupt ones are quarantined aside.
 func (s *Store) Get(k Key) (*sim.Result, bool) {
-	res, _, ok := s.GetBytes(k)
-	return res, ok
+	payload, ok := s.GetBytes(k)
+	if !ok {
+		return nil, false
+	}
+	// GetBytes checked the payload with sim.CheckResultBytes, which accepts
+	// exactly what decodes.
+	res, err := sim.DecodeResultBytes(payload)
+	return res, err == nil
 }
 
-// GetBytes is Get but also returns the canonical encoded payload, so
-// verification can byte-compare without re-encoding.
-func (s *Store) GetBytes(k Key) (*sim.Result, []byte, bool) {
+// GetBytes is Get without the decode: it returns the entry's canonical
+// payload once its framing and checksum hold and sim.CheckResultBytes
+// finds it decodable, so a payload that passes its checksum but would not
+// decode is a quarantined miss here too. The payload aliases nothing the
+// store keeps.
+func (s *Store) GetBytes(k Key) ([]byte, bool) {
 	path := s.path(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
-		return nil, nil, false
+		return nil, false
 	}
-	res, err := decodeEntry(data)
+	payload, err := checkEntry(data)
 	if err != nil {
 		s.quarantine(path)
 		s.corrupt.Add(1)
 		s.misses.Add(1)
-		return nil, nil, false
+		return nil, false
 	}
 	// Touch the entry so GC's LRU order tracks use, not just creation.
 	// Best-effort: a racing eviction only costs a future re-simulation.
 	_ = touch(path)
 	s.hits.Add(1)
-	return res, data[len(entryMagic)+sha256.Size:], true
+	return payload, true
 }
 
 // Put stores the result under the key: encode, checksum, write to a temp
@@ -242,16 +287,25 @@ func (s *Store) GetBytes(k Key) (*sim.Result, []byte, bool) {
 // writers for one key are benign — content is deterministic, so whichever
 // rename lands last installs identical bytes.
 func (s *Store) Put(k Key, r *sim.Result) error {
+	_, err := s.PutBytes(k, r)
+	return err
+}
+
+// PutBytes is Put that also returns the canonical payload it encoded, so a
+// caller that wants the bytes does not encode the result again. The
+// payload is returned even when the write fails.
+func (s *Store) PutBytes(k Key, r *sim.Result) ([]byte, error) {
 	// One buffer holds the framing and the payload encoded behind it; 1 KiB
 	// fits a DVA result at the paper's queue sizes.
 	head := len(entryMagic) + sha256.Size
 	entry := sim.AppendResult(make([]byte, head, head+1024), r)
 	copy(entry, entryMagic)
-	sum := sha256.Sum256(entry[head:])
+	payload := entry[head:]
+	sum := sha256.Sum256(payload)
 	copy(entry[len(entryMagic):], sum[:])
 	f, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
-		return fmt.Errorf("simcache: %w", err)
+		return payload, fmt.Errorf("simcache: %w", err)
 	}
 	tmp := f.Name()
 	_, err = f.Write(entry)
@@ -266,14 +320,15 @@ func (s *Store) Put(k Key, r *sim.Result) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("simcache: writing entry: %w", err)
+		return payload, fmt.Errorf("simcache: writing entry: %w", err)
 	}
 	s.writes.Add(1)
-	return nil
+	return payload, nil
 }
 
-// decodeEntry validates one cache file end to end: magic, checksum, payload.
-func decodeEntry(data []byte) (*sim.Result, error) {
+// checkEntry validates one cache file end to end — magic, checksum and a
+// decodable payload — and returns the payload.
+func checkEntry(data []byte) ([]byte, error) {
 	head := len(entryMagic) + sha256.Size
 	if len(data) < head || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, fmt.Errorf("simcache: bad entry framing")
@@ -283,7 +338,7 @@ func decodeEntry(data []byte) (*sim.Result, error) {
 	if !bytes.Equal(sum[:], data[len(entryMagic):head]) {
 		return nil, fmt.Errorf("simcache: entry checksum mismatch")
 	}
-	return sim.DecodeResultBytes(payload)
+	return payload, sim.CheckResultBytes(payload)
 }
 
 // quarantine moves a corrupt entry aside (best effort) so it stops matching

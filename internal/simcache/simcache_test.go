@@ -1,7 +1,11 @@
 package simcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -152,6 +156,55 @@ func TestBitFlippedEntryIsMissAndQuarantined(t *testing.T) {
 	}
 }
 
+// An entry whose checksum holds over a payload that does not decode — a
+// writer from another codec, or corruption before the checksum was taken —
+// is corrupt too: both reads miss, quarantine it and count it, and GetBytes
+// must not hand the payload out undecoded.
+func TestChecksummedUndecodablePayloadIsCorrupt(t *testing.T) {
+	for _, read := range []struct {
+		name string
+		get  func(*Store, Key) bool
+	}{
+		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
+		{"GetBytes", func(s *Store, k Key) bool { _, ok := s.GetBytes(k); return ok }},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			s := testStore(t, Options{})
+			k := testKey(s, "")
+			payload, err := s.PutBytes(k, testResult())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload, sim.AppendResult(nil, testResult())) {
+				t.Fatal("PutBytes returned bytes other than the canonical encoding")
+			}
+			// Drop the payload's last byte and checksum what is left.
+			bad := payload[:len(payload)-1]
+			if sim.CheckResultBytes(bad) == nil {
+				t.Fatal("the cut payload still decodes")
+			}
+			sum := sha256.Sum256(bad)
+			path := entryFile(t, s)
+			entry := append(append([]byte(entryMagic), sum[:]...), bad...)
+			if err := os.WriteFile(path, entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if read.get(s, k) {
+				t.Fatal("a checksummed undecodable payload was served as a hit")
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.Hits != 0 {
+				t.Errorf("stats = %+v, want 1 corrupt, 1 miss, 0 hits", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("corrupt entry still live at %s", path)
+			}
+			if q, _ := filepath.Glob(filepath.Join(s.Dir(), "*"+corruptExt)); len(q) != 1 {
+				t.Errorf("want 1 quarantined file, got %v", q)
+			}
+		})
+	}
+}
+
 func TestConcurrentWritersOneKey(t *testing.T) {
 	// Two Store instances over one directory model two processes sharing a
 	// cache. Both hammer the same key; readers must only ever observe
@@ -181,7 +234,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if _, _, ok := s.GetBytes(k); !ok {
+				if _, ok := s.GetBytes(k); !ok {
 					t.Error("miss between writes: reader saw a torn entry")
 					return
 				}
@@ -356,7 +409,7 @@ func TestKeySeparatesInputs(t *testing.T) {
 // sha256.New, fmt.Sprintf and hex.EncodeToString before DeriveKey built its
 // preimage in a stack buffer, and every worker's disk tier is organized by
 // it. Each sweep cell's key is derived twice, by the coordinator and by the
-// worker, so DeriveKey allocates at most twice: the boxed config and the key.
+// worker, so DeriveKey allocates once: the key string.
 func TestDeriveKeyGoldenAndAllocs(t *testing.T) {
 	var th [sha256.Size]byte
 	for i := range th {
@@ -370,11 +423,58 @@ func TestDeriveKeyGoldenAndAllocs(t *testing.T) {
 	if got, want := derive(), Key("70acd0df50f95dbb0a1ab2e39955b5a7d7dcb26f1aa9d8b8b85c23bf4c987205"); got != want {
 		t.Errorf("DeriveKey drifted:\n got %s\nwant %s", got, want)
 	}
-	if raceEnabled {
-		return // allocation counts are not meaningful under the race detector
+	if n := testing.AllocsPerRun(50, func() { derive() }); n > 1 {
+		t.Errorf("DeriveKey: %v allocs, want at most 1", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { derive() }); n > 2 {
-		t.Errorf("DeriveKey: %v allocs, want at most 2", n)
+}
+
+// appendConfig must write exactly what fmt's %+v writes for a Config value,
+// the key's form since the first store, over seeded configs with every
+// integer at its extremes and both bool values.
+func TestAppendConfigMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	extremes := []int64{0, 1, -1, 9, 10, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
+	for i := 0; i < 500; i++ {
+		cfg := sim.DefaultConfig(50)
+		v := reflect.ValueOf(&cfg).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			if i == 0 {
+				break // the default config itself
+			}
+			switch fv := v.Field(f); fv.Kind() {
+			case reflect.Int, reflect.Int64:
+				if rng.Intn(2) == 0 {
+					fv.SetInt(extremes[rng.Intn(len(extremes))])
+				} else {
+					fv.SetInt(rng.Int63() >> rng.Intn(63) * int64(1-2*rng.Intn(2)))
+				}
+			case reflect.Bool:
+				fv.SetBool(rng.Intn(2) == 0)
+			default:
+				t.Fatalf("Config.%s is a %s; appendConfig writes only ints and bools", v.Type().Field(f).Name, fv.Kind())
+			}
+		}
+		if got, want := string(appendConfig(nil, &cfg)), fmt.Sprintf("%+v", cfg); got != want {
+			t.Fatalf("appendConfig differs from %%+v:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// Every sim.Config field is named in the key, in declaration order: a
+// field added to Config but not to appendConfig fails here, as it would
+// have been silently left out of every cache key.
+func TestAppendConfigNamesEveryField(t *testing.T) {
+	cfg := sim.DefaultConfig(50)
+	out := string(appendConfig(nil, &cfg))
+	typ := reflect.TypeOf(cfg)
+	at := 0
+	for f := 0; f < typ.NumField(); f++ {
+		name := typ.Field(f).Name + ":"
+		i := strings.Index(out[at:], name)
+		if i < 0 {
+			t.Fatalf("appendConfig does not name Config.%s after position %d: %s", typ.Field(f).Name, at, out)
+		}
+		at += i + len(name)
 	}
 }
 

@@ -188,8 +188,11 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 	filled := make([]bool, len(pending))
 	doneSeen := false
 	dec := json.NewDecoder(resp.Body)
+	// One row serves the whole stream, its payload decoded into the same
+	// buffer each time: DecodeResultBytes keeps nothing of its input.
+	var row Row
 	for {
-		var row Row
+		row = Row{Result: row.Result[:0]}
 		if err := dec.Decode(&row); err != nil {
 			if err == io.EOF {
 				break
@@ -203,8 +206,11 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 			r.noteCounters(row.CacheHits, row.CacheMisses)
 			continue
 		}
-		if row.I < 0 || row.I >= len(pending) || filled[row.I] {
+		if row.I < 0 || row.I >= len(pending) {
 			return unfilled(pending, filled), fmt.Errorf("worker %s: sweep row index %d out of range", r.name, row.I)
+		}
+		if filled[row.I] {
+			return unfilled(pending, filled), fmt.Errorf("worker %s: sweep row index %d answered twice", r.name, row.I)
 		}
 		ci := pending[row.I]
 		filled[row.I] = true

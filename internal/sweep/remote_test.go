@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,6 +277,48 @@ func TestRemoteBadRequestIsPermanent(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("400 was retried %d times; must not be retried", calls.Load()-1)
+	}
+}
+
+// A row that names no pending cell, or one already answered, is a worker
+// fault the coordinator cannot repair by retrying: each fails the chunk at
+// once, with its own message and the worker's name.
+func TestRemoteRejectsBadRowIndices(t *testing.T) {
+	row := func(i int) string {
+		b, err := json.Marshal(sweep.Row{I: i, Result: sim.AppendResult(nil, &sim.Result{Arch: "DVA"})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"out of range", row(0) + row(2), "sweep row index 2 out of range"},
+		{"negative", row(-3), "sweep row index -3 out of range"},
+		{"repeated", row(1) + row(1), "sweep row index 1 answered twice"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var calls atomic.Int64
+			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/sweep" {
+					http.NotFound(w, r)
+					return
+				}
+				calls.Add(1)
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				io.WriteString(w, c.body+`{"i":-1,"done":true}`+"\n")
+			}))
+			defer worker.Close()
+			rr := sweep.NewRemote(worker.URL, sweep.RemoteOptions{Name: "scripted-7", Retries: 3, Backoff: time.Millisecond})
+			_, err := rr.Run(context.Background(), planCells(t, 2))
+			if err == nil || !strings.Contains(err.Error(), "worker scripted-7: "+c.want) {
+				t.Fatalf("error = %v, want one naming worker scripted-7 with %q", err, c.want)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("the chunk was sent %d times; a bad row index must not be retried", n)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,13 @@
 package sweep
 
-import "decvec/internal/sim"
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"strconv"
+
+	"decvec/internal/sim"
+)
 
 // The /v1/sweep wire protocol, defined once: the remote executor encodes
 // Requests and decodes Rows, and dvad (internal/server) decodes Requests and
@@ -35,14 +42,47 @@ type WireCell struct {
 // cache counters; a client that never sees it knows the stream broke and
 // which cells (by index) are still owed.
 type Row struct {
-	I      int    `json:"i"`
-	Result []byte `json:"result,omitempty"` // canonical sim.EncodeResult payload
-	Error  string `json:"error,omitempty"`
+	I      int     `json:"i"`
+	Result Payload `json:"result,omitempty"` // canonical sim.EncodeResult payload
+	Error  string  `json:"error,omitempty"`
 
 	Done        bool  `json:"done,omitempty"`
 	Simulations int64 `json:"simulations,omitempty"`
 	CacheHits   int64 `json:"cacheHits,omitempty"`
 	CacheMisses int64 `json:"cacheMisses,omitempty"`
+}
+
+// Payload is a row's canonical result encoding. It encodes as any []byte
+// does, a base64 string; decoding appends into the capacity it already
+// has, so a coordinator that reuses one Row per stream allocates no buffer
+// per row.
+type Payload []byte
+
+// UnmarshalJSON decodes a base64 string into p's own capacity. Any other
+// value, and a string with escapes (encoding/json never writes one for
+// base64), goes through encoding/json's []byte decoding, so p always ends
+// up as a []byte field would.
+func (p *Payload) UnmarshalJSON(data []byte) error {
+	if n := len(data); n >= 2 && data[0] == '"' && data[n-1] == '"' && bytes.IndexByte(data, '\\') < 0 {
+		b, err := base64.StdEncoding.AppendDecode((*p)[:0], data[1:n-1])
+		*p = b
+		return err
+	}
+	return json.Unmarshal(data, (*[]byte)(p))
+}
+
+// AppendResultRow appends the NDJSON line of a successful cell, byte for
+// byte what json.Encoder writes for Row{I: i, Result: payload}, without
+// reflection or a base64 copy of the payload.
+func AppendResultRow(dst []byte, i int, payload []byte) []byte {
+	b := append(dst, `{"i":`...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	if len(payload) > 0 { // omitempty
+		b = append(b, `,"result":"`...)
+		b = base64.StdEncoding.AppendEncode(b, payload)
+		b = append(b, '"')
+	}
+	return append(b, "}\n"...)
 }
 
 // wire is the cell's Request form.
