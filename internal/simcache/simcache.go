@@ -246,22 +246,27 @@ func (s *Store) path(k Key) string { return filepath.Join(s.dir, string(k)+entry
 // absent, truncated, torn, checksum-mismatched or undecodable entries all
 // read as misses; the corrupt ones are quarantined aside.
 func (s *Store) Get(k Key) (*sim.Result, bool) {
-	payload, ok := s.GetBytes(k)
-	if !ok {
-		return nil, false
-	}
-	// GetBytes checked the payload with sim.CheckResultBytes, which accepts
-	// exactly what decodes.
-	res, err := sim.DecodeResultBytes(payload)
-	return res, err == nil
+	var res *sim.Result
+	_, ok := s.read(k, func(payload []byte) (err error) {
+		res, err = sim.DecodeResultBytes(payload)
+		return err
+	})
+	return res, ok
 }
 
 // GetBytes is Get without the decode: it returns the entry's canonical
 // payload once its framing and checksum hold and sim.CheckResultBytes
 // finds it decodable, so a payload that passes its checksum but would not
-// decode is a quarantined miss here too. The payload aliases nothing the
-// store keeps.
+// decode is a quarantined miss here too. The store keeps no reference to
+// the payload.
 func (s *Store) GetBytes(k Key) ([]byte, bool) {
+	return s.read(k, sim.CheckResultBytes)
+}
+
+// read returns the key's payload once the entry's framing and checksum
+// hold and check accepts the payload. Anything else is a miss, and an
+// entry that exists but fails is quarantined and counted corrupt.
+func (s *Store) read(k Key, check func([]byte) error) ([]byte, bool) {
 	path := s.path(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -269,6 +274,9 @@ func (s *Store) GetBytes(k Key) ([]byte, bool) {
 		return nil, false
 	}
 	payload, err := checkEntry(data)
+	if err == nil {
+		err = check(payload)
+	}
 	if err != nil {
 		s.quarantine(path)
 		s.corrupt.Add(1)
@@ -326,8 +334,8 @@ func (s *Store) PutBytes(k Key, r *sim.Result) ([]byte, error) {
 	return payload, nil
 }
 
-// checkEntry validates one cache file end to end — magic, checksum and a
-// decodable payload — and returns the payload.
+// checkEntry checks one cache file's framing and checksum and returns its
+// payload.
 func checkEntry(data []byte) ([]byte, error) {
 	head := len(entryMagic) + sha256.Size
 	if len(data) < head || string(data[:len(entryMagic)]) != entryMagic {
@@ -338,7 +346,7 @@ func checkEntry(data []byte) ([]byte, error) {
 	if !bytes.Equal(sum[:], data[len(entryMagic):head]) {
 		return nil, fmt.Errorf("simcache: entry checksum mismatch")
 	}
-	return payload, sim.CheckResultBytes(payload)
+	return payload, nil
 }
 
 // quarantine moves a corrupt entry aside (best effort) so it stops matching
