@@ -303,12 +303,16 @@ func (s *Store) Put(k Key, r *sim.Result) error {
 // caller that wants the bytes does not encode the result again. The
 // payload is returned even when the write fails.
 func (s *Store) PutBytes(k Key, r *sim.Result) ([]byte, error) {
-	// One buffer holds the framing and the payload encoded behind it; 1 KiB
-	// fits a DVA result at the paper's queue sizes.
+	// The result is encoded on the stack and framed into an entry of
+	// exactly its size: the suite keeps the payload for as long as the run
+	// stays in its memory tier.
+	var stack [4096]byte
+	enc := sim.AppendResult(stack[:0], r)
 	head := len(entryMagic) + sha256.Size
-	entry := sim.AppendResult(make([]byte, head, head+1024), r)
+	entry := make([]byte, head+len(enc))
 	copy(entry, entryMagic)
 	payload := entry[head:]
+	copy(payload, enc)
 	sum := sha256.Sum256(payload)
 	copy(entry[len(entryMagic):], sum[:])
 	f, err := os.CreateTemp(s.dir, ".put-*")
