@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -128,31 +129,45 @@ type report struct {
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "checked-in baseline bench output (required)")
-	current := flag.String("current", "", "fresh bench output (required)")
-	out := flag.String("out", "", "JSON report path (required)")
-	desc := flag.String("desc", "pre-PR baseline vs current; speedup = baseline ns/op / current ns/op",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "checked-in baseline bench output (required)")
+	current := fs.String("current", "", "fresh bench output (required)")
+	out := fs.String("out", "", "JSON report path (required)")
+	desc := fs.String("desc", "pre-PR baseline vs current; speedup = baseline ns/op / current ns/op",
 		"one-line description of what the trajectory compares")
-	notes := flag.String("notes", "", "free-form notes embedded in the report")
-	minGeomean := flag.Float64("min-geomean", 0,
+	notes := fs.String("notes", "", "free-form notes embedded in the report")
+	minGeomean := fs.Float64("min-geomean", 0,
 		"fail (exit 1) if the figure geomean speedup falls below this value; 0 disables the gate")
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	for _, f := range []struct{ name, val string }{
 		{"baseline", *baseline}, {"current", *current}, {"out", *out},
 	} {
 		if f.val == "" {
-			fmt.Fprintf(os.Stderr, "benchjson: -%s is required\n", f.name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchjson: -%s is required\n", f.name)
+			return 2
 		}
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
 
 	base, err := parseBench(*baseline)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cur, err := parseBench(*current)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	rep := report{
@@ -192,12 +207,12 @@ func main() {
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("benchjson: %s (figure geomean %.3fx over %d benchmarks)\n",
+	fmt.Fprintf(stdout, "benchjson: %s (figure geomean %.3fx over %d benchmarks)\n",
 		*out, rep.FigureGeomeanSpeedup, logN)
 
 	// The gate makes the bench step CI-enforceable: the report is always
@@ -205,20 +220,16 @@ func main() {
 	// fails if the figure geomean regressed below the floor.
 	if *minGeomean > 0 {
 		if logN == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: -min-geomean %.2f set but no figure benchmarks matched\n", *minGeomean)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchjson: -min-geomean %.2f set but no figure benchmarks matched\n", *minGeomean)
+			return 1
 		}
 		if rep.FigureGeomeanSpeedup < *minGeomean {
-			fmt.Fprintf(os.Stderr, "benchjson: figure geomean %.3fx below floor %.2fx\n",
+			fmt.Fprintf(stderr, "benchjson: figure geomean %.3fx below floor %.2fx\n",
 				rep.FigureGeomeanSpeedup, *minGeomean)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
-}

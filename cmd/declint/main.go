@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -48,29 +49,40 @@ func analyzers() []*analysis.Analyzer {
 }
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: declint [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the simulator-invariant analyzers over the module.\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Exits 0 when clean, 1 on diagnostics, 2 on analysis errors.\n")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("declint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: declint [packages]\n\n")
+		fmt.Fprintf(stderr, "Runs the simulator-invariant analyzers over the module.\n")
+		fmt.Fprintf(stderr, "Exits 0 when clean, 1 on diagnostics, 2 on analysis errors.\n")
 	}
-	flag.Parse()
-	patterns := flag.Args()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	violations, err := run(patterns)
+	violations, err := lint(stdout, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "declint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "declint:", err)
+		return 2
 	}
 	if violations > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// run loads the packages, applies every analyzer and prints the surviving
+// lint loads the packages, applies every analyzer and prints the surviving
 // diagnostics; it returns how many there were.
-func run(patterns []string) (int, error) {
+func lint(stdout io.Writer, patterns []string) (int, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return 0, err
@@ -84,6 +96,9 @@ func run(patterns []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if len(pkgs) == 0 {
+		return 0, fmt.Errorf("no packages match %v", patterns)
+	}
 	diags, err := analysis.Run(analyzers(), pkgs)
 	if err != nil {
 		return 0, err
@@ -94,10 +109,10 @@ func run(patterns []string) (int, error) {
 		if rel, err := filepath.Rel(modDir, file); err == nil {
 			file = filepath.ToSlash(rel)
 		}
-		fmt.Printf("%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
-		fmt.Printf("declint: %d violation(s)\n", len(diags))
+		fmt.Fprintf(stdout, "declint: %d violation(s)\n", len(diags))
 	}
 	return len(diags), nil
 }

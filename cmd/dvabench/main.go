@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,27 +43,36 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run holds the whole invocation so that end-of-run cache maintenance —
 // the GC that enforces -cache-max-mb and the hit/miss accounting — happens
-// on every exit path, including mid-run experiment failures. os.Exit would
-// skip it; main only forwards the code.
-func run() int {
+// on every exit path, including mid-run experiment failures.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exps       = flag.String("exp", "all", "comma-separated experiments to run, or 'all'; available: "+strings.Join(decvec.ExperimentNames(), ","))
-		scale      = flag.Float64("scale", 1.0, "trace scale factor (1.0 = default trace sizes)")
-		quiet      = flag.Bool("q", false, "suppress timing output")
-		outDir     = flag.String("out", "", "also write each experiment's report to <dir>/<name>.txt")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
-		slowTick   = flag.Bool("slowtick", false, "disable the idle-skip fast path and simulate every cycle (same output, ~3x slower)")
+		exps       = fs.String("exp", "all", "comma-separated experiments to run, or 'all'; available: "+strings.Join(decvec.ExperimentNames(), ","))
+		scale      = fs.Float64("scale", 1.0, "trace scale factor (1.0 = default trace sizes)")
+		quiet      = fs.Bool("q", false, "suppress timing output")
+		outDir     = fs.String("out", "", "also write each experiment's report to <dir>/<name>.txt")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile (after the runs) to this file")
+		slowTick   = fs.Bool("slowtick", false, "disable the idle-skip fast path and simulate every cycle (same output, ~3x slower)")
 	)
-	cache := decvec.RegisterCacheFlags("enforced after the run")
-	flag.Parse()
-	if err := cache.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+	cache := decvec.RegisterCacheFlags(fs, "enforced after the run")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	err := cache.Validate()
+	if err == nil {
+		err = decvec.CheckScale(*scale)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "dvabench: %v\n", err)
 		return 2
 	}
 	// Reject a misspelled experiment before any other one spends its run.
@@ -76,27 +86,31 @@ func run() int {
 				continue
 			}
 			if !slices.Contains(known, name) {
-				fmt.Fprintf(os.Stderr, "dvabench: unknown experiment %q in -exp (available: %s)\n", name, strings.Join(known, ","))
+				fmt.Fprintf(stderr, "dvabench: unknown experiment %q in -exp (available: %s)\n", name, strings.Join(known, ","))
 				return 2
 			}
 			names = append(names, name)
+		}
+		if len(names) == 0 {
+			fmt.Fprintln(stderr, "dvabench: -exp names no experiment")
+			return 2
 		}
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: %v\n", err)
 			return 1
 		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: %v\n", err)
 			return 1
 		}
 		defer func() {
@@ -108,7 +122,7 @@ func run() int {
 	suite := decvec.NewSuite(*scale)
 	suite.SlowTick = *slowTick
 	suite.VerifyFraction = cache.Verify
-	suite.Disk = cache.Open("dvabench")
+	suite.Disk = cache.Open(stderr, "dvabench")
 
 	// A mid-run failure stops launching experiments but still falls through
 	// to the cache GC and counters below — completed runs were already
@@ -116,12 +130,12 @@ func run() int {
 	var runErr error
 	for _, name := range names {
 		start := time.Now()
-		out, err := decvec.RunExperimentCtx(context.Background(), suite, name)
+		out, err := decvec.RunExperimentCtx(ctx, suite, name)
 		if err != nil {
 			runErr = err
 			break
 		}
-		fmt.Printf("==== %s ====\n%s\n", name, out)
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", name, out)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, name+".txt")
 			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
@@ -130,19 +144,19 @@ func run() int {
 			}
 		}
 		if !*quiet {
-			fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "dvabench: %v\n", runErr)
+		fmt.Fprintf(stderr, "dvabench: %v\n", runErr)
 	}
 
 	if suite.Disk != nil {
 		if _, err := suite.Disk.GC(); err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: cache GC: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: cache GC: %v\n", err)
 		}
 		if !*quiet {
-			fmt.Printf("%s(simulations run: %d, cache %s)\n\n",
+			fmt.Fprintf(stdout, "%s(simulations run: %d, cache %s)\n\n",
 				decvec.CacheTable(suite.CacheStats()), suite.Simulations(), suite.Disk.Dir())
 		}
 	}
@@ -150,12 +164,12 @@ func run() int {
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: %v\n", err)
 			return 1
 		}
 		runtime.GC() // settle allocations so the profile reflects live data
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dvabench: %v\n", err)
+			fmt.Fprintf(stderr, "dvabench: %v\n", err)
 			return 1
 		}
 		f.Close()

@@ -22,8 +22,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -34,22 +37,47 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8382", "listen address")
-		scale    = flag.Float64("scale", 1.0, "trace scale factor shared by every request")
-		maxConc  = flag.Int("max-concurrent", 0, "max simultaneously running simulations (0 = GOMAXPROCS)")
-		maxQueue = flag.Int("max-queue", 0, "max simulations waiting for a slot before 429 (0 = 4x max-concurrent)")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request wall-time cap (requests answer 504 past it)")
-		gcEvery  = flag.Duration("gc-interval", 5*time.Minute, "periodic cache GC interval (0 disables; the shutdown GC always runs)")
-	)
-	cache := decvec.RegisterCacheFlags("enforced periodically and at shutdown")
-	flag.Parse()
-	if err := cache.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dvad: %v\n", err)
-		os.Exit(2)
-	}
-	store := cache.Open("dvad")
+	// The process ends with run, so the signal registration is never undone.
+	ctx, _ := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run serves until ctx is cancelled, then drains, GCs the cache and prints
+// the counters.
+func run(ctx context.Context, args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvad", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":8382", "listen address")
+		scale    = fs.Float64("scale", 1.0, "trace scale factor shared by every request")
+		maxConc  = fs.Int("max-concurrent", 0, "max simultaneously running simulations (0 = GOMAXPROCS)")
+		maxQueue = fs.Int("max-queue", 0, "max simulations waiting for a slot before 429 (0 = 4x max-concurrent)")
+		timeout  = fs.Duration("timeout", 60*time.Second, "per-request wall-time cap (requests answer 504 past it)")
+		gcEvery  = fs.Duration("gc-interval", 5*time.Minute, "periodic cache GC interval (0 disables; the shutdown GC always runs)")
+	)
+	cache := decvec.RegisterCacheFlags(fs, "enforced periodically and at shutdown")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	err := cache.Validate()
+	if err == nil {
+		err = decvec.CheckScale(*scale)
+	}
+	if err == nil && (*maxConc < 0 || *maxQueue < 0 || *timeout < 0 || *gcEvery < 0) {
+		err = errors.New("-max-concurrent, -max-queue, -timeout and -gc-interval must be >= 0")
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "dvad: %v\n", err)
+		return 2
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "dvad: %v\n", err)
+		return 1
+	}
+	store := cache.Open(stderr, "dvad")
 	srv := decvec.NewServer(decvec.ServerConfig{
 		Scale:          *scale,
 		MaxConcurrent:  *maxConc,
@@ -60,34 +88,35 @@ func main() {
 	})
 	srv.Suite().VerifyFraction = cache.Verify
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "dvad: %v: draining in-flight requests...\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "dvad: shutdown: %v\n", err)
-		}
-	}()
-
 	cacheNote := "off"
 	if store != nil {
 		cacheNote = store.Dir()
 	}
-	fmt.Fprintf(os.Stderr, "dvad: serving on %s (scale %g, cache %s)\n", *addr, *scale, cacheNote)
-	err := srv.ListenAndServe(*addr)
-	if err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "dvad: %v\n", err)
-		os.Exit(1)
+	fmt.Fprintf(stderr, "dvad: serving on %s (scale %g, cache %s)\n", ln.Addr(), *scale, cacheNote)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var serveErr error
+	select {
+	case serveErr = <-served:
+	case <-ctx.Done():
+		fmt.Fprintln(stderr, "dvad: draining in-flight requests...")
 	}
-	<-done // let the signal handler finish draining and GC
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		fmt.Fprintf(stderr, "dvad: shutdown: %v\n", err)
+	}
+	if serveErr == nil {
+		serveErr = <-served
+	}
 
-	fmt.Fprint(os.Stderr, decvec.ServerTable(srv.Stats()))
+	fmt.Fprint(stderr, decvec.ServerTable(srv.Stats()))
 	if store != nil {
-		fmt.Fprint(os.Stderr, decvec.CacheTable(store.Stats()))
+		fmt.Fprint(stderr, decvec.CacheTable(store.Stats()))
 	}
+	if !errors.Is(serveErr, http.ErrServerClosed) {
+		fmt.Fprintf(stderr, "dvad: %v\n", serveErr)
+		return 1
+	}
+	return 0
 }

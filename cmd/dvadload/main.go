@@ -31,28 +31,42 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvadload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		url       = flag.String("url", "http://localhost:8382", "dvad base URL")
-		n         = flag.Int("n", 200, "total requests")
-		c         = flag.Int("c", 100, "concurrent workers")
-		prog      = flag.String("prog", "BDNA", "program to request")
-		arch      = flag.String("arch", "DVA", "architecture to request")
-		latency   = flag.Int64("latency", 50, "memory latency to request")
-		mix       = flag.Bool("mix", false, "vary the latency per request (distinct configurations) instead of firing identical requests")
-		assertCoa = flag.Bool("assert-coalesce", false, "exit nonzero unless every request succeeded and the run cost at most one simulation")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request client timeout")
+		url       = fs.String("url", "http://localhost:8382", "dvad base URL")
+		n         = fs.Int("n", 200, "total requests")
+		c         = fs.Int("c", 100, "concurrent workers")
+		prog      = fs.String("prog", "BDNA", "program to request")
+		arch      = fs.String("arch", "DVA", "architecture to request")
+		latency   = fs.Int64("latency", 50, "memory latency to request")
+		mix       = fs.Bool("mix", false, "vary the latency per request (distinct configurations) instead of firing identical requests")
+		assertCoa = fs.Bool("assert-coalesce", false, "exit nonzero unless every request succeeded and the run cost at most one simulation")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "per-request client timeout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *n < 1 || *c < 1 {
-		fmt.Fprintln(os.Stderr, "dvadload: -n and -c must be positive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dvadload: -n and -c must be positive")
+		return 2
+	}
+	if *assertCoa && *mix {
+		fmt.Fprintln(stderr, "dvadload: assert-coalesce requires identical requests (drop -mix)")
+		return 2
 	}
 
 	client := &http.Client{Timeout: *timeout}
 	before, err := stats(client, *url)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvadload: reading /statsz: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dvadload: reading /statsz: %v\n", err)
+		return 1
 	}
 
 	type result struct {
@@ -102,8 +116,8 @@ func main() {
 
 	after, err := stats(client, *url)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvadload: reading /statsz: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dvadload: reading /statsz: %v\n", err)
+		return 1
 	}
 
 	var durs []time.Duration
@@ -123,43 +137,40 @@ func main() {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 
 	sims := after.Simulations - before.Simulations
-	fmt.Printf("dvadload: %d requests (%d workers) in %v (%.1f req/s)\n",
+	fmt.Fprintf(stdout, "dvadload: %d requests (%d workers) in %v (%.1f req/s)\n",
 		*n, *c, wall.Round(time.Millisecond), float64(*n)/wall.Seconds())
-	fmt.Printf("  ok: %d", ok)
+	fmt.Fprintf(stdout, "  ok: %d", ok)
 	for code, cnt := range statuses {
 		if code != http.StatusOK {
-			fmt.Printf("  %d: %d", code, cnt)
+			fmt.Fprintf(stdout, "  %d: %d", code, cnt)
 		}
 	}
 	if failed > 0 {
-		fmt.Printf("  transport errors: %d", failed)
+		fmt.Fprintf(stdout, "  transport errors: %d", failed)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if len(durs) > 0 {
-		fmt.Printf("  latency: p50 %v  p90 %v  p99 %v  max %v\n",
+		fmt.Fprintf(stdout, "  latency: p50 %v  p90 %v  p99 %v  max %v\n",
 			pct(durs, 50), pct(durs, 90), pct(durs, 99), durs[len(durs)-1])
 	}
-	fmt.Printf("  coalescing: %d requests served by %d simulations", ok, sims)
+	fmt.Fprintf(stdout, "  coalescing: %d requests served by %d simulations", ok, sims)
 	if sims > 0 {
-		fmt.Printf(" (%.0fx)", float64(ok)/float64(sims))
+		fmt.Fprintf(stdout, " (%.0fx)", float64(ok)/float64(sims))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	if *assertCoa {
 		if ok != *n {
-			fmt.Fprintf(os.Stderr, "dvadload: assert-coalesce: only %d/%d requests succeeded\n", ok, *n)
-			os.Exit(1)
-		}
-		if *mix {
-			fmt.Fprintln(os.Stderr, "dvadload: assert-coalesce requires identical requests (drop -mix)")
-			os.Exit(2)
+			fmt.Fprintf(stderr, "dvadload: assert-coalesce: only %d/%d requests succeeded\n", ok, *n)
+			return 1
 		}
 		if sims > 1 {
-			fmt.Fprintf(os.Stderr, "dvadload: assert-coalesce: %d identical requests cost %d simulations, want <= 1\n", *n, sims)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dvadload: assert-coalesce: %d identical requests cost %d simulations, want <= 1\n", *n, sims)
+			return 1
 		}
-		fmt.Printf("  assert-coalesce: PASS (%d requests, %d simulation(s))\n", *n, sims)
+		fmt.Fprintf(stdout, "  assert-coalesce: PASS (%d requests, %d simulation(s))\n", *n, sims)
 	}
+	return 0
 }
 
 // statsz is the subset of /statsz dvadload needs.

@@ -18,73 +18,67 @@
 // paths included — and -cache-verify audits hits by re-simulation).
 // Event-recording runs always simulate, since the event stream is not
 // cached.
+//
+// The run's parameters resolve as a dvad request's do (a queue size or
+// jitter of 0 takes the default). A bad flag value exits 2, a failed run 1.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"decvec"
-	"decvec/internal/sim"
+	"decvec/internal/experiments"
 )
 
-// errQuiet marks machine-readable-output runs that suppress the human
-// report; it is not a failure.
-var errQuiet = errors.New("quiet")
-
-// usageError distinguishes bad invocations (exit 2, matching dvabench and
-// dvad) from runtime failures (exit 1).
-type usageError struct{ error }
-
 func main() {
-	err := run()
-	if err == nil || err == errQuiet {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dvasim: %v\n", err)
-	var ue usageError
-	if errors.As(err, &ue) {
-		os.Exit(2)
-	}
-	os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run holds the whole invocation so the deferred cache GC executes on every
-// exit path — a mid-run error must not leave the shared store over its cap
-// (os.Exit skips defers, so main only decides the exit code).
-func run() error {
+// exit path — a mid-run error must not leave the shared store over its cap.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		prog      = flag.String("prog", "ARC2D", "program to simulate: "+strings.Join(decvec.Workloads(), ","))
-		arch      = flag.String("arch", "DVA", "architecture: REF, DVA or BYP")
-		latency   = flag.Int64("latency", 50, "memory latency in cycles")
-		loadQ     = flag.Int("loadq", 256, "AVDQ (vector load queue) slots")
-		storeQ    = flag.Int("storeq", 16, "VADQ (vector store queue) slots")
-		iq        = flag.Int("iq", 16, "instruction queue slots")
-		jitter    = flag.Int64("jitter", 0, "per-access latency jitter in cycles (memory conflicts)")
-		infile    = flag.String("i", "", "simulate a binary trace file instead of a program model")
-		eventsOut = flag.String("events", "", "write a chrome://tracing event trace to this file ('-' for stdout)")
-		jsonOut   = flag.String("metrics-json", "", "write the metrics summary as JSON to this file ('-' for stdout)")
-		maxEvents = flag.Int("max-events", 0, "cap the recorded event stream (0 = unlimited)")
+		prog      = fs.String("prog", "ARC2D", "program to simulate: "+strings.Join(decvec.Workloads(), ","))
+		arch      = fs.String("arch", "DVA", "architecture: REF, DVA or BYP")
+		latency   = fs.Int64("latency", 50, "memory latency in cycles")
+		loadQ     = fs.Int("loadq", 256, "AVDQ (vector load queue) slots")
+		storeQ    = fs.Int("storeq", 16, "VADQ (vector store queue) slots")
+		iq        = fs.Int("iq", 16, "instruction queue slots")
+		jitter    = fs.Int64("jitter", 0, "per-access latency jitter in cycles (memory conflicts)")
+		infile    = fs.String("i", "", "simulate a binary trace file instead of a program model")
+		eventsOut = fs.String("events", "", "write a chrome://tracing event trace to this file ('-' for stdout)")
+		jsonOut   = fs.String("metrics-json", "", "write the metrics summary as JSON to this file ('-' for stdout)")
+		maxEvents = fs.Int("max-events", 0, "cap the recorded event stream (0 = unlimited)")
 	)
-	cache := decvec.RegisterCacheFlags("enforced after the run")
-	flag.Parse()
-	if err := cache.Validate(); err != nil {
-		return usageError{err}
+	cache := decvec.RegisterCacheFlags(fs, "enforced after the run")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-
-	cfg := decvec.DefaultConfig(*latency)
-	cfg.AVDQSize = *loadQ
-	cfg.VADQSize = *storeQ
-	cfg.IQSize = *iq
-	cfg.LatencyJitter = *jitter
-	archName, bypass, err := sim.ParseArch(*arch)
+	spec, err := experiments.RunParams{
+		Arch: *arch, Latency: *latency, LoadQ: *loadQ, StoreQ: *storeQ, IQ: *iq, Jitter: *jitter,
+	}.Resolve()
+	if err == nil && *maxEvents < 0 {
+		err = fmt.Errorf("-max-events must be >= 0 (0 = unlimited), got %d", *maxEvents)
+	}
+	if err == nil {
+		err = cache.Validate()
+	}
 	if err != nil {
-		return usageError{err}
+		fmt.Fprintf(stderr, "dvasim: %v\n", err)
+		return 2
 	}
-	cfg.Bypass = bypass
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dvasim: %v\n", err)
+		return 1
+	}
 
 	// Recording is only paid for when an event trace was requested; the
 	// metrics summary comes from the Result itself.
@@ -100,19 +94,19 @@ func run() error {
 	if *infile != "" {
 		f, err := os.Open(*infile)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		src, err = decvec.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		name, desc = src.Name(), "trace file "+*infile
 		idealCycles = decvec.IdealCyclesOf(src)
 	} else {
 		w, err := decvec.LoadWorkload(*prog)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		name, desc = w.Name(), w.Description()
 		idealCycles = w.IdealCycles()
@@ -123,25 +117,26 @@ func run() error {
 	// from the cache.
 	var store *decvec.CacheStore
 	if rec == nil {
-		store = cache.Open("dvasim")
+		store = cache.Open(stderr, "dvasim")
 	}
 	// The store is shared with dvabench and dvad; dvasim-only usage must
 	// respect the size cap too, so GC on every exit path from here on.
 	if store != nil {
 		defer func() {
 			if _, err := store.GC(); err != nil {
-				fmt.Fprintf(os.Stderr, "dvasim: cache GC: %v\n", err)
+				fmt.Fprintf(stderr, "dvasim: cache GC: %v\n", err)
 			}
 		}()
 	}
+	cfg := spec.Cfg
 	var res *decvec.Result
 	if store != nil {
-		res, err = decvec.RunSourceCached(store, src, archName, cfg, cache.Verify)
+		res, err = decvec.RunSourceCached(store, src, string(spec.Arch), cfg, cache.Verify)
 	} else {
-		res, err = decvec.RunSourceRecorded(src, archName, cfg, rec)
+		res, err = decvec.RunSourceRecorded(src, string(spec.Arch), cfg, rec)
 	}
 	if err != nil {
-		return err
+		return fail(err)
 	}
 
 	if *jsonOut != "" {
@@ -152,79 +147,77 @@ func run() error {
 			b, err = decvec.MetricsJSON(res)
 		}
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		if err := writeOutput(*jsonOut, append(b, '\n')); err != nil {
+		if err := writeOutput(stdout, *jsonOut, func(w io.Writer) error {
+			_, err := w.Write(append(b, '\n'))
 			return err
+		}); err != nil {
+			return fail(err)
 		}
 	}
 	if *eventsOut != "" {
-		if err := writeEvents(*eventsOut, res, rec); err != nil {
-			return err
+		if err := writeOutput(stdout, *eventsOut, func(w io.Writer) error {
+			return decvec.WriteTraceEvents(w, res, rec)
+		}); err != nil {
+			return fail(err)
 		}
 	}
 	// Machine-readable output on stdout suppresses the human report.
 	if *jsonOut == "-" || *eventsOut == "-" {
-		return errQuiet
+		return 0
 	}
 
-	fmt.Printf("%s on %s (%s)\n", name, res.Arch, desc)
-	fmt.Printf("  config:        %s\n", cfg.Label(res.Arch))
-	fmt.Printf("  cycles:        %d (ideal lower bound %d, ratio %.2f)\n",
+	fmt.Fprintf(stdout, "%s on %s (%s)\n", name, res.Arch, desc)
+	fmt.Fprintf(stdout, "  config:        %s\n", cfg.Label(res.Arch))
+	fmt.Fprintf(stdout, "  cycles:        %d (ideal lower bound %d, ratio %.2f)\n",
 		res.Cycles, idealCycles, float64(res.Cycles)/float64(idealCycles))
-	fmt.Printf("  instructions:  %d scalar, %d vector (%d vector ops, avg VL %.1f)\n",
+	fmt.Fprintf(stdout, "  instructions:  %d scalar, %d vector (%d vector ops, avg VL %.1f)\n",
 		res.Counts.ScalarInsts, res.Counts.VectorInsts, res.Counts.VectorOps, res.Counts.AvgVL())
-	fmt.Printf("  IPC:           %.3f\n", res.IPC())
-	fmt.Printf("  memory:        %d load elems, %d store elems (%d total)\n",
+	fmt.Fprintf(stdout, "  IPC:           %.3f\n", res.IPC())
+	fmt.Fprintf(stdout, "  memory:        %d load elems, %d store elems (%d total)\n",
 		res.Traffic.LoadElems, res.Traffic.StoreElems, res.Traffic.Total())
-	fmt.Printf("  scalar cache:  %d hits, %d misses\n", res.ScalarCacheHits, res.ScalarCacheMisses)
+	fmt.Fprintf(stdout, "  scalar cache:  %d hits, %d misses\n", res.ScalarCacheHits, res.ScalarCacheMisses)
 
-	fmt.Println("  state breakdown:")
+	fmt.Fprintln(stdout, "  state breakdown:")
 	for s := decvec.State(0); s < 8; s++ {
 		st := res.States
-		fmt.Printf("    %-16s %10d cycles (%5.1f%%)\n", s, st.Cycles[s], 100*st.Fraction(s))
+		fmt.Fprintf(stdout, "    %-16s %10d cycles (%5.1f%%)\n", s, st.Cycles[s], 100*st.Fraction(s))
 	}
 	if res.AVDQBusy != nil {
-		fmt.Printf("  AVDQ occupancy: mean %.2f, max %d\n", res.AVDQBusy.Mean(), res.AVDQBusy.Max())
+		fmt.Fprintf(stdout, "  AVDQ occupancy: mean %.2f, max %d\n", res.AVDQBusy.Mean(), res.AVDQBusy.Max())
 	}
 	if res.Arch != "REF" {
-		fmt.Printf("  bypasses:      %d (%d elements), store-queue flushes: %d\n",
+		fmt.Fprintf(stdout, "  bypasses:      %d (%d elements), store-queue flushes: %d\n",
 			res.Bypasses, res.BypassedElems, res.Flushes)
 	}
-	fmt.Println()
-	fmt.Print(indent(decvec.StallTable(res)))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, indent(decvec.StallTable(res)))
 	if len(res.Queues) > 0 {
-		fmt.Println()
-		fmt.Print(indent(decvec.QueueTable(res)))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, indent(decvec.QueueTable(res)))
 	}
 	if rec != nil && rec.Dropped > 0 {
-		fmt.Printf("\n  (event trace truncated: %d events dropped at -max-events %d)\n",
+		fmt.Fprintf(stdout, "\n  (event trace truncated: %d events dropped at -max-events %d)\n",
 			rec.Dropped, rec.MaxEvents)
 	}
-	return nil
+	return 0
 }
 
-func writeEvents(path string, res *decvec.Result, rec *decvec.Recorder) error {
+// writeOutput hands write stdout for path "-", else a created file at path.
+func writeOutput(stdout io.Writer, path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return decvec.WriteTraceEvents(os.Stdout, res, rec)
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := decvec.WriteTraceEvents(f, res, rec); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-func writeOutput(path string, b []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 func indent(s string) string {

@@ -30,6 +30,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,40 +47,65 @@ import (
 )
 
 func main() {
+	// The process ends with run, so the signal registration is never undone.
+	ctx, _ := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run holds the whole invocation so that the in-process store's GC, which
+// enforces its size cap, runs on every exit path.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvasweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		gridFile  = flag.String("grid", "", "JSON grid spec file (mutually exclusive with the dimension flags)")
-		progs     = flag.String("progs", "", "comma-separated program names (default: the six simulated programs)")
-		archs     = flag.String("archs", "", "comma-separated architectures: REF, DVA, BYP (default REF,DVA)")
-		latencies = flag.String("latencies", "", "comma-separated memory latencies (default: the Figure 3-5 sweep)")
-		loadqs    = flag.String("loadqs", "", "comma-separated load-queue sizes (0 = architecture default)")
-		storeqs   = flag.String("storeqs", "", "comma-separated store-queue sizes (0 = architecture default)")
+		gridFile  = fs.String("grid", "", "JSON grid spec file (mutually exclusive with the dimension flags)")
+		progs     = fs.String("progs", "", "comma-separated program names (default: the six simulated programs)")
+		archs     = fs.String("archs", "", "comma-separated architectures: REF, DVA, BYP (default REF,DVA)")
+		latencies = fs.String("latencies", "", "comma-separated memory latencies (default: the Figure 3-5 sweep)")
+		loadqs    = fs.String("loadqs", "", "comma-separated load-queue sizes (0 = architecture default)")
+		storeqs   = fs.String("storeqs", "", "comma-separated store-queue sizes (0 = architecture default)")
 
-		workers  = flag.String("workers", "", "comma-separated dvad base URLs; empty runs the sweep in-process")
-		scale    = flag.Float64("scale", 1.0, "trace scale factor (must match the workers' -scale for cache affinity)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory for the in-process fallback")
-		chunk    = flag.Int("chunk", 0, "cells per worker dispatch (0 = 128, or one chunk for in-process runs)")
-		inflight = flag.Int("inflight", 0, "concurrent chunks per worker (0 = 2)")
-		retries  = flag.Int("retries", 0, "chunk retries before a worker is declared down (0 = 4)")
-		backoff  = flag.Duration("backoff", 0, "first retry delay, doubling per retry (0 = 100ms)")
-		reqTO    = flag.Duration("req-timeout", 0, "worker-side per-chunk timeout to request (0 = worker default)")
+		workers  = fs.String("workers", "", "comma-separated dvad base URLs; empty runs the sweep in-process")
+		scale    = fs.Float64("scale", 1.0, "trace scale factor (must match the workers' -scale for cache affinity)")
+		cacheDir = fs.String("cache-dir", "", "persistent result cache directory for the in-process fallback")
+		chunk    = fs.Int("chunk", 0, "cells per worker dispatch (0 = 128, or one chunk for in-process runs)")
+		inflight = fs.Int("inflight", 0, "concurrent chunks per worker (0 = 2)")
+		retries  = fs.Int("retries", 0, "chunk retries before a worker is declared down (0 = 4)")
+		backoff  = fs.Duration("backoff", 0, "first retry delay, doubling per retry (0 = 100ms)")
+		reqTO    = fs.Duration("req-timeout", 0, "worker-side per-chunk timeout to request (0 = worker default)")
 
-		outFile  = flag.String("out", "", "write concatenated canonical results (plan order) to this file")
-		digest   = flag.Bool("digest", false, "print the SHA-256 of the canonical result stream")
-		asJSON   = flag.Bool("json", false, "print the sweep summary as JSON instead of tables")
-		quiet    = flag.Bool("quiet", false, "suppress the sweep summary and progress")
-		noReshrd = flag.Bool("assert-no-reshard", false, "exit nonzero if any cell was re-sharded or any worker died")
+		outFile  = fs.String("out", "", "write concatenated canonical results (plan order) to this file")
+		digest   = fs.Bool("digest", false, "print the SHA-256 of the canonical result stream")
+		asJSON   = fs.Bool("json", false, "print the sweep summary as JSON instead of tables")
+		quiet    = fs.Bool("quiet", false, "suppress the sweep summary and progress")
+		noReshrd = fs.Bool("assert-no-reshard", false, "exit nonzero if any cell was re-sharded or any worker died")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "dvasweep: %v\n", err)
+		return 2
+	}
+	if err := decvec.CheckScale(*scale); err != nil {
+		return usage(err)
+	}
+	if *chunk < 0 || *inflight < 0 || *retries < 0 || *backoff < 0 || *reqTO < 0 {
+		return usage(errors.New("-chunk, -inflight, -retries, -backoff and -req-timeout must be >= 0 (0 = the default)"))
+	}
 	spec, err := gridSpec(*gridFile, *progs, *archs, *latencies, *loadqs, *storeqs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvasweep: %v\n", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	plan, err := decvec.NewSweepPlan(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvasweep: %v\n", err)
-		os.Exit(2)
+		return usage(err)
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dvasweep: %v\n", err)
+		return 1
 	}
 
 	var execs []decvec.SweepExecutor
@@ -91,9 +117,14 @@ func main() {
 		if *cacheDir != "" {
 			store, err := decvec.OpenCache(*cacheDir, decvec.CacheOptions{})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dvasweep: %v; sweeping without the disk tier\n", err)
+				fmt.Fprintf(stderr, "dvasweep: %v; sweeping without the disk tier\n", err)
 			} else {
 				suite.Disk = store
+				defer func() {
+					if _, err := store.GC(); err != nil {
+						fmt.Fprintf(stderr, "dvasweep: cache GC: %v\n", err)
+					}
+				}()
 			}
 		}
 		execs = append(execs, decvec.LocalExecutor("local", suite))
@@ -107,26 +138,18 @@ func main() {
 			Backoff:   *backoff,
 			TimeoutMs: reqTO.Milliseconds(),
 		}
-		for _, u := range strings.Split(*workers, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
+		for _, u := range splitList(*workers) {
 			execs = append(execs, decvec.RemoteExecutor(u, opts))
 		}
 		if len(execs) == 0 {
-			fmt.Fprintln(os.Stderr, "dvasweep: -workers has no usable URLs")
-			os.Exit(2)
+			return usage(errors.New("-workers has no usable URLs"))
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	var progress func(done, total int)
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dvasweep: %d cells across %d worker(s)\n", plan.Points(), len(execs))
-		progress = progressPrinter(plan.Points())
+		fmt.Fprintf(stderr, "dvasweep: %d cells across %d worker(s)\n", plan.Points(), len(execs))
+		progress = progressPrinter(stderr, plan.Points())
 	}
 	start := time.Now()
 	results, st, sweepErr := decvec.RunSweep(ctx, plan, execs, decvec.SweepOptions{
@@ -139,33 +162,31 @@ func main() {
 
 	// Canonical output stream: every completed result in plan order.
 	// Errors below are I/O on our side, never sweep state.
-	var sink io.Writer
 	h := sha256.New()
+	var sinks []io.Writer
 	if *digest {
-		sink = h
+		sinks = append(sinks, h)
 	}
+	var out *os.File
 	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvasweep: %v\n", err)
-			os.Exit(1)
+		if out, err = os.Create(*outFile); err != nil {
+			return fail(err)
 		}
-		defer f.Close()
-		if sink != nil {
-			sink = io.MultiWriter(sink, f)
-		} else {
-			sink = f
+		defer out.Close() // error paths; the success path checks Close below
+		sinks = append(sinks, out)
+	}
+	sink := io.MultiWriter(sinks...)
+	for i, res := range results {
+		if res == nil || len(sinks) == 0 {
+			continue
+		}
+		if err := decvec.EncodeResult(sink, res); err != nil {
+			return fail(fmt.Errorf("encoding cell %d: %w", i, err))
 		}
 	}
-	if sink != nil {
-		for i, res := range results {
-			if res == nil {
-				continue
-			}
-			if err := decvec.EncodeResult(sink, res); err != nil {
-				fmt.Fprintf(os.Stderr, "dvasweep: encoding cell %d: %v\n", i, err)
-				os.Exit(1)
-			}
+	if out != nil {
+		if err := out.Close(); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -173,33 +194,31 @@ func main() {
 		if *asJSON {
 			b, err := decvec.SweepStatsJSON(st)
 			if err == nil {
-				fmt.Println(string(b))
+				fmt.Fprintln(stdout, string(b))
 			}
 		} else {
-			fmt.Print(decvec.SweepTable(st))
+			fmt.Fprint(stdout, decvec.SweepTable(st))
 		}
-		fmt.Fprintf(os.Stderr, "dvasweep: %d/%d cells in %s\n", st.Completed, st.Points, wall.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "dvasweep: %d/%d cells in %s\n", st.Completed, st.Points, wall.Round(time.Millisecond))
 	}
 	if *digest {
-		fmt.Printf("sha256:%x\n", h.Sum(nil))
+		fmt.Fprintf(stdout, "sha256:%x\n", h.Sum(nil))
 	}
 
 	if sweepErr != nil {
-		fmt.Fprintf(os.Stderr, "dvasweep: %v\n", sweepErr)
-		os.Exit(1)
+		return fail(sweepErr)
 	}
 	if *noReshrd {
 		if st.Resharded > 0 {
-			fmt.Fprintf(os.Stderr, "dvasweep: FAIL: %d cells re-sharded\n", st.Resharded)
-			os.Exit(1)
+			return fail(fmt.Errorf("FAIL: %d cells re-sharded", st.Resharded))
 		}
 		for _, w := range st.Workers {
 			if w.Failed {
-				fmt.Fprintf(os.Stderr, "dvasweep: FAIL: worker %s died (%s)\n", w.Name, w.LastError)
-				os.Exit(1)
+				return fail(fmt.Errorf("FAIL: worker %s died (%s)", w.Name, w.LastError))
 			}
 		}
 	}
+	return 0
 }
 
 // gridSpec builds the plan spec from the -grid file or the dimension
@@ -220,23 +239,16 @@ func gridSpec(file, progs, archs, latencies, loadqs, storeqs string) (decvec.Swe
 		}
 		return spec, nil
 	}
-	spec.Programs = splitList(progs)
-	spec.Archs = splitList(archs)
-	for _, s := range splitList(latencies) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return spec, fmt.Errorf("-latencies: %w", err)
-		}
-		spec.Latencies = append(spec.Latencies, v)
-	}
+	spec.Programs, spec.Archs = splitList(progs), splitList(archs)
 	var err error
-	if spec.LoadQs, err = intList("-loadqs", loadqs); err != nil {
+	if spec.Latencies, err = numList[int64]("-latencies", latencies); err != nil {
 		return spec, err
 	}
-	if spec.StoreQs, err = intList("-storeqs", storeqs); err != nil {
+	if spec.LoadQs, err = numList[int]("-loadqs", loadqs); err != nil {
 		return spec, err
 	}
-	return spec, nil
+	spec.StoreQs, err = numList[int]("-storeqs", storeqs)
+	return spec, err
 }
 
 func splitList(s string) []string {
@@ -249,21 +261,21 @@ func splitList(s string) []string {
 	return out
 }
 
-func intList(flagName, s string) ([]int, error) {
-	var out []int
+func numList[T int | int64](flagName, s string) ([]T, error) {
+	var out []T
 	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
+		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", flagName, err)
 		}
-		out = append(out, v)
+		out = append(out, T(v))
 	}
 	return out, nil
 }
 
-// progressPrinter reports to stderr at every decile boundary. The
-// callback runs from concurrent chunk completions, hence the atomic.
-func progressPrinter(total int) func(done, total int) {
+// progressPrinter reports to w at every decile boundary. The callback
+// runs from concurrent chunk completions, hence the atomic.
+func progressPrinter(w io.Writer, total int) func(done, total int) {
 	if total == 0 {
 		return nil
 	}
@@ -276,7 +288,7 @@ func progressPrinter(total int) func(done, total int) {
 				return
 			}
 			if last.CompareAndSwap(prev, dec) {
-				fmt.Fprintf(os.Stderr, "dvasweep: %d%% (%d/%d)\n", dec*10, done, total)
+				fmt.Fprintf(w, "dvasweep: %d%% (%d/%d)\n", dec*10, done, total)
 				return
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,41 +42,59 @@ var modelPackages = []string{
 const genFile = "internal/sim/fingerprint_gen.go"
 
 func main() {
-	check := flag.Bool("check", false, "verify the generated file is fresh instead of writing it")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("modelhash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	check := fs.Bool("check", false, "verify the generated file is fresh instead of writing it")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if err := generate(stdout, *check); err != nil {
+		fmt.Fprintln(stderr, "modelhash:", err)
+		return 1
+	}
+	return 0
+}
+
+// generate fingerprints the model packages and writes genFile, or under
+// check fails unless genFile already holds that fingerprint.
+func generate(stdout io.Writer, check bool) error {
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	modPath, modDir, err := analysis.ModuleInfo(wd)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fp, err := fingerprint(modPath, modDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	content := render(fp)
 	path := filepath.Join(modDir, filepath.FromSlash(genFile))
 
-	if *check {
+	if check {
 		existing, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "modelhash: %s missing or unreadable (%v); run `make generate`\n", genFile, err)
-			os.Exit(1)
+			return fmt.Errorf("%s missing or unreadable (%v); run `make generate`", genFile, err)
 		}
 		if string(existing) != content {
-			fmt.Fprintf(os.Stderr, "modelhash: %s is stale (model sources changed); run `make generate`\n", genFile)
-			os.Exit(1)
+			return fmt.Errorf("%s is stale (model sources changed); run `make generate`", genFile)
 		}
-		fmt.Printf("modelhash: %s is fresh (%s)\n", genFile, fp)
-		return
+		fmt.Fprintf(stdout, "modelhash: %s is fresh (%s)\n", genFile, fp)
+		return nil
 	}
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("modelhash: wrote %s (%s)\n", genFile, fp)
+	fmt.Fprintf(stdout, "modelhash: wrote %s (%s)\n", genFile, fp)
+	return nil
 }
 
 // fingerprint loads every model package through the analysis loader and
@@ -130,9 +149,4 @@ package sim
 // `+"`make generate`"+`; freshness is enforced by `+"`make verify`"+` and CI.
 const ModelFingerprint = %q
 `, fp)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "modelhash:", err)
-	os.Exit(1)
 }

@@ -22,7 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"sort"
 
 	"decvec/internal/dva"
@@ -259,14 +259,14 @@ type CacheFlags struct {
 	Verify float64
 }
 
-// RegisterCacheFlags defines the cache flags on the command-line flag set.
-// gcWhen completes the -cache-max-mb help: when the size cap is enforced.
-func RegisterCacheFlags(gcWhen string) *CacheFlags {
+// RegisterCacheFlags defines the cache flags on fs. gcWhen completes the
+// -cache-max-mb help: when the size cap is enforced.
+func RegisterCacheFlags(fs *flag.FlagSet, gcWhen string) *CacheFlags {
 	c := new(CacheFlags)
-	flag.StringVar(&c.mode, "cache", "on", "persistent result cache: on or off")
-	flag.StringVar(&c.dir, "cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
-	flag.Int64Var(&c.maxMB, "cache-max-mb", 512, "result cache size cap in MiB, "+gcWhen+" (0 = unbounded)")
-	flag.Float64Var(&c.Verify, "cache-verify", 0, "re-simulate this fraction of cache hits and fail on any mismatch (1 audits every hit)")
+	fs.StringVar(&c.mode, "cache", "on", "persistent result cache: on or off")
+	fs.StringVar(&c.dir, "cache-dir", "", "result cache directory (default $XDG_CACHE_HOME/decvec)")
+	fs.Int64Var(&c.maxMB, "cache-max-mb", 512, "result cache size cap in MiB, "+gcWhen+" (0 = unbounded)")
+	fs.Float64Var(&c.Verify, "cache-verify", 0, "re-simulate this fraction of cache hits and fail on any mismatch (1 audits every hit)")
 	return c
 }
 
@@ -283,9 +283,9 @@ func (c *CacheFlags) Validate() error {
 }
 
 // Open opens the store the flags name. It returns nil, to run uncached,
-// under -cache=off, or after a warning on stderr prefixed "cmd: " when no
+// under -cache=off, or after a warning to stderr prefixed "cmd: " when no
 // cache directory is known or the store does not open.
-func (c *CacheFlags) Open(cmd string) *CacheStore {
+func (c *CacheFlags) Open(stderr io.Writer, cmd string) *CacheStore {
 	if c.mode == "off" {
 		return nil
 	}
@@ -294,19 +294,32 @@ func (c *CacheFlags) Open(cmd string) *CacheStore {
 		dir = DefaultCacheDir()
 	}
 	if dir == "" {
-		fmt.Fprintf(os.Stderr, "%s: no cache directory available; running uncached (set -cache-dir)\n", cmd)
+		fmt.Fprintf(stderr, "%s: no cache directory available; running uncached (set -cache-dir)\n", cmd)
 		return nil
 	}
-	maxBytes := c.maxMB << 20
-	if c.maxMB == 0 {
-		maxBytes = -1 // unbounded
-	}
-	store, err := OpenCache(dir, CacheOptions{MaxBytes: maxBytes})
+	store, err := OpenCache(dir, c.options())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v; running uncached\n", cmd, err)
+		fmt.Fprintf(stderr, "%s: %v; running uncached\n", cmd, err)
 		return nil
 	}
 	return store
+}
+
+// options maps -cache-max-mb onto the store's cap, 0 meaning unbounded.
+func (c *CacheFlags) options() CacheOptions {
+	if c.maxMB == 0 {
+		return CacheOptions{MaxBytes: -1}
+	}
+	return CacheOptions{MaxBytes: c.maxMB << 20}
+}
+
+// CheckScale is the -scale check the commands share: a trace scale factor
+// must be finite and > 0. Its error is a usage error (exit 2).
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) { // also rejects NaN
+		return fmt.Errorf("-scale must be finite and > 0, got %v", scale)
+	}
+	return nil
 }
 
 // CacheTable renders a store's counters as an ASCII table.

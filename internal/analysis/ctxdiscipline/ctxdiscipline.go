@@ -8,10 +8,10 @@
 //     handler that accepts ctx and drops it silently breaks cancellation
 //     for everything it calls (rename it to _ to opt out explicitly);
 //   - context.Background() and context.TODO() are reserved for the entry
-//     layers — the module root facade, cmd/* and examples/* — everywhere
-//     else a fresh root context severs the caller's deadline and
-//     cancellation, which is exactly the bug class Suite.RunCtx/RunBatch
-//     and the server handler chains exist to prevent.
+//     layers — the module root facade and cmd/* — everywhere else a fresh
+//     root context severs the caller's deadline and cancellation, which is
+//     exactly the bug class Suite.RunCtx/RunBatch and the server handler
+//     chains exist to prevent.
 //
 // Test files are never linted (the loader parses non-test files only), so
 // tests remain free to mint context.Background() at will.
@@ -34,13 +34,13 @@ var Analyzer = &analysis.Analyzer{
 
 // entryLayer reports whether the package may legitimately mint root
 // contexts: the module root facade (a single-segment import path) and any
-// package under a cmd/ or examples/ segment.
+// package under a cmd/ segment.
 func entryLayer(path string) bool {
 	if !strings.Contains(path, "/") {
 		return true
 	}
 	for _, seg := range strings.Split(path, "/") {
-		if seg == "cmd" || seg == "examples" {
+		if seg == "cmd" {
 			return true
 		}
 	}

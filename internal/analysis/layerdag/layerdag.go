@@ -18,7 +18,7 @@
 //	serving  server                                → model, gen, cache, harness, report
 //	facade   the module root package               → everything below
 //	tooling  analysis and its analyzer subpackages → tooling
-//	main     cmd/*, examples/*                     → everything
+//	main     cmd/*                                 → everything
 //
 // Module-local import paths are recognized by sharing the importing
 // package's leading path segment (the module namespace), with an optional
@@ -47,9 +47,9 @@ const (
 	layerMain    = "main"
 )
 
-// layerOf assigns module-local package basenames to layers. cmd/*,
-// examples/*, the analysis tree and the module root are classified
-// structurally in classify, not here.
+// layerOf assigns module-local package basenames to layers. cmd/*, the
+// analysis tree and the module root are classified structurally in
+// classify, not here.
 var layerOf = map[string]string{
 	"isa":    layerModel,
 	"trace":  layerModel,
@@ -125,7 +125,7 @@ func classify(ns, path string) (layer string, local bool) {
 		seg = rest[:i]
 	}
 	switch seg {
-	case "cmd", "examples":
+	case "cmd":
 		return layerMain, true
 	case "analysis":
 		return layerTooling, true

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -149,9 +150,11 @@ func (e *runEntry) encode() {
 	}
 }
 
-// NewSuite returns an empty suite at the given trace scale.
+// NewSuite returns an empty suite at the given trace scale. A scale that
+// is not > 0, NaN included, takes the default, so the trace memo is never
+// keyed on a value unequal to itself.
 func NewSuite(scale float64) *Suite {
-	if scale <= 0 {
+	if !(scale > 0) {
 		scale = workload.DefaultScale
 	}
 	return &Suite{
@@ -523,6 +526,50 @@ type RunSpec struct {
 	Cfg      sim.Config
 	Window   int
 	PhysRegs int
+}
+
+// RunParams are one REF, DVA or BYP run as a command line or a dvad request
+// names it. Zero in LoadQ, StoreQ, IQ or Jitter takes the default; Bypass
+// turns the bypass unit on whatever Arch names.
+type RunParams struct {
+	Arch              string
+	Latency           int64
+	LoadQ, StoreQ, IQ int
+	Jitter            int64
+	Bypass            bool
+}
+
+// Config is the parameters' configuration: the defaults at Latency, with
+// each nonzero queue size and jitter in place of its default. It neither
+// parses Arch nor validates, so a caller that range-checked its values, as
+// sweep.NewPlan does, gets a configuration that cannot fail.
+func (p RunParams) Config() sim.Config {
+	cfg := sim.DefaultConfig(p.Latency)
+	cfg.AVDQSize = cmp.Or(p.LoadQ, cfg.AVDQSize)
+	cfg.VADQSize = cmp.Or(p.StoreQ, cfg.VADQSize)
+	cfg.IQSize = cmp.Or(p.IQ, cfg.IQSize)
+	cfg.LatencyJitter = cmp.Or(p.Jitter, cfg.LatencyJitter)
+	cfg.Bypass = p.Bypass
+	return cfg
+}
+
+// Resolve parses and validates the parameters into the run they name. BYP
+// resolves to DVA with the bypass bit set, so it shares cache entries and
+// coalescing with the equivalent DVA run. An error describes a bad input.
+func (p RunParams) Resolve() (RunSpec, error) {
+	core, bypass, err := sim.ParseArch(p.Arch)
+	if err != nil {
+		return RunSpec{}, err
+	}
+	if p.LoadQ < 0 || p.StoreQ < 0 || p.IQ < 0 || p.Jitter < 0 {
+		return RunSpec{}, errors.New("loadq, storeq, iq and jitter must be >= 0 (0 = the default)")
+	}
+	cfg := p.Config()
+	cfg.Bypass = cfg.Bypass || bypass
+	if err := cfg.Validate(); err != nil {
+		return RunSpec{}, err
+	}
+	return RunSpec{Arch: Arch(core), Cfg: cfg}, nil
 }
 
 // grid runs every program under every spec as one RunBatch and returns the

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -81,7 +82,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
+	if !(c.Scale > 0) {
 		c.Scale = 1.0
 	}
 	if c.MaxConcurrent <= 0 {
@@ -107,8 +108,7 @@ type Server struct {
 	gate  *gate
 	mux   *http.ServeMux
 	start time.Time
-
-	httpSrv atomic.Pointer[http.Server]
+	hs    *http.Server // serves mux; see Serve
 
 	bg     sync.WaitGroup // detached simulations outliving their request
 	stopGC chan struct{}
@@ -136,6 +136,7 @@ func New(cfg Config) *Server {
 		start:  time.Now(),
 		stopGC: make(chan struct{}),
 	}
+	s.hs = &http.Server{Handler: s.mux}
 	s.suite.Disk = cfg.Store
 	s.suite.Gate = gateWithHook{s: s}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -188,23 +189,17 @@ func (s *Server) gcLoop() {
 	}
 }
 
-// ListenAndServe serves the daemon on addr until Shutdown. It returns
-// http.ErrServerClosed after a graceful shutdown, matching net/http.
-func (s *Server) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.mux}
-	s.httpSrv.Store(hs)
-	return hs.ListenAndServe()
-}
+// Serve serves the daemon on ln until Shutdown. It returns
+// http.ErrServerClosed after a graceful shutdown, matching net/http, at
+// once when Shutdown came first.
+func (s *Server) Serve(ln net.Listener) error { return s.hs.Serve(ln) }
 
 // Shutdown gracefully stops the daemon: the listener closes, in-flight
 // requests and detached background simulations drain, the periodic GC loop
 // stops, and — when a store is attached — one final GC enforces the size
 // cap before the process exits.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if hs := s.httpSrv.Swap(nil); hs != nil {
-		err = hs.Shutdown(ctx)
-	}
+	err := s.hs.Shutdown(ctx)
 	s.bg.Wait()
 	select {
 	case <-s.stopGC:
@@ -308,36 +303,12 @@ type SimulateRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
-// config materializes and validates the request's run: its core and
-// sim.Config.
+// config resolves the request's run: its core and sim.Config.
 func (req *SimulateRequest) config() (experiments.RunSpec, error) {
-	// BYP parses to DVA with the bypass bit set, so the request shares cache
-	// entries and coalescing with the equivalent DVA run.
-	core, bypass, err := sim.ParseArch(req.Arch)
-	if err != nil {
-		return experiments.RunSpec{}, err
-	}
-	if req.LoadQ < 0 || req.StoreQ < 0 || req.IQ < 0 || req.Jitter < 0 {
-		return experiments.RunSpec{}, errors.New("loadq, storeq, iq and jitter must be >= 0 (0 = the default)")
-	}
-	cfg := sim.DefaultConfig(req.Latency)
-	if req.LoadQ > 0 {
-		cfg.AVDQSize = req.LoadQ
-	}
-	if req.StoreQ > 0 {
-		cfg.VADQSize = req.StoreQ
-	}
-	if req.IQ > 0 {
-		cfg.IQSize = req.IQ
-	}
-	if req.Jitter > 0 {
-		cfg.LatencyJitter = req.Jitter
-	}
-	cfg.Bypass = req.Bypass || bypass
-	if err := cfg.Validate(); err != nil {
-		return experiments.RunSpec{}, err
-	}
-	return experiments.RunSpec{Arch: experiments.Arch(core), Cfg: cfg}, nil
+	return experiments.RunParams{
+		Arch: req.Arch, Latency: req.Latency, LoadQ: req.LoadQ, StoreQ: req.StoreQ,
+		IQ: req.IQ, Jitter: req.Jitter, Bypass: req.Bypass,
+	}.Resolve()
 }
 
 // requestContext derives the request's work context: the server timeout,

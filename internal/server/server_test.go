@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -710,6 +711,43 @@ func TestServeTableRendering(t *testing.T) {
 	for _, want := range []string{"served", "coalesced", "100", "99"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ServerTable missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// Serve answers until Shutdown, and a Shutdown that comes before Serve
+// starts makes Serve return at once instead of serving forever.
+func TestServeStopsAtShutdown(t *testing.T) {
+	for _, first := range []string{"serve", "shutdown"} {
+		s := New(Config{Scale: 0.05})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "shutdown" {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		if first == "serve" {
+			resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case err := <-served:
+			if err != http.ErrServerClosed {
+				t.Errorf("%s first: Serve returned %v, want http.ErrServerClosed", first, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s first: Serve still running after Shutdown", first)
 		}
 	}
 }

@@ -29,8 +29,7 @@ func (s *Server) sweepJobs(req *sweep.Request) ([]experiments.BatchJob, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
-		sr := SimulateRequest{Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}
-		spec, err := sr.config()
+		spec, err := experiments.RunParams{Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}.Resolve()
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}

@@ -140,7 +140,7 @@ func Run(ctx context.Context, plan *Plan, execs []Executor, opts Options) ([]*si
 	}
 
 	scale := opts.Scale
-	if scale <= 0 {
+	if !(scale > 0) {
 		scale = 1.0
 	}
 	fp := opts.Fingerprint

@@ -165,19 +165,11 @@ func (p *Plan) Cell(i int) Cell {
 	n /= len(p.archs)
 	prog := p.programs[n]
 
-	cfg := sim.DefaultConfig(lat)
-	if lq > 0 {
-		cfg.AVDQSize = lq
-	}
-	if sq > 0 {
-		cfg.VADQSize = sq
-	}
-	cfg.Bypass = a.bypass
 	return Cell{
 		Index:   i,
 		Program: prog,
 		Arch:    a.arch,
-		Cfg:     cfg,
+		Cfg:     experiments.RunParams{Latency: lat, LoadQ: lq, StoreQ: sq, Bypass: a.bypass}.Config(),
 		Latency: lat,
 		LoadQ:   lq,
 		StoreQ:  sq,

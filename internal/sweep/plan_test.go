@@ -79,6 +79,31 @@ func TestPlanBypassCanonicalization(t *testing.T) {
 	}
 }
 
+// A cell's configuration is the one dvad resolves from the cell's wire
+// values, queue size 0 taking the default on both sides, and decoding a
+// cell allocates nothing.
+func TestPlanCellResolvesAsDvad(t *testing.T) {
+	p, err := NewPlan(GridSpec{Programs: []string{"BDNA"}, Archs: []string{"REF", "DVA", "BYP"},
+		Latencies: []int64{1, 50}, LoadQs: []int{0, 4}, StoreQs: []int{0, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.Points(); i++ {
+		c := p.Cell(i)
+		w := c.wire()
+		spec, err := experiments.RunParams{Arch: w.Arch, Latency: w.Latency, LoadQ: w.LoadQ, StoreQ: w.StoreQ}.Resolve()
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if spec != c.Job().RunSpec {
+			t.Errorf("cell %d: plan %+v, dvad %+v", i, c.Job().RunSpec, spec)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.Cell(p.Points() - 1) }); n != 0 {
+		t.Errorf("Plan.Cell allocates %.0f times", n)
+	}
+}
+
 func TestPlanRejectsBadSpecs(t *testing.T) {
 	bad := []GridSpec{
 		{Programs: []string{"NOSUCH"}},
