@@ -31,21 +31,14 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# bench runs every benchmark three times (with the dvabench PGO profile,
-# matching how the CLI itself is built) and folds the per-benchmark medians
-# against the checked-in post-PR-10 baseline into BENCH_CI.json — ns/op,
-# B/op, allocs/op, sims/op, and the figure-benchmark geomean speedup. This is
-# a CI gate: -min-geomean fails the run if the geomean drops below 0.95x the
-# tracked baseline (slack for runner noise, failure for real regressions);
-# the median-of-3 keeps one descheduled run from flaking the gate. See
-# EXPERIMENTS.md "Reproducing".
+# bench is the performance gate CI runs: the merge-base of BASE and HEAD
+# against the working tree, in ten interleaved pairs on one machine, into
+# BENCH_CI.json. It fails on a figure geomean paired speedup below 0.95, a
+# figure's allocs/op more than 2% up, or a failed benchmark. See
+# bench/gate.sh and EXPERIMENTS.md "Reproducing".
+BASE ?= origin/main
 bench:
-	$(GO) test -bench . -benchtime 1x -count 3 -benchmem -run '^$$' \
-		-pgo=cmd/dvabench/default.pgo . | tee bench_current.txt
-	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr10.txt \
-		-current bench_current.txt -out BENCH_CI.json -min-geomean 0.95 \
-		-desc "post-PR-10 baseline vs current; gate fails below 0.95x geomean" \
-		-notes "baseline snapshot taken after the PR 10 per-unit event stepping (wake-wheel scheduler)"
+	bash bench/gate.sh $(BASE)
 
 # loadtest stands up a throwaway dvad daemon and storms it with dvadload:
 # identical concurrent requests must coalesce into at most one simulation,

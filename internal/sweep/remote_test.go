@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -280,9 +281,14 @@ func TestRemoteBadRequestIsPermanent(t *testing.T) {
 	}
 }
 
-// A row that names no pending cell, or one already answered, is a worker
-// fault the coordinator cannot repair by retrying: each fails the chunk at
-// once, with its own message and the worker's name.
+// A scripted worker answers each chunk attempt with the next canned body
+// (the last one repeats), one case per branch of Remote.post's row handling.
+// A row that names no pending cell, or one already answered, and an
+// undecodable result are worker faults a retry cannot repair: each fails the
+// chunk at once, with its own message and the worker's name. A per-cell
+// error row is final for that cell alone. A stream without the done trailer
+// is retried until the worker is declared down, and a trailer with rows
+// missing makes the retry post only the missing cells.
 func TestRemoteRejectsBadRowIndices(t *testing.T) {
 	row := func(i int) string {
 		b, err := json.Marshal(sweep.Row{I: i, Result: sim.AppendResult(nil, &sim.Result{Arch: "DVA"})})
@@ -291,32 +297,72 @@ func TestRemoteRejectsBadRowIndices(t *testing.T) {
 		}
 		return string(b) + "\n"
 	}
+	const done = `{"i":-1,"done":true}` + "\n"
 	for _, c := range []struct {
-		name, body, want string
+		name   string
+		bodies []string
+		want   string // error text after "worker scripted-7: "; "" for none
+		down   bool   // the error is ErrWorkerDown
+		posted []int  // cells in each chunk attempt
+		filled []bool // which cells came back with a result
 	}{
-		{"out of range", row(0) + row(2), "sweep row index 2 out of range"},
-		{"negative", row(-3), "sweep row index -3 out of range"},
-		{"repeated", row(1) + row(1), "sweep row index 1 answered twice"},
+		{"out of range", []string{row(0) + row(2) + done}, "sweep row index 2 out of range", false, []int{2}, []bool{true, false}},
+		{"negative", []string{row(-3) + done}, "sweep row index -3 out of range", false, []int{2}, []bool{false, false}},
+		{"repeated", []string{row(1) + row(1) + done}, "sweep row index 1 answered twice", false, []int{2}, []bool{false, true}},
+		{"cell error", []string{row(0) + `{"i":1,"error":"boom"}` + "\n" + done},
+			"cell 1 (BDNA DVA lat=2): boom", false, []int{2}, []bool{true, false}},
+		{"undecodable result", []string{row(1) + `{"i":0,"result":"AAAA"}` + "\n" + done},
+			"cell 0: undecodable result", false, []int{2}, []bool{false, true}},
+		{"no trailer", []string{""}, "sweep stream ended without trailer", true, []int{2, 2, 2, 2}, []bool{false, false}},
+		{"trailer with rows missing", []string{row(1) + done, row(0) + done}, "", false, []int{2, 1}, []bool{true, true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var calls atomic.Int64
+			var mu sync.Mutex
+			var posted []int
 			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path != "/v1/sweep" {
 					http.NotFound(w, r)
 					return
 				}
-				calls.Add(1)
+				var req sweep.Request
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				posted = append(posted, len(req.Cells))
+				body := c.bodies[min(len(posted), len(c.bodies))-1]
+				mu.Unlock()
+				// The retry after a trailer with rows missing must ask for
+				// cell 0 (latency 1) alone.
+				if len(req.Cells) == 1 && req.Cells[0].Latency != 1 {
+					t.Errorf("retry posted %+v, want the missing cell 0", req.Cells)
+				}
 				w.Header().Set("Content-Type", "application/x-ndjson")
-				io.WriteString(w, c.body+`{"i":-1,"done":true}`+"\n")
+				io.WriteString(w, body)
 			}))
 			defer worker.Close()
 			rr := sweep.NewRemote(worker.URL, sweep.RemoteOptions{Name: "scripted-7", Retries: 3, Backoff: time.Millisecond})
-			_, err := rr.Run(context.Background(), planCells(t, 2))
-			if err == nil || !strings.Contains(err.Error(), "worker scripted-7: "+c.want) {
+			out, err := rr.Run(context.Background(), planCells(t, 2))
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("error = %v, want none", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), "worker scripted-7: "+c.want)):
 				t.Fatalf("error = %v, want one naming worker scripted-7 with %q", err, c.want)
+			case errors.Is(err, sweep.ErrWorkerDown) != c.down:
+				t.Fatalf("error = %v; ErrWorkerDown %v, want %v", err, !c.down, c.down)
 			}
-			if n := calls.Load(); n != 1 {
-				t.Errorf("the chunk was sent %d times; a bad row index must not be retried", n)
+			if c.down && !strings.Contains(err.Error(), "scripted-7 after 3 retries") {
+				t.Errorf("error = %v, want it to name the worker and its 3 retries", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !slices.Equal(posted, c.posted) {
+				t.Errorf("chunk attempts posted %v cells, want %v", posted, c.posted)
+			}
+			for i, want := range c.filled {
+				if (out[i] != nil) != want {
+					t.Errorf("cell %d: result returned %v, want %v", i, out[i] != nil, want)
+				}
 			}
 		})
 	}
