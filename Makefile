@@ -32,7 +32,7 @@ race:
 	$(GO) test -race ./...
 
 # bench is the performance gate CI runs: the merge-base of BASE and HEAD
-# against the working tree, in ten interleaved pairs on one machine, into
+# against the working tree, in twenty interleaved pairs on one machine, into
 # BENCH_CI.json. It fails on a figure geomean paired speedup below 0.95, a
 # figure's allocs/op more than 2% up, or a failed benchmark. See
 # bench/gate.sh and EXPERIMENTS.md "Reproducing".
@@ -62,13 +62,15 @@ profile:
 	./dvabench.bin -q -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof dvabench.bin cpu.pprof)"
 
-# verify mirrors CI's build, format, vet, fingerprint, lint and race steps.
-# The cmd/dvaperf benchmark is a module of its own, so ./... skips it; it
-# gets its own vet and race run.
+# verify mirrors CI's build, format, vet, cross-build, fingerprint, lint and
+# race steps. The cross-build compiles the !linux result-cache read that no
+# Linux build sees. The cmd/dvaperf benchmark is a module of its own, so
+# ./... skips it; it gets its own vet and race run.
 verify:
 	$(GO) build ./...
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/simcache && GOOS=darwin $(GO) build ./... && GOOS=windows $(GO) build ./...
 	$(GO) run ./cmd/modelhash -check
 	$(GO) run ./cmd/declint ./...
 	$(GO) test -race ./...

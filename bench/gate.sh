@@ -7,7 +7,7 @@
 # The merge-base of REV and HEAD is exported with `git archive`; it and the
 # working tree are each built into a root-package test binary with their own
 # PGO profile (cmd/dvabench/default.pgo). Both binaries then run every
-# benchmark once (-benchtime 1x, -benchmem) in ten pairs, odd pairs base
+# benchmark once (-benchtime 1x, -benchmem) in twenty pairs, odd pairs base
 # first and even pairs head first, so machine drift hits both sides alike.
 # cmd/benchjson pairs the runs, writes BENCH_CI.json and fails the gate when
 # the figure benchmarks' geomean paired speedup is below 0.95 or a figure
@@ -20,7 +20,7 @@ if [ $# -gt 1 ]; then
     echo "usage: $0 [REV]" >&2
     exit 2
 fi
-pairs=10
+pairs=20
 root=$(git rev-parse --show-toplevel)
 base_rev=$(git -C "$root" merge-base "${1:-origin/main}" HEAD)
 tmp=$(mktemp -d)

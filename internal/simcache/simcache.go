@@ -94,6 +94,7 @@ type Stats struct {
 // Store is one on-disk result cache rooted at a directory.
 type Store struct {
 	dir         string
+	prefix      string // the cleaned dir and a separator: path(k) is one concatenation
 	maxBytes    int64
 	fingerprint string
 
@@ -119,7 +120,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, fingerprint: opts.Fingerprint}
+	prefix := filepath.Clean(dir)
+	if !os.IsPathSeparator(prefix[len(prefix)-1]) {
+		prefix += string(filepath.Separator)
+	}
+	s := &Store{dir: dir, prefix: prefix, maxBytes: opts.MaxBytes, fingerprint: opts.Fingerprint}
 	if s.maxBytes == 0 {
 		s.maxBytes = DefaultMaxBytes
 	}
@@ -240,7 +245,7 @@ func appendConfig(b []byte, c *sim.Config) []byte {
 	return append(b, '}')
 }
 
-func (s *Store) path(k Key) string { return filepath.Join(s.dir, string(k)+entryExt) }
+func (s *Store) path(k Key) string { return s.prefix + string(k) + entryExt }
 
 // Get returns the cached result for the key, or ok=false on any miss —
 // absent, truncated, torn, checksum-mismatched or undecodable entries all
@@ -265,27 +270,29 @@ func (s *Store) GetBytes(k Key) ([]byte, bool) {
 
 // read returns the key's payload once the entry's framing and checksum
 // hold and check accepts the payload. Anything else is a miss, and an
-// entry that exists but fails is quarantined and counted corrupt.
+// entry that exists but fails is quarantined and counted corrupt. An entry
+// that cannot be read at all (absent, or a directory in its place) is a
+// plain miss.
 func (s *Store) read(k Key, check func([]byte) error) ([]byte, bool) {
-	path := s.path(k)
-	data, err := os.ReadFile(path)
+	e, data, err := readEntry(s.path(k))
 	if err != nil {
 		s.misses.Add(1)
 		return nil, false
 	}
+	defer e.close()
 	payload, err := checkEntry(data)
 	if err == nil {
 		err = check(payload)
 	}
 	if err != nil {
-		s.quarantine(path)
+		s.quarantine(k)
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		return nil, false
 	}
 	// Touch the entry so GC's LRU order tracks use, not just creation.
 	// Best-effort: a racing eviction only costs a future re-simulation.
-	_ = touch(path)
+	_ = e.touch()
 	s.hits.Add(1)
 	return payload, true
 }
@@ -321,11 +328,11 @@ func (s *Store) PutBytes(k Key, r *sim.Result) ([]byte, error) {
 	}
 	tmp := f.Name()
 	_, err = f.Write(entry)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, 0o644)
 	}
 	if err == nil {
 		err = os.Rename(tmp, s.path(k))
@@ -355,14 +362,8 @@ func checkEntry(data []byte) ([]byte, error) {
 
 // quarantine moves a corrupt entry aside (best effort) so it stops matching
 // lookups but stays available for postmortem.
-func (s *Store) quarantine(path string) {
-	_ = os.Rename(path, strings.TrimSuffix(path, entryExt)+corruptExt)
-}
-
-// touch bumps an entry's mtime to now, feeding the LRU eviction order.
-func touch(path string) error {
-	now := time.Now()
-	return os.Chtimes(path, now, now)
+func (s *Store) quarantine(k Key) {
+	_ = os.Rename(s.path(k), s.prefix+string(k)+corruptExt)
 }
 
 // GC enforces the store's lifecycle bounds. Stale .put-* temp files — the
@@ -394,7 +395,7 @@ func (s *Store) GC() (int, error) {
 			if err != nil || !info.ModTime().Before(cutoff) {
 				continue // in-flight write (or raced with its rename)
 			}
-			if err := os.Remove(filepath.Join(s.dir, name)); err == nil {
+			if err := os.Remove(s.prefix + name); err == nil {
 				removed++
 				s.orphans.Add(1)
 			}
@@ -407,7 +408,7 @@ func (s *Store) GC() (int, error) {
 		if err != nil {
 			continue // raced with a concurrent eviction
 		}
-		f := file{path: filepath.Join(s.dir, name), size: info.Size(), mtime: info.ModTime().UnixNano()}
+		f := file{path: s.prefix + name, size: info.Size(), mtime: info.ModTime().UnixNano()}
 		files = append(files, f)
 		total += f.size
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -534,5 +535,105 @@ func TestGCOrphanSweepIgnoresSizeCap(t *testing.T) {
 	}
 	if removed, err := s.GC(); err != nil || removed != 1 {
 		t.Errorf("GC on unbounded store: removed %d err %v, want 1 orphan removed", removed, err)
+	}
+}
+
+// A hit refreshes its entry's LRU time: of two aged entries, the older one
+// read through GetBytes or Get becomes the newest, and a GC capped at one
+// entry evicts the other.
+func TestHitRefreshesLRUOrder(t *testing.T) {
+	for _, read := range []struct {
+		name string
+		get  func(*Store, Key) bool
+	}{
+		{"GetBytes", func(s *Store, k Key) bool { _, ok := s.GetBytes(k); return ok }},
+		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			s := testStore(t, Options{MaxBytes: -1})
+			older, newer := testKey(s, "older"), testKey(s, "newer")
+			for i, k := range []Key{older, newer} {
+				if err := s.Put(k, testResult()); err != nil {
+					t.Fatal(err)
+				}
+				aged := time.Now().Add(time.Duration(i-2) * time.Hour)
+				if err := os.Chtimes(s.path(k), aged, aged); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !read.get(s, older) {
+				t.Fatal("miss on a live entry")
+			}
+			info, err := os.Stat(s.path(older))
+			if err != nil {
+				t.Fatal(err)
+			}
+			capped, err := Open(s.Dir(), Options{MaxBytes: info.Size()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if removed, err := capped.GC(); err != nil || removed != 1 {
+				t.Fatalf("GC removed %d, err %v; want 1", removed, err)
+			}
+			if _, err := os.Stat(s.path(older)); err != nil {
+				t.Errorf("the entry just read was evicted: %v", err)
+			}
+			if _, err := os.Stat(s.path(newer)); !os.IsNotExist(err) {
+				t.Errorf("the unread entry survived GC: %v", err)
+			}
+		})
+	}
+}
+
+// A warm GetBytes allocates the entry path, the path's C string and the
+// buffer it reads into; a miss only the first two. A directory in an
+// entry's place is a plain miss, neither corrupt nor quarantined.
+func TestGetBytesAllocs(t *testing.T) {
+	s := testStore(t, Options{})
+	k := testKey(s, "")
+	if err := s.Put(k, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("directory", func(t *testing.T) {
+		dk := testKey(s, "directory")
+		if err := os.Mkdir(s.path(dk), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if _, ok := s.GetBytes(dk); ok {
+			t.Fatal("a directory was served as a hit")
+		}
+		if st := s.Stats(); st.Misses != before.Misses+1 || st.Corrupt != before.Corrupt {
+			t.Errorf("stats = %+v after %+v, want one more miss and no corrupt", st, before)
+		}
+		if info, err := os.Stat(s.path(dk)); err != nil || !info.IsDir() {
+			t.Errorf("the directory moved: %v", err)
+		}
+		if q, _ := filepath.Glob(filepath.Join(s.Dir(), "*"+corruptExt)); len(q) != 0 {
+			t.Errorf("quarantined %v", q)
+		}
+	})
+	if runtime.GOOS != "linux" {
+		t.Skip("off Linux a read goes through os.ReadFile and os.Chtimes")
+	}
+	for _, c := range []struct {
+		name string
+		k    Key
+		ok   bool
+		max  float64
+	}{
+		{"hit", k, true, 3},
+		{"miss", testKey(s, "absent"), false, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := testing.AllocsPerRun(100, func() {
+				if _, ok := s.GetBytes(c.k); ok != c.ok {
+					t.Fatalf("GetBytes ok = %v, want %v", ok, c.ok)
+				}
+			})
+			if n > c.max {
+				t.Errorf("GetBytes %s: %v allocs, want at most %v", c.name, n, c.max)
+			}
+		})
 	}
 }

@@ -187,6 +187,7 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 
 	filled := make([]bool, len(pending))
 	doneSeen := false
+	var broke error
 	dec := json.NewDecoder(resp.Body)
 	// One row serves the whole stream, its payload decoded into the same
 	// buffer each time: DecodeResultBytes keeps nothing of its input.
@@ -194,12 +195,10 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 	for {
 		row = Row{Result: row.Result[:0]}
 		if err := dec.Decode(&row); err != nil {
-			if err == io.EOF {
-				break
+			if err != io.EOF {
+				broke = err
 			}
-			// Mid-stream break: rows already decoded stay valid, only the
-			// remainder is owed.
-			return unfilled(pending, filled), &retryError{fmt.Errorf("worker %s: sweep stream broke: %v", r.name, err)}
+			break
 		}
 		if row.Done {
 			doneSeen = true
@@ -227,15 +226,22 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 		out[ci] = res
 	}
 	still := unfilled(pending, filled)
-	if !doneSeen {
+	switch {
+	case len(still) == 0:
+		// Every row is in hand; the trailer carries only counters, so a
+		// stream that broke or ended without it owes nothing.
+		return nil, nil
+	case broke != nil:
+		// Mid-stream break: rows already decoded stay valid, only the
+		// remainder is owed.
+		return still, &retryError{fmt.Errorf("worker %s: sweep stream broke: %v", r.name, broke)}
+	case !doneSeen:
 		return still, &retryError{fmt.Errorf("worker %s: sweep stream ended without trailer", r.name)}
-	}
-	if len(still) > 0 {
+	default:
 		// The trailer arrived but some cells never got rows: the worker's
 		// request deadline passed and it drained them unrun. Retryable.
 		return still, &retryError{fmt.Errorf("worker %s: %d cells timed out worker-side", r.name, len(still))}
 	}
-	return nil, nil
 }
 
 // do posts one JSON request and classifies the status: 200 passes the

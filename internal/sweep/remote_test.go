@@ -314,6 +314,9 @@ func TestRemoteRejectsBadRowIndices(t *testing.T) {
 		{"undecodable result", []string{row(1) + `{"i":0,"result":"AAAA"}` + "\n" + done},
 			"cell 0: undecodable result", false, []int{2}, []bool{false, true}},
 		{"no trailer", []string{""}, "sweep stream ended without trailer", true, []int{2, 2, 2, 2}, []bool{false, false}},
+		{"rows missing, no trailer", []string{row(1), ""}, "sweep stream ended without trailer", true, []int{2, 1, 1, 1}, []bool{false, true}},
+		{"every row, no trailer", []string{row(0) + row(1)}, "", false, []int{2}, []bool{true, true}},
+		{"every row, then a broken line", []string{row(0) + row(1) + "{\"i\":"}, "", false, []int{2}, []bool{true, true}},
 		{"trailer with rows missing", []string{row(1) + done, row(0) + done}, "", false, []int{2, 1}, []bool{true, true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
