@@ -41,7 +41,7 @@ func TestDVAArenaReuseEquivalence(t *testing.T) {
 				name := testName(p.Name, lat, ci)
 
 				freshRec := sim.NewRecorder()
-				fresh, err := dva.RunRecorded(src, cfg, freshRec)
+				fresh, err := recordFresh(dva.NewRunner(), src, cfg, freshRec)
 				if err != nil {
 					t.Fatalf("%s: fresh run: %v", name, err)
 				}
@@ -74,7 +74,7 @@ func TestREFArenaReuseEquivalence(t *testing.T) {
 			cfg := sim.DefaultConfig(lat)
 
 			freshRec := sim.NewRecorder()
-			fresh, err := ref.RunRecorded(src, cfg, freshRec)
+			fresh, err := recordFresh(ref.NewRunner(), src, cfg, freshRec)
 			if err != nil {
 				t.Fatalf("%s: fresh run: %v", name, err)
 			}
@@ -114,7 +114,7 @@ func TestOOOArenaReuseEquivalence(t *testing.T) {
 				cfg.Window = sh.window
 				cfg.PhysRegs = sh.phys
 
-				fresh, err := ooo.Run(src, cfg)
+				fresh, err := ooo.NewRunner().Run(src, cfg)
 				if err != nil {
 					t.Fatalf("%s: fresh run: %v", name, err)
 				}
@@ -162,12 +162,12 @@ func TestDVAWakeWheelStaleStateReuse(t *testing.T) {
 		name := testName(p.Name, 30, round)
 		if round%2 == 0 {
 			// Recorder-off: stall debt settles into the counters only.
-			fresh, err := dva.Run(src, cfg)
+			fresh, err := dva.NewRunner().Run(src, cfg)
 			if err != nil {
 				t.Fatalf("%s: fresh run: %v", name, err)
 			}
 			var pooled sim.Result
-			if err := runner.RunInto(&pooled, src, cfg); err != nil {
+			if err := runner.RunRecordedInto(&pooled, src, cfg, nil); err != nil {
 				t.Fatalf("%s: pooled run: %v", name, err)
 			}
 			assertPooledIdentical(t, name+"/rec-off", fresh, &pooled)
@@ -175,7 +175,7 @@ func TestDVAWakeWheelStaleStateReuse(t *testing.T) {
 			// Recorder-on: stall debt also settles as spans into the
 			// event stream, compared too.
 			freshRec := sim.NewRecorder()
-			fresh, err := dva.RunRecorded(src, cfg, freshRec)
+			fresh, err := recordFresh(dva.NewRunner(), src, cfg, freshRec)
 			if err != nil {
 				t.Fatalf("%s: fresh run: %v", name, err)
 			}
@@ -206,7 +206,7 @@ func TestOOOWakeWheelStaleStateReuse(t *testing.T) {
 	for round, p := range []*workload.Program{pa, pb, pa, pb} {
 		src := p.CachedTrace(equivalenceScale)
 		name := testName(p.Name, 30, round)
-		fresh, err := ooo.Run(src, cfg)
+		fresh, err := ooo.NewRunner().Run(src, cfg)
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)
 		}
@@ -225,7 +225,7 @@ func TestArenaReuseSlowTick(t *testing.T) {
 	src := p.CachedTrace(equivalenceScale)
 	cfg := sim.DefaultConfig(30)
 
-	fresh, err := dva.Run(src, cfg)
+	fresh, err := dva.NewRunner().Run(src, cfg)
 	if err != nil {
 		t.Fatalf("fresh fast run: %v", err)
 	}
@@ -234,10 +234,10 @@ func TestArenaReuseSlowTick(t *testing.T) {
 	slowCfg := cfg
 	slowCfg.SlowTick = true
 	var warm, pooled sim.Result
-	if err := runner.RunInto(&warm, src, slowCfg); err != nil {
+	if err := runner.RunRecordedInto(&warm, src, slowCfg, nil); err != nil {
 		t.Fatalf("pooled warm-up run: %v", err)
 	}
-	if err := runner.RunInto(&pooled, src, slowCfg); err != nil {
+	if err := runner.RunRecordedInto(&pooled, src, slowCfg, nil); err != nil {
 		t.Fatalf("pooled slow run: %v", err)
 	}
 	assertIdentical(t, fresh, &pooled)

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	dvabench [-exp table1,fig1,fig3,...|all] [-scale 1.0] [-csv]
+//	dvabench [-exp table1,fig1,fig3,...|all] [-scale 1.0] [-q] [-out dir]
 //
 // Each experiment prints an ASCII rendition of the corresponding paper
 // table or figure. Experiments sharing simulation runs (fig3/4/5) reuse a

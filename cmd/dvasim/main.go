@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -128,13 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	cfg := spec.Cfg
-	var res *decvec.Result
-	if store != nil {
-		res, err = decvec.RunSourceCached(store, src, string(spec.Arch), cfg, cache.Verify)
-	} else {
-		res, err = decvec.RunSourceRecorded(src, string(spec.Arch), cfg, rec)
-	}
+	res, err := simulate(src, spec, store, cache.Verify, rec)
 	if err != nil {
 		return fail(err)
 	}
@@ -169,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "%s on %s (%s)\n", name, res.Arch, desc)
-	fmt.Fprintf(stdout, "  config:        %s\n", cfg.Label(res.Arch))
+	fmt.Fprintf(stdout, "  config:        %s\n", spec.Cfg.Label(res.Arch))
 	fmt.Fprintf(stdout, "  cycles:        %d (ideal lower bound %d, ratio %.2f)\n",
 		res.Cycles, idealCycles, float64(res.Cycles)/float64(idealCycles))
 	fmt.Fprintf(stdout, "  instructions:  %d scalar, %d vector (%d vector ops, avg VL %.1f)\n",
@@ -202,6 +197,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rec.Dropped, rec.MaxEvents)
 	}
 	return 0
+}
+
+// simulate runs spec on src. With a store it runs through a suite over it,
+// so a hit skips simulation and a miss persists, verify re-simulating that
+// fraction of hits; without one it simulates, recording into rec when rec
+// is non-nil.
+func simulate(src decvec.TraceSource, spec experiments.RunSpec, store *decvec.CacheStore, verify float64, rec *decvec.Recorder) (*decvec.Result, error) {
+	if store == nil {
+		return experiments.Simulate(src, spec, rec)
+	}
+	s := experiments.NewSuite(1)
+	s.Disk, s.VerifyFraction = store, verify
+	return s.RunSourceCtx(context.Background(), src, spec)
 }
 
 // writeOutput hands write stdout for path "-", else a created file at path.

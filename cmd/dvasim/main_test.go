@@ -2,14 +2,22 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"decvec"
+	"decvec/internal/experiments"
+	"decvec/internal/trace"
+	"decvec/internal/workload"
 )
+
+// testScale keeps the cached-path tests' traces small.
+const testScale = 0.25
 
 // dvasim runs the command on args and returns its exit code and output.
 func dvasim(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -125,6 +133,148 @@ func TestExitCodes(t *testing.T) {
 	} {
 		if code, _, errOut := dvasim(t, tc.args...); code != tc.want {
 			t.Errorf("%v: exit %d, want %d (%s)", tc.args, code, tc.want, errOut)
+		}
+	}
+}
+
+// resolve is dvasim's resolution of an architecture at latency 30.
+func resolve(t *testing.T, arch string, bypass bool) experiments.RunSpec {
+	t.Helper()
+	spec, err := experiments.RunParams{Arch: arch, Latency: 30, Bypass: bypass}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// openStore opens an empty result cache.
+func openStore(t *testing.T) *decvec.CacheStore {
+	t.Helper()
+	store, err := decvec.OpenCache(t.TempDir(), decvec.CacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// dyfesm returns the DYFESM trace at the test scale.
+func dyfesm(t *testing.T) decvec.TraceSource {
+	t.Helper()
+	w, err := decvec.LoadWorkload("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Trace(testScale)
+}
+
+// TestSimulateCached pins dvasim's cached path, including the BYP →
+// DVA+Bypass key canonicalization: -arch BYP writes the entry that -arch
+// DVA with the bypass bit hits, verified.
+func TestSimulateCached(t *testing.T) {
+	store := openStore(t)
+	src := dyfesm(t)
+	cold, err := simulate(src, resolve(t, "BYP", false), store, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Writes != 1 {
+		t.Fatalf("cold stats = %+v", st)
+	}
+	warm, err := simulate(src, resolve(t, "DVA", true), store, 1, nil)
+	if err != nil {
+		t.Fatalf("verified warm run failed: %v", err)
+	}
+	if warm.Cycles != cold.Cycles {
+		t.Errorf("warm cycles %d != cold cycles %d", warm.Cycles, cold.Cycles)
+	}
+	if st := store.Stats(); st.Hits != 1 || st.Verified != 1 {
+		t.Errorf("warm stats = %+v, want 1 hit / 1 verified", st)
+	}
+}
+
+// TestSimulateSharesSuiteEntries pins that dvasim and dvabench share cache
+// entries: a workload run the Suite stored as DVA+Bypass is a hit for
+// dvasim's cached path on the same trace spelled "byp".
+func TestSimulateSharesSuiteEntries(t *testing.T) {
+	store := openStore(t)
+	p, err := workload.Get("DYFESM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := experiments.NewSuite(1)
+	s.Disk = store
+	want, err := s.RunCtx(context.Background(), p, resolve(t, "DVA", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := simulate(p.CachedTrace(1), resolve(t, "byp", false), store, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Writes != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want the Suite's write hit by dvasim", st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("cached result differs from the Suite's run")
+	}
+}
+
+// TestSimulateVerifyDetectsTamper pins that -cache-verify audits hits: a
+// stored result no model produces fails loudly.
+func TestSimulateVerifyDetectsTamper(t *testing.T) {
+	store := openStore(t)
+	src := dyfesm(t)
+	spec := resolve(t, "DVA", false)
+	r, err := simulate(src, spec, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := *r
+	tampered.Cycles++
+	th, err := trace.Hash(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(store.Key(th, "DVA", spec.Cfg, ""), &tampered); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := simulate(src, spec, store, 1, nil); err == nil || !strings.Contains(err.Error(), "cache verification FAILED") {
+		t.Fatalf("verified run of a tampered entry: err = %v, want cache verification FAILED", err)
+	}
+	// Unverified, the checksummed entry is served as stored.
+	blind, err := simulate(src, spec, store, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.Cycles != tampered.Cycles {
+		t.Errorf("blind cycles = %d, want the tampered %d", blind.Cycles, tampered.Cycles)
+	}
+}
+
+// TestSimulateArchAnyCase pins that a mixed-case architecture hits the
+// entry the upper-case name wrote, and answers its machine's result.
+func TestSimulateArchAnyCase(t *testing.T) {
+	store := openStore(t)
+	src := dyfesm(t)
+	for i, c := range []struct{ upper, mixed string }{
+		{"DVA", "Dva"}, {"BYP", "byp"}, {"REF", "ReF"},
+	} {
+		want, err := simulate(src, resolve(t, c.upper, false), store, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := simulate(src, resolve(t, c.mixed, false), store, 0, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", c.mixed, err)
+		}
+		if st := store.Stats(); st.Writes != int64(i+1) || st.Hits != int64(i+1) {
+			t.Errorf("%s: stats = %+v, want %d writes and %d hits: %q must share %q's key",
+				c.mixed, st, i+1, i+1, c.mixed, c.upper)
+		}
+		if cached.Arch != want.Arch || cached.Cycles != want.Cycles {
+			t.Errorf("cached %q = %s/%d cycles, want %s/%d", c.mixed, cached.Arch, cached.Cycles, want.Arch, want.Cycles)
 		}
 	}
 }

@@ -25,11 +25,8 @@ import (
 	"math"
 	"sort"
 
-	"decvec/internal/dva"
 	"decvec/internal/experiments"
 	"decvec/internal/ideal"
-	"decvec/internal/ooo"
-	"decvec/internal/ref"
 	"decvec/internal/report"
 	"decvec/internal/server"
 	"decvec/internal/sim"
@@ -157,21 +154,21 @@ func (w *Workload) Stats() *trace.Stats {
 
 // RunREF simulates the workload on the reference vector architecture.
 func (w *Workload) RunREF(cfg Config) (*Result, error) {
-	return ref.Run(w.p.CachedTrace(1), cfg)
+	return RunSource(w.p.CachedTrace(1), "REF", cfg)
 }
 
 // RunDVA simulates the workload on the decoupled vector architecture
 // (set cfg.Bypass, or use BypassConfig, for the bypass variant).
 func (w *Workload) RunDVA(cfg Config) (*Result, error) {
-	return dva.Run(w.p.CachedTrace(1), cfg)
+	return RunSource(w.p.CachedTrace(1), "DVA", cfg)
 }
 
 // RunOOO simulates the workload on the out-of-order, register-renaming
 // extension of the reference architecture (the paper's §8 comparison) with
 // the given issue-window and physical vector-register pool sizes.
 func (w *Workload) RunOOO(cfg Config, window, physRegs int) (*Result, error) {
-	ocfg := ooo.Config{Config: cfg, Window: window, PhysRegs: physRegs}
-	return ooo.Run(w.p.CachedTrace(1), ocfg)
+	spec := experiments.RunSpec{Arch: experiments.OOO, Cfg: cfg, Window: window, PhysRegs: physRegs}
+	return experiments.Simulate(w.p.CachedTrace(1), spec, nil)
 }
 
 // IdealCycles returns the §5 five-resource lower bound on execution time.
@@ -198,6 +195,7 @@ func IdealCyclesOf(src *trace.Slice) int64 {
 
 // RunSource simulates an arbitrary trace source (for example one built
 // with the tracegen kernels) on REF, DVA or BYP, named in any letter case.
+// Runs reuse pooled machines, so back-to-back runs do not rebuild one.
 func RunSource(src *trace.Slice, arch string, cfg Config) (*Result, error) {
 	return RunSourceRecorded(src, arch, cfg, nil)
 }
@@ -205,15 +203,11 @@ func RunSource(src *trace.Slice, arch string, cfg Config) (*Result, error) {
 // RunSourceRecorded is RunSource with an event recorder attached; pass nil
 // to disable recording (equivalent to RunSource).
 func RunSourceRecorded(src *trace.Slice, arch string, cfg Config, rec *Recorder) (*Result, error) {
-	core, bypass, err := sim.ParseArch(arch)
+	spec, err := experiments.ResolveArch(arch, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("decvec: %w", err)
 	}
-	if core == "REF" {
-		return ref.RunRecorded(src, cfg, rec)
-	}
-	cfg.Bypass = cfg.Bypass || bypass
-	return dva.RunRecorded(src, cfg, rec)
+	return experiments.Simulate(src, spec, rec)
 }
 
 // MetricsJSON renders a result — cycle counts, state breakdown, stall
@@ -227,8 +221,8 @@ func MetricsJSONWithCache(res *Result, st CacheStats) ([]byte, error) {
 }
 
 // CacheStore is the persistent, content-addressed store for simulation
-// results (see internal/simcache). Attach one to Suite.Disk, or pass it to
-// RunSourceCached, to make repeat runs skip simulation entirely.
+// results (see internal/simcache). Attach one to Suite.Disk to make repeat
+// runs skip simulation entirely.
 type CacheStore = simcache.Store
 
 // CacheOptions configures OpenCache. MaxBytes is the GC size cap: 0 applies
@@ -324,24 +318,6 @@ func CheckScale(scale float64) error {
 
 // CacheTable renders a store's counters as an ASCII table.
 func CacheTable(st CacheStats) string { return report.CacheTable(st) }
-
-// RunSourceCached is RunSource through a persistent result cache: disk hits
-// skip simulation, misses simulate and persist. verify re-simulates that
-// fraction of hits (deterministically sampled per key) and returns a hard
-// error if the stored bytes differ from the fresh encoding. A nil store
-// simulates uncached. BYP is keyed as DVA with the bypass bit set, so a
-// run shares its entry with the equivalent Suite run (the entries dvabench
-// and dvad write).
-func RunSourceCached(store *CacheStore, src *trace.Slice, arch string, cfg Config, verify float64) (*Result, error) {
-	core, bypass, err := sim.ParseArch(arch)
-	if err != nil {
-		return nil, fmt.Errorf("decvec: %w", err)
-	}
-	cfg.Bypass = cfg.Bypass || bypass
-	s := experiments.NewSuite(1)
-	s.Disk, s.VerifyFraction = store, verify
-	return s.RunSourceCtx(context.Background(), src, experiments.RunSpec{Arch: experiments.Arch(core), Cfg: cfg})
-}
 
 // Server is the dvad simulation daemon: an HTTP/JSON front end over an
 // embedded Suite, with request coalescing (identical concurrent requests

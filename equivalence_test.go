@@ -9,6 +9,7 @@ import (
 	"decvec/internal/ref"
 	"decvec/internal/report"
 	"decvec/internal/sim"
+	"decvec/internal/trace"
 	"decvec/internal/tracegen"
 	"decvec/internal/workload"
 )
@@ -110,6 +111,18 @@ func dvaGrid(latency int64) []sim.Config {
 
 var equivalenceLatencies = []int64{1, 30, 100}
 
+// recordFresh runs src under cfg on r, a new Runner, recording into rec: the
+// fresh machine the SlowTick and pooled runs are compared against.
+func recordFresh[R interface {
+	RunRecordedInto(*sim.Result, *trace.Slice, sim.Config, *sim.Recorder) error
+}](r R, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
+	res := new(sim.Result)
+	if err := r.RunRecordedInto(res, src, cfg, rec); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // TestDVAIdleSkipEquivalence sweeps the DVA and BYP cores over the full
 // (program x latency x queue-size) grid, comparing the fast and SlowTick
 // modes including their recorded event streams.
@@ -128,11 +141,11 @@ func TestDVAIdleSkipEquivalence(t *testing.T) {
 					slowCfg := cfg
 					slowCfg.SlowTick = true
 
-					fast, err := dva.RunRecorded(src, fastCfg, fastRec)
+					fast, err := recordFresh(dva.NewRunner(), src, fastCfg, fastRec)
 					if err != nil {
 						t.Fatalf("fast run: %v", err)
 					}
-					slow, err := dva.RunRecorded(src, slowCfg, slowRec)
+					slow, err := recordFresh(dva.NewRunner(), src, slowCfg, slowRec)
 					if err != nil {
 						t.Fatalf("slow run: %v", err)
 					}
@@ -159,11 +172,11 @@ func TestREFIdleSkipEquivalence(t *testing.T) {
 				slowCfg := fastCfg
 				slowCfg.SlowTick = true
 
-				fast, err := ref.RunRecorded(src, fastCfg, fastRec)
+				fast, err := recordFresh(ref.NewRunner(), src, fastCfg, fastRec)
 				if err != nil {
 					t.Fatalf("fast run: %v", err)
 				}
-				slow, err := ref.RunRecorded(src, slowCfg, slowRec)
+				slow, err := recordFresh(ref.NewRunner(), src, slowCfg, slowRec)
 				if err != nil {
 					t.Fatalf("slow run: %v", err)
 				}
@@ -194,11 +207,11 @@ func TestOOOIdleSkipEquivalence(t *testing.T) {
 					slowCfg := fastCfg
 					slowCfg.SlowTick = true
 
-					fast, err := ooo.Run(src, fastCfg)
+					fast, err := ooo.NewRunner().Run(src, fastCfg)
 					if err != nil {
 						t.Fatalf("fast run: %v", err)
 					}
-					slow, err := ooo.Run(src, slowCfg)
+					slow, err := ooo.NewRunner().Run(src, slowCfg)
 					if err != nil {
 						t.Fatalf("slow run: %v", err)
 					}
@@ -221,11 +234,11 @@ func TestHighJitterEquivalence(t *testing.T) {
 	slowCfg.SlowTick = true
 
 	fastRec, slowRec := sim.NewRecorder(), sim.NewRecorder()
-	fast, err := dva.RunRecorded(src, cfg, fastRec)
+	fast, err := recordFresh(dva.NewRunner(), src, cfg, fastRec)
 	if err != nil {
 		t.Fatalf("dva fast run: %v", err)
 	}
-	slow, err := dva.RunRecorded(src, slowCfg, slowRec)
+	slow, err := recordFresh(dva.NewRunner(), src, slowCfg, slowRec)
 	if err != nil {
 		t.Fatalf("dva slow run: %v", err)
 	}
@@ -235,11 +248,11 @@ func TestHighJitterEquivalence(t *testing.T) {
 	oooCfg := ooo.Config{Config: cfg, Window: 16, PhysRegs: 32}
 	oooSlowCfg := oooCfg
 	oooSlowCfg.SlowTick = true
-	fast, err = ooo.Run(src, oooCfg)
+	fast, err = ooo.NewRunner().Run(src, oooCfg)
 	if err != nil {
 		t.Fatalf("ooo fast run: %v", err)
 	}
-	slow, err = ooo.Run(src, oooSlowCfg)
+	slow, err = ooo.NewRunner().Run(src, oooSlowCfg)
 	if err != nil {
 		t.Fatalf("ooo slow run: %v", err)
 	}
@@ -259,11 +272,11 @@ func TestBoundedRecorderEquivalence(t *testing.T) {
 	slowCfg := cfg
 	slowCfg.SlowTick = true
 
-	fast, err := dva.RunRecorded(src, cfg, fastRec)
+	fast, err := recordFresh(dva.NewRunner(), src, cfg, fastRec)
 	if err != nil {
 		t.Fatalf("fast run: %v", err)
 	}
-	slow, err := dva.RunRecorded(src, slowCfg, slowRec)
+	slow, err := recordFresh(dva.NewRunner(), src, slowCfg, slowRec)
 	if err != nil {
 		t.Fatalf("slow run: %v", err)
 	}

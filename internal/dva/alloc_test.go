@@ -52,17 +52,17 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 			r := NewRunner()
 			var res sim.Result
 			// Warm-up run builds the machine and sizes res's storage.
-			if err := r.RunInto(&res, tr, cfg); err != nil {
+			if err := r.RunRecordedInto(&res, tr, cfg, nil); err != nil {
 				t.Fatalf("warm-up run: %v", err)
 			}
 			warm := res.Cycles
 			allocs := testing.AllocsPerRun(10, func() {
-				if err := r.RunInto(&res, tr, cfg); err != nil {
+				if err := r.RunRecordedInto(&res, tr, cfg, nil); err != nil {
 					t.Fatalf("run: %v", err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("steady-state RunInto allocated %.1f times per run, want 0", allocs)
+				t.Errorf("steady-state RunRecordedInto allocated %.1f times per run, want 0", allocs)
 			}
 			if res.Cycles != warm || res.Cycles == 0 {
 				t.Errorf("steady-state cycles %d, warm-up %d; want equal and nonzero", res.Cycles, warm)

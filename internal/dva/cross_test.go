@@ -49,11 +49,11 @@ func TestRandomTracesBothSimulators(t *testing.T) {
 		}
 		cfg := crossConfig(seed)
 
-		refRes, err := ref.Run(tr, cfg)
+		refRes, err := ref.NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: REF: %v", seed, err)
 		}
-		dvaRes, err := Run(tr, cfg)
+		dvaRes, err := NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d (%s): DVA: %v", seed, cfg.String(), err)
 		}
@@ -109,7 +109,7 @@ func TestRandomTracesBothSimulators(t *testing.T) {
 			}
 		}
 		// Determinism.
-		again, err := Run(tr, cfg)
+		again, err := NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: rerun: %v", seed, err)
 		}
@@ -123,12 +123,12 @@ func TestRandomTracesBypassNeverAddsTraffic(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		tr := tracegen.Random(seed, crossTraceLen).Trace()
 		cfg := sim.DefaultConfig(1 + (seed*13)%100)
-		plain, err := Run(tr, cfg)
+		plain, err := NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cfg.Bypass = true
-		byp, err := Run(tr, cfg)
+		byp, err := NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -151,7 +151,7 @@ func TestRandomTracesTinyQueuesStillTerminate(t *testing.T) {
 		cfg.AVDQSize = 1
 		cfg.VADQSize = 1
 		cfg.ScalarQSize = 2
-		if _, err := Run(tr, cfg); err != nil {
+		if _, err := NewRunner().Run(tr, cfg); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

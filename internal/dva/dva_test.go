@@ -32,7 +32,7 @@ func run(t *testing.T, cfg sim.Config, insts ...isa.Inst) *sim.Result {
 	if err := trace.Validate(tr); err != nil {
 		t.Fatalf("invalid test trace: %v", err)
 	}
-	r, err := Run(tr, cfg)
+	r, err := NewRunner().Run(tr, cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestDecouplingHidesLatencyAcrossIndependentLoads(t *testing.T) {
 	}
 	d := run(t, testCfg(60), insts...)
 	tr := mkTrace(insts...)
-	rr, err := ref.Run(tr, testCfg(60))
+	rr, err := ref.NewRunner().Run(tr, testCfg(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestLockstepRecurrenceNotFasterThanREF(t *testing.T) {
 			isa.Inst{Class: isa.ClassReduce, Op: isa.OpAdd, Dst: isa.S(1), Src1: isa.V(1), VL: 8})
 	}
 	d := run(t, testCfg(60), insts...)
-	rr, err := ref.Run(mkTrace(insts...), testCfg(60))
+	rr, err := ref.NewRunner().Run(mkTrace(insts...), testCfg(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestDeterminism(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := testCfg(10)
 	cfg.IQSize = 0
-	if _, err := Run(mkTrace(), cfg); err == nil {
+	if _, err := NewRunner().Run(mkTrace(), cfg); err == nil {
 		t.Error("expected configuration error")
 	}
 }

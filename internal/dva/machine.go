@@ -10,7 +10,6 @@ import (
 	"decvec/internal/mem"
 	"decvec/internal/queue"
 	"decvec/internal/sim"
-	"decvec/internal/trace"
 )
 
 // machine is the complete state of one decoupled-architecture simulation.
@@ -160,27 +159,6 @@ func (m *machine) popDrain() {
 		m.drainHead = 0
 	}
 	m.drainLen--
-}
-
-// Run simulates the trace on the decoupled vector architecture under cfg
-// (set cfg.Bypass for the §7 bypass variant) and returns the measured
-// result. It returns an error for invalid configurations or if the machine
-// deadlocks, which would indicate a malformed trace.
-func Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
-	return RunRecorded(src, cfg, nil)
-}
-
-// RunRecorded is Run with an optional event recorder. Recording is passive:
-// the returned result is bit-identical to a run with rec nil; the recorder
-// additionally collects the cycle-stamped event stream (issues, stalls,
-// queue pushes/pops, bus grants, bypasses, flushes).
-func RunRecorded(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
-	var r Runner
-	res := new(sim.Result)
-	if err := r.RunRecordedInto(res, src, cfg, rec); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // queueMeta is the statistics surface every architectural queue exposes,

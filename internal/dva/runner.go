@@ -34,16 +34,11 @@ func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	return res, nil
 }
 
-// RunInto simulates the trace under cfg, writing the measurements into res.
-// Every field of res is overwritten; its slice and histogram storage is
-// reused when the geometry matches, so a warmed (res, Runner) pair runs
-// without allocating.
-func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg sim.Config) error {
-	return r.RunRecordedInto(res, src, cfg, nil)
-}
-
-// RunRecordedInto is RunInto with an optional event recorder. Recording is
-// passive: res is bit-identical to a recorder-off run.
+// RunRecordedInto simulates the trace under cfg, writing the measurements
+// into res, with an optional event recorder. Every field of res is
+// overwritten; its slice and histogram storage is reused when the geometry
+// matches, so a warmed (res, Runner) pair runs without allocating.
+// Recording is passive: res is bit-identical to a recorder-off run.
 func (r *Runner) RunRecordedInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
 	if err := cfg.Validate(); err != nil {
 		return err

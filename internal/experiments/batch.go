@@ -27,39 +27,56 @@ var (
 	oooRunners sim.RunPool[*ooo.Runner]
 )
 
-var errUnknownArch = errors.New("experiments: unknown architecture")
+var (
+	errUnknownArch = errors.New("experiments: unknown architecture")
+	errRecordedOOO = errors.New("experiments: the OOO core records no events")
+)
 
-// dispatch performs one uncached simulator invocation on a pooled machine.
-// This is the batch hot loop: everything per run up to the core's own
-// (hot-path-gated) stepping must stay allocation-free, so the function
-// sits under the hotalloc gate.
+// Simulate performs one uncached simulator invocation on a pooled machine.
+// It is the one place an architecture maps to a core: the suite's run path,
+// the decvec facade and the commands all simulate through it. rec, when
+// non-nil, collects the run's event stream; the OOO core records none, so
+// an OOO run with a recorder is an error. This is the batch hot loop:
+// everything per run up to the core's own (hot-path-gated) stepping must
+// stay allocation-free beyond the result, so the function sits under the
+// hotalloc gate.
 // declint:hotpath
-func dispatch(tr *trace.Slice, spec RunSpec) (*sim.Result, error) {
+func Simulate(tr *trace.Slice, spec RunSpec, rec *sim.Recorder) (*sim.Result, error) {
+	res := new(sim.Result)
+	var err error
 	switch spec.Arch {
 	case REF:
-		return runPooled(&refRunners, ref.NewRunner, tr, spec.Cfg)
+		m := lease(&refRunners, ref.NewRunner)
+		err = m.RunRecordedInto(res, tr, spec.Cfg, rec)
+		refRunners.Put(m)
 	case DVA:
-		return runPooled(&dvaRunners, dva.NewRunner, tr, spec.Cfg)
+		m := lease(&dvaRunners, dva.NewRunner)
+		err = m.RunRecordedInto(res, tr, spec.Cfg, rec)
+		dvaRunners.Put(m)
 	case OOO:
-		return runPooled(&oooRunners, ooo.NewRunner, tr, ooo.Config{Config: spec.Cfg, Window: spec.Window, PhysRegs: spec.PhysRegs})
+		if rec != nil {
+			return nil, errRecordedOOO
+		}
+		m := lease(&oooRunners, ooo.NewRunner)
+		err = m.RunInto(res, tr, ooo.Config{Config: spec.Cfg, Window: spec.Window, PhysRegs: spec.PhysRegs})
+		oooRunners.Put(m)
 	default:
 		return nil, errUnknownArch
 	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// runPooled leases a machine from pool, building one when the pool is
-// empty, and runs tr on it. The machine goes back to the pool even when
-// the run fails — reset restores it either way.
-func runPooled[M interface {
-	Run(*trace.Slice, C) (*sim.Result, error)
-}, C any](pool *sim.RunPool[M], fresh func() M, tr *trace.Slice, cfg C) (*sim.Result, error) {
-	m, ok := pool.Get()
-	if !ok {
-		m = fresh()
+// lease takes a machine from pool, building one when the pool is empty.
+// The caller puts it back after the run, even a failed one: the next run's
+// reset restores it either way.
+func lease[M any](pool *sim.RunPool[M], fresh func() M) M {
+	if m, ok := pool.Get(); ok {
+		return m
 	}
-	r, err := m.Run(tr, cfg)
-	pool.Put(m)
-	return r, err
+	return fresh()
 }
 
 // BatchJob is one simulation of a batch: a program run as its RunSpec
@@ -152,7 +169,7 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// Hot phase: drain the cells across the CPUs, each worker recording its
 	// own cell's outcome in place (distinct slots, so no lock is needed).
 	// The suite's run path supplies the singleflight and cache tiers; the
-	// simulation itself lands on a pooled machine via dispatch. parallelCtx
+	// simulation itself lands on a pooled machine via Simulate. parallelCtx
 	// runs every cell and joins every error — one failed cell must neither
 	// hide another's failure nor discard the cells that succeeded.
 	got := make([]*sim.Result, len(cells))

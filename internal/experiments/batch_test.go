@@ -120,3 +120,46 @@ func TestRunBatchMixedArches(t *testing.T) {
 		}
 	}
 }
+
+// Simulate is the one architecture-to-core switch: an unknown architecture
+// and an OOO run with a recorder are refused before any machine runs.
+func TestSimulateRefuses(t *testing.T) {
+	tr := workload.Simulated()[0].CachedTrace(0.05)
+	if _, err := Simulate(tr, RunSpec{Arch: Arch("XXX"), Cfg: sim.DefaultConfig(1)}, nil); !errors.Is(err, errUnknownArch) {
+		t.Errorf("unknown architecture: err = %v, want errUnknownArch", err)
+	}
+	rec := sim.NewRecorder()
+	spec := RunSpec{Arch: OOO, Cfg: sim.DefaultConfig(1), Window: 16, PhysRegs: 32}
+	if _, err := Simulate(tr, spec, rec); !errors.Is(err, errRecordedOOO) || rec.Len() != 0 {
+		t.Errorf("recorded OOO run: err = %v with %d events, want errRecordedOOO and none", err, rec.Len())
+	}
+	if _, err := Simulate(tr, spec, nil); err != nil {
+		t.Errorf("unrecorded OOO run: %v", err)
+	}
+}
+
+// ResolveArch resolves any letter case, folds BYP into the DVA's bypass
+// bit, and is the resolver RunParams.Resolve uses: both fail an unknown
+// name with the same text.
+func TestResolveArch(t *testing.T) {
+	cfg := sim.DefaultConfig(30)
+	for _, c := range []struct {
+		arch   string
+		want   Arch
+		bypass bool
+	}{
+		{"REF", REF, false}, {"ReF", REF, false}, {"dva", DVA, false}, {"BYP", DVA, true}, {"byp", DVA, true},
+	} {
+		spec, err := ResolveArch(c.arch, cfg)
+		if err != nil || spec.Arch != c.want || spec.Cfg.Bypass != c.bypass {
+			t.Errorf("ResolveArch(%q) = %s bypass %v, %v; want %s bypass %v", c.arch, spec.Arch, spec.Cfg.Bypass, err, c.want, c.bypass)
+		}
+	}
+	const want = `unknown architecture "XYZ" (want REF, DVA or BYP)`
+	if _, err := ResolveArch("XYZ", cfg); err == nil || err.Error() != want {
+		t.Errorf("ResolveArch(XYZ): err = %v, want %s", err, want)
+	}
+	if _, err := (RunParams{Arch: "XYZ", Latency: 30}).Resolve(); err == nil || err.Error() != want {
+		t.Errorf("Resolve(XYZ): err = %v, want %s", err, want)
+	}
+}

@@ -99,9 +99,7 @@ type Suite struct {
 
 	runs   flightGroup[runKey, *runEntry]
 	ideals flightGroup[string, ideal.Bound]
-
-	mu   sync.Mutex
-	sims int64 // simulations actually executed (see Simulations)
+	sims   atomic.Int64 // simulations actually executed (see Simulations)
 }
 
 // runKey is the suite's one result key: the trace by content hash, so
@@ -167,11 +165,7 @@ func NewSuite(scale float64) *Suite {
 // Simulations returns the number of simulator invocations the suite has
 // performed; memory-cache, singleflight and disk-cache hits do not count.
 // Cache-verification re-simulations do.
-func (s *Suite) Simulations() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sims
-}
+func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // Coalesced returns the number of runs answered by another caller's work:
 // from the in-memory tier, or by joining an identical run in flight. Every
@@ -186,13 +180,6 @@ func (s *Suite) CacheStats() simcache.Stats {
 		return simcache.Stats{}
 	}
 	return s.Disk.Stats()
-}
-
-// countSim tallies one real simulator invocation.
-func (s *Suite) countSim() {
-	s.mu.Lock()
-	s.sims++
-	s.mu.Unlock()
 }
 
 // admit acquires a simulation slot from the gate (a no-op slot when none is
@@ -341,8 +328,8 @@ func (s *Suite) simulate(ctx context.Context, tr *trace.Slice, spec RunSpec) (*s
 		return nil, err
 	}
 	defer release()
-	s.countSim()
-	r, err := dispatch(tr, spec)
+	s.sims.Add(1)
+	r, err := Simulate(tr, spec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s: %w", spec.Arch, tr.Name(), err)
 	}
@@ -553,22 +540,32 @@ func (p RunParams) Config() sim.Config {
 	return cfg
 }
 
-// Resolve parses and validates the parameters into the run they name. BYP
-// resolves to DVA with the bypass bit set, so it shares cache entries and
-// coalescing with the equivalent DVA run. An error describes a bad input.
+// Resolve parses and validates the parameters into the run they name (see
+// ResolveArch). An error describes a bad input.
 func (p RunParams) Resolve() (RunSpec, error) {
-	core, bypass, err := sim.ParseArch(p.Arch)
+	spec, err := ResolveArch(p.Arch, p.Config())
 	if err != nil {
 		return RunSpec{}, err
 	}
 	if p.LoadQ < 0 || p.StoreQ < 0 || p.IQ < 0 || p.Jitter < 0 {
 		return RunSpec{}, errors.New("loadq, storeq, iq and jitter must be >= 0 (0 = the default)")
 	}
-	cfg := p.Config()
-	cfg.Bypass = cfg.Bypass || bypass
-	if err := cfg.Validate(); err != nil {
+	if err := spec.Cfg.Validate(); err != nil {
 		return RunSpec{}, err
 	}
+	return spec, nil
+}
+
+// ResolveArch resolves a REF, DVA or BYP run, the architecture named in any
+// letter case, under cfg. BYP resolves to DVA with the bypass bit set, so it
+// shares cache entries and coalescing with the equivalent DVA run. It does
+// not validate cfg: the cores do, before they run.
+func ResolveArch(arch string, cfg sim.Config) (RunSpec, error) {
+	core, bypass, err := sim.ParseArch(arch)
+	if err != nil {
+		return RunSpec{}, err
+	}
+	cfg.Bypass = cfg.Bypass || bypass
 	return RunSpec{Arch: Arch(core), Cfg: cfg}, nil
 }
 

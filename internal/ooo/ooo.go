@@ -23,7 +23,6 @@ import (
 	"decvec/internal/isa"
 	"decvec/internal/mem"
 	"decvec/internal/sim"
-	"decvec/internal/trace"
 )
 
 // Config extends the shared simulator configuration with the out-of-order
@@ -179,16 +178,6 @@ func (a *valueArena) reset() {
 		}
 	}
 	a.ci, a.vi = 0, 0
-}
-
-// Run simulates the trace on the out-of-order vector architecture.
-func Run(src *trace.Slice, cfg Config) (*sim.Result, error) {
-	var r Runner
-	res := new(sim.Result)
-	if err := r.RunInto(res, src, cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // declint:hotpath

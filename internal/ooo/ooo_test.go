@@ -39,7 +39,7 @@ func vst(data isa.Reg, base uint64, vl int) isa.Inst {
 
 func run(t *testing.T, cfg Config, insts ...isa.Inst) *sim.Result {
 	t.Helper()
-	r, err := Run(mkTrace(insts...), cfg)
+	r, err := NewRunner().Run(mkTrace(insts...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +49,12 @@ func run(t *testing.T, cfg Config, insts ...isa.Inst) *sim.Result {
 func TestValidate(t *testing.T) {
 	cfg := testCfg(10)
 	cfg.Window = 0
-	if _, err := Run(mkTrace(), cfg); err == nil {
+	if _, err := NewRunner().Run(mkTrace(), cfg); err == nil {
 		t.Error("window 0 accepted")
 	}
 	cfg = testCfg(10)
 	cfg.PhysRegs = 4
-	if _, err := Run(mkTrace(), cfg); err == nil {
+	if _, err := NewRunner().Run(mkTrace(), cfg); err == nil {
 		t.Error("too few physical registers accepted")
 	}
 }
@@ -77,7 +77,7 @@ func TestHoistsIndependentLoadPastUse(t *testing.T) {
 		}
 	}
 	o := run(t, testCfg(50), mk()...)
-	rr, err := ref.Run(mkTrace(mk()...), testCfg(50).Config)
+	rr, err := ref.NewRunner().Run(mkTrace(mk()...), testCfg(50).Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWindowScaling(t *testing.T) {
 	for _, w := range []int{1, 4, 16, 64} {
 		cfg := testCfg(60)
 		cfg.Window = w
-		r, err := Run(mkTrace(insts...), cfg)
+		r, err := NewRunner().Run(mkTrace(insts...), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestRandomTracesTerminateAndConserve(t *testing.T) {
 		if seed%3 == 0 {
 			cfg.Window = 4
 		}
-		r, err := Run(tr, cfg)
+		r, err := NewRunner().Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -208,7 +208,7 @@ func TestRandomTracesTerminateAndConserve(t *testing.T) {
 		}
 		// OOO fetches every instruction exactly once: its dynamic
 		// instruction mix is REF's.
-		refRes, err := ref.Run(tr, cfg.Config)
+		refRes, err := ref.NewRunner().Run(tr, cfg.Config)
 		if err != nil {
 			t.Fatalf("seed %d: REF: %v", seed, err)
 		}
@@ -219,7 +219,7 @@ func TestRandomTracesTerminateAndConserve(t *testing.T) {
 			t.Errorf("seed %d: state accounting off", seed)
 		}
 		// Determinism.
-		again, err := Run(tr, cfg)
+		again, err := NewRunner().Run(tr, cfg)
 		if err != nil || again.Cycles != r.Cycles {
 			t.Errorf("seed %d: not deterministic", seed)
 		}

@@ -13,7 +13,6 @@ import (
 	"decvec/internal/isa"
 	"decvec/internal/mem"
 	"decvec/internal/sim"
-	"decvec/internal/trace"
 )
 
 // vreg is the scoreboard entry of one vector register.
@@ -54,28 +53,6 @@ type machine struct {
 	// maxDone tracks the latest completion event of anything in flight; the
 	// run ends there.
 	maxDone int64
-}
-
-// Run simulates the trace on the reference architecture under cfg and
-// returns the measured result.
-func Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
-	return simulate(src, cfg, nil)
-}
-
-// RunRecorded is Run with an optional event recorder. Recording is passive:
-// the returned result is bit-identical to a plain Run; the recorder
-// additionally collects issue, stall and bus-grant events.
-func RunRecorded(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
-	return simulate(src, cfg, rec)
-}
-
-func simulate(src *trace.Slice, cfg sim.Config, rec *sim.Recorder) (*sim.Result, error) {
-	var r Runner
-	res := new(sim.Result)
-	if err := r.runInto(res, src, cfg, rec); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // run is the dispatch loop: it replays the trace instruction by

@@ -34,7 +34,7 @@ func run(t *testing.T, cfg sim.Config, insts ...isa.Inst) *sim.Result {
 	if err := trace.Validate(tr); err != nil {
 		t.Fatalf("invalid test trace: %v", err)
 	}
-	r, err := Run(tr, cfg)
+	r, err := NewRunner().Run(tr, cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestDeterminism(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := testCfg(10)
 	cfg.MemLatency = 0
-	if _, err := Run(mkTrace(), cfg); err == nil {
+	if _, err := NewRunner().Run(mkTrace(), cfg); err == nil {
 		t.Error("expected configuration error")
 	}
 }
@@ -353,7 +353,7 @@ func TestRecorderSeesEveryIssue(t *testing.T) {
 		vld(isa.V(0), 0x1000, 8),
 		vadd(isa.V(1), isa.V(0), isa.None, 8))
 	rec := sim.NewRecorder()
-	if _, err := RunRecorded(tr, testCfg(10), rec); err != nil {
+	if err := NewRunner().RunRecordedInto(new(sim.Result), tr, testCfg(10), rec); err != nil {
 		t.Fatal(err)
 	}
 	var seen []int64

@@ -23,25 +23,17 @@ func NewRunner() *Runner { return &Runner{} }
 // freshly allocated result (safe to retain; never aliases Runner state).
 func (r *Runner) Run(src *trace.Slice, cfg sim.Config) (*sim.Result, error) {
 	res := new(sim.Result)
-	if err := r.runInto(res, src, cfg, nil); err != nil {
+	if err := r.RunRecordedInto(res, src, cfg, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// RunInto simulates the trace under cfg, overwriting every field of res.
-// A warmed (res, Runner) pair runs without allocating.
-func (r *Runner) RunInto(res *sim.Result, src *trace.Slice, cfg sim.Config) error {
-	return r.runInto(res, src, cfg, nil)
-}
-
-// RunRecordedInto is RunInto with an optional event recorder. Recording is
-// passive: res is bit-identical to a recorder-off run.
+// RunRecordedInto simulates the trace under cfg, overwriting every field of
+// res, with an optional event recorder. A warmed (res, Runner) pair runs
+// without allocating. Recording is passive: res is bit-identical to a
+// recorder-off run.
 func (r *Runner) RunRecordedInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
-	return r.runInto(res, src, cfg, rec)
-}
-
-func (r *Runner) runInto(res *sim.Result, src *trace.Slice, cfg sim.Config, rec *sim.Recorder) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -101,10 +101,10 @@ func runCell(tb testing.TB, p *workload.Program, arch string, latency int64) *si
 	var res *sim.Result
 	var err error
 	if arch == "REF" {
-		res, err = ref.Run(p.CachedTrace(1), cfg)
+		res, err = ref.NewRunner().Run(p.CachedTrace(1), cfg)
 	} else {
 		cfg.Bypass = arch == "BYP"
-		res, err = dva.Run(p.CachedTrace(1), cfg)
+		res, err = dva.NewRunner().Run(p.CachedTrace(1), cfg)
 	}
 	if err != nil {
 		tb.Fatalf("%s %s L=%d: %v", p.Name, arch, latency, err)

@@ -53,13 +53,13 @@ func (c tefCell) record(tb testing.TB) (*sim.Result, *sim.Recorder) {
 	rec.MaxEvents = c.maxEvents
 	cfg := sim.DefaultConfig(c.latency)
 	src := c.prog.CachedTrace(1)
-	var res *sim.Result
+	res := new(sim.Result)
 	var err error
 	if c.arch == "REF" {
-		res, err = ref.RunRecorded(src, cfg, rec)
+		err = ref.NewRunner().RunRecordedInto(res, src, cfg, rec)
 	} else {
 		cfg.Bypass = c.arch == "BYP"
-		res, err = dva.RunRecorded(src, cfg, rec)
+		err = dva.NewRunner().RunRecordedInto(res, src, cfg, rec)
 	}
 	if err != nil {
 		tb.Fatalf("%s: %v", c.name(), err)

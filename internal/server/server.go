@@ -9,7 +9,7 @@
 //   - POST /v1/sweep — an explicit cell list (sweep.Request), answered as
 //     a stream of NDJSON rows (sweep.Row), one per cell in completion order
 //     carrying the canonical binary result encoding, then a trailer with the
-//     cache counters. It is the dvasweep remote executor's one transport; a
+//     store's lifetime cache hit and miss counters. It is the dvasweep remote executor's one transport; a
 //     grid reaches dvad only as the cells dvasweep expands it into.
 //   - GET  /healthz — liveness.
 //   - GET  /statsz — request counters, admission gauges, simulation count

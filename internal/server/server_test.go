@@ -601,7 +601,7 @@ func TestStatszAndSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep: %s: %s", resp.Status, body)
 	}
-	rows, done := sweepRows(t, body)
+	rows, _ := sweepRows(t, body)
 	if len(rows) != 8 {
 		t.Fatalf("sweep returned %d rows, want 2x2x2 = 8", len(rows))
 	}
@@ -609,9 +609,6 @@ func TestStatszAndSweep(t *testing.T) {
 		if res.Cycles <= 0 {
 			t.Errorf("cell %d (%+v) has nonpositive cycles", i, cells[i])
 		}
-	}
-	if done.Simulations != 8 {
-		t.Errorf("sweep trailer Simulations = %d, want 8", done.Simulations)
 	}
 
 	// statsz reflects the traffic.

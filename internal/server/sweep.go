@@ -118,7 +118,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeRow(sweep.Row{
 		I:           -1,
 		Done:        true,
-		Simulations: s.suite.Simulations(),
 		CacheHits:   st.Hits,
 		CacheMisses: st.Misses,
 	})

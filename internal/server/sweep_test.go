@@ -162,10 +162,14 @@ func TestSweepCellsCap(t *testing.T) {
 }
 
 // The reply is NDJSON: one row per cell in completion order, each carrying
-// the canonical binary result, then a Done trailer with the worker's
-// simulation count.
+// the canonical binary result, then a Done trailer with the worker store's
+// cache counters.
 func TestSweepStreaming(t *testing.T) {
-	srv, ts := testServer(t, Config{})
+	store, err := simcache.Open(t.TempDir(), simcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Config{Store: store})
 	cells := []sweep.WireCell{
 		{Program: "BDNA", Arch: "DVA", Latency: 1},
 		{Program: "BDNA", Arch: "REF", Latency: 1},
@@ -187,8 +191,8 @@ func TestSweepStreaming(t *testing.T) {
 			t.Errorf("cell %d: implausible result: %+v", i, res)
 		}
 	}
-	if done.Simulations != srv.Suite().Simulations() {
-		t.Errorf("trailer simulations = %d, suite says %d", done.Simulations, srv.Suite().Simulations())
+	if st := store.Stats(); done.CacheHits != st.Hits || done.CacheMisses != st.Misses || st.Misses != int64(len(cells)) {
+		t.Errorf("trailer %d hits, %d misses; store says %d, %d, want 0, %d", done.CacheHits, done.CacheMisses, st.Hits, st.Misses, len(cells))
 	}
 }
 
@@ -254,6 +258,7 @@ func TestWarmSweepCellBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	var sims int64
 	serve := func() (rows []byte, allocs, alloc uint64) {
 		store, err := simcache.Open(dir, simcache.Options{})
 		if err != nil {
@@ -267,14 +272,15 @@ func TestWarmSweepCellBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		srv.Handler().ServeHTTP(rec, req)
 		runtime.ReadMemStats(&after)
+		sims = srv.Suite().Simulations()
 		return rec.Body.Bytes(), after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 	p.CachedTraceHash(0.05) // keep trace generation out of the measurement
 	cold, _, _ := serve()
 	warm, allocs, total := serve()
 	rows, done := sweepRows(t, warm)
-	if done.Simulations != 0 || done.CacheHits != n || done.CacheMisses != 0 {
-		t.Fatalf("warm pass: %d simulations, %d hits, %d misses; want 0, %d, 0", done.Simulations, done.CacheHits, done.CacheMisses, n)
+	if sims != 0 || done.CacheHits != n || done.CacheMisses != 0 {
+		t.Fatalf("warm pass: %d simulations, %d hits, %d misses; want 0, %d, 0", sims, done.CacheHits, done.CacheMisses, n)
 	}
 	coldRows, _ := sweepRows(t, cold)
 	for i := range rows {

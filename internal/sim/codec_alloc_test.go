@@ -19,7 +19,7 @@ import (
 func TestResultCodecAllocs(t *testing.T) {
 	cfg := sim.DefaultConfig(50)
 	cfg.Bypass = true
-	res, err := dva.Run(tracegen.Random(7, 2000).Trace(), cfg)
+	res, err := dva.NewRunner().Run(tracegen.Random(7, 2000).Trace(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,4 +7,4 @@ package sim
 // tracegen, sim). The persistent result cache mixes it into every key, so
 // editing any model source invalidates all cached results. Regenerate with
 // `make generate`; freshness is enforced by `make verify` and CI.
-const ModelFingerprint = "mh1:9d165d79245f77f22f3472b1e6bbcc715c5759a0f938fae8d731bab842327c8c"
+const ModelFingerprint = "mh1:e548374753555e04ea28a0b78e1c187564ba4ad4ba555b12e652287a97decc65"

@@ -38,16 +38,15 @@ type WireCell struct {
 // order, one per requested cell, carrying either the canonical binary result
 // encoding (the simcache payload format, so a distributed merge is
 // byte-identical to a local run) or that cell's error. The final row has
-// Done set and carries the worker's suite-lifetime simulation count and
-// cache counters; a client that never sees it knows the stream broke and
-// which cells (by index) are still owed.
+// Done set and carries the worker store's lifetime cache hit and miss
+// counters; a client that never sees it knows the stream broke and which
+// cells (by index) are still owed.
 type Row struct {
 	I      int     `json:"i"`
 	Result Payload `json:"result,omitempty"` // canonical sim.EncodeResult payload
 	Error  string  `json:"error,omitempty"`
 
 	Done        bool  `json:"done,omitempty"`
-	Simulations int64 `json:"simulations,omitempty"`
 	CacheHits   int64 `json:"cacheHits,omitempty"`
 	CacheMisses int64 `json:"cacheMisses,omitempty"`
 }
