@@ -236,7 +236,7 @@ func TestSimulateVerifyDetectsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(store.Key(th, "DVA", spec.Cfg, ""), &tampered); err != nil {
+	if err := store.Put(spec.Key(store.Fingerprint(), th), &tampered); err != nil {
 		t.Fatal(err)
 	}
 

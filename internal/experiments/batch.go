@@ -113,7 +113,7 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// two distinct definitions sharing a name would silently answer one
 	// cell with the other's trace. Refuse the whole batch instead.
 	progs := make(map[string]*workload.Program, 8)
-	mats := make([]func() error, 0, 8)
+	distinct := make([]*workload.Program, 0, 8)
 	for _, j := range jobs {
 		if prev, ok := progs[j.Program.Name]; ok {
 			if prev != j.Program {
@@ -122,13 +122,13 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 			continue
 		}
 		progs[j.Program.Name] = j.Program
-		p := j.Program
-		mats = append(mats, func() error {
-			p.CachedTraceHash(s.Scale) // a hash error leaves the program's cells uncached
-			return nil
-		})
+		distinct = append(distinct, j.Program)
 	}
-	if err := parallelCtx(ctx, mats); err != nil {
+	err := Parallel(ctx, len(distinct), func(i int) error {
+		distinct[i].CachedTraceHash(s.Scale) // a hash error leaves the program's cells uncached
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -169,20 +169,16 @@ func (s *Suite) RunBatch(ctx context.Context, jobs []BatchJob) ([]*sim.Result, e
 	// Hot phase: drain the cells across the CPUs, each worker recording its
 	// own cell's outcome in place (distinct slots, so no lock is needed).
 	// The suite's run path supplies the singleflight and cache tiers; the
-	// simulation itself lands on a pooled machine via Simulate. parallelCtx
+	// simulation itself lands on a pooled machine via Simulate. Parallel
 	// runs every cell and joins every error — one failed cell must neither
 	// hide another's failure nor discard the cells that succeeded.
 	got := make([]*sim.Result, len(cells))
-	fns := make([]func() error, len(cells))
-	for i, c := range cells {
-		j := c.job
-		fns[i] = func() error {
-			r, err := s.RunCtx(ctx, j.Program, j.RunSpec)
-			got[i] = r
-			return err
-		}
-	}
-	hotErr := parallelCtx(ctx, fns)
+	hotErr := Parallel(ctx, len(cells), func(i int) error {
+		j := &cells[i].job
+		r, err := s.RunCtx(ctx, j.Program, j.RunSpec)
+		got[i] = r
+		return err
+	})
 
 	// Collect in job order from the recorded outcomes — never by re-running
 	// a cell, which for a failed cell would mean a second simulation whose

@@ -188,7 +188,7 @@ func TestSuiteVerifyFailsOnTamperedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(store.Key(th, "DVA", cfg, ""), &tampered); err != nil {
+	if err := store.Put(RunSpec{Arch: DVA, Cfg: cfg}.Key(store.Fingerprint(), th), &tampered); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,5 +27,5 @@ func oooSpec(cfg ooo.Config) RunSpec {
 }
 
 func parallel(jobs []func() error) error {
-	return parallelCtx(context.Background(), jobs)
+	return Parallel(context.Background(), len(jobs), func(i int) error { return jobs[i]() })
 }

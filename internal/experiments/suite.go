@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -277,14 +278,9 @@ func (s *Suite) run(ctx context.Context, tr *trace.Slice, th [32]byte, keyed boo
 // simulation keeps the payload the store wrote beside the result. With
 // VerifyFraction > 0 a deterministic sample of hits is re-simulated and
 // byte-compared against the stored encoding; a mismatch is a hard error,
-// never a silent repair. OOO keys append the window and register pool; REF
-// and DVA keys append nothing.
+// never a silent repair.
 func (s *Suite) diskTier(ctx context.Context, tr *trace.Slice, k runKey) (*runEntry, error) {
-	extra := ""
-	if k.spec.Arch == OOO {
-		extra = fmt.Sprintf("window=%d physregs=%d", k.spec.Window, k.spec.PhysRegs)
-	}
-	key := s.Disk.Key(k.trace, string(k.spec.Arch), k.spec.Cfg, extra)
+	key := k.spec.Key(s.Disk.Fingerprint(), k.trace)
 	if payload, ok := s.Disk.GetBytes(key); ok {
 		if !simcache.VerifySample(key, s.VerifyFraction) {
 			return &runEntry{hit: true, payload: payload}, nil
@@ -331,7 +327,7 @@ func (s *Suite) simulate(ctx context.Context, tr *trace.Slice, spec RunSpec) (*s
 	s.sims.Add(1)
 	r, err := Simulate(tr, spec, nil)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", spec.Arch, tr.Name(), err)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", spec.Cfg.Label(string(spec.Arch)), tr.Name(), err)
 	}
 	return r, nil
 }
@@ -456,50 +452,42 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// parallelCtx runs the jobs across the available CPUs. All jobs run to
-// completion; every error is collected and the joined aggregate returned,
-// so one failing configuration cannot mask the others. Jobs must be
-// independent; the Suite cache serializes internally. Once the context
-// ends, jobs not yet started are skipped (in-flight jobs run to
-// completion — simulations are not interruptible mid-run) and the context
-// error joins the aggregate.
-func parallelCtx(ctx context.Context, jobs []func() error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan func() error)
-	var mu sync.Mutex
-	var errs []error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range ch {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				if err := job(); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-				}
+// Parallel runs fn(0) … fn(n-1) across the available CPUs, handing out
+// indices in order. Every call runs to completion; every error is collected
+// and the joined aggregate returned, so one failing configuration cannot
+// mask the others. Calls must be independent; the Suite cache serializes
+// internally. Once the context ends, indices not yet started are skipped
+// (in-flight calls run to completion — simulations are not interruptible
+// mid-run) and the context error joins the aggregate.
+func Parallel(ctx context.Context, n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var (
+		next atomic.Int64
+		mu   sync.Mutex
+		errs []error
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || ctx.Err() != nil {
+				return
 			}
-		}()
+			if err := fn(i); err != nil {
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+			}
+		}
 	}
-	for _, j := range jobs {
-		ch <- j
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
 	}
-	close(ch)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		mu.Lock()
 		errs = append(errs, err)
-		mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -515,15 +503,30 @@ type RunSpec struct {
 	PhysRegs int
 }
 
+// Key is the run's content-addressed simcache key under the given model
+// fingerprint and trace hash: the one derivation behind the suite's disk
+// tier and the sweep coordinator's shard routing. An OOO key appends the
+// window and register pool; REF and DVA keys append nothing.
+func (r RunSpec) Key(fingerprint string, traceHash [32]byte) simcache.Key {
+	extra := ""
+	if r.Arch == OOO {
+		extra = fmt.Sprintf("window=%d physregs=%d", r.Window, r.PhysRegs)
+	}
+	return simcache.DeriveKey(fingerprint, traceHash, string(r.Arch), r.Cfg, extra)
+}
+
 // RunParams are one REF, DVA or BYP run as a command line or a dvad request
-// names it. Zero in LoadQ, StoreQ, IQ or Jitter takes the default; Bypass
-// turns the bypass unit on whatever Arch names.
+// names it, and the JSON form of a /v1/sweep cell's run. Zero in LoadQ,
+// StoreQ, IQ or Jitter takes the default; Bypass turns the bypass unit on
+// whatever Arch names.
 type RunParams struct {
-	Arch              string
-	Latency           int64
-	LoadQ, StoreQ, IQ int
-	Jitter            int64
-	Bypass            bool
+	Arch    string `json:"arch"`
+	Latency int64  `json:"latency"`
+	LoadQ   int    `json:"loadq,omitempty"`
+	StoreQ  int    `json:"storeq,omitempty"`
+	IQ      int    `json:"iq,omitempty"`
+	Jitter  int64  `json:"jitter,omitempty"`
+	Bypass  bool   `json:"bypass,omitempty"`
 }
 
 // Config is the parameters' configuration: the defaults at Latency, with
@@ -554,6 +557,49 @@ func (p RunParams) Resolve() (RunSpec, error) {
 		return RunSpec{}, err
 	}
 	return spec, nil
+}
+
+// ParamsOf is the inverse of Resolve: the canonical parameters of spec,
+// with 0 for every default, a bypassing DVA named "BYP", and SlowTick, which
+// no cache key holds either, ignored. A spec the parameters cannot carry —
+// an OOO run, or a configuration field other than the latency, the three
+// queue sizes, the jitter and the bypass bit off its default — is refused
+// with an error naming the field, rather than sent as a different run.
+func ParamsOf(spec RunSpec) (RunParams, error) {
+	cfg := &spec.Cfg
+	def := sim.DefaultConfig(cfg.MemLatency)
+	p := RunParams{
+		Arch:    sim.ArchName(string(spec.Arch), cfg.Bypass),
+		Latency: cfg.MemLatency,
+		LoadQ:   unlessDefault(cfg.AVDQSize, def.AVDQSize),
+		StoreQ:  unlessDefault(cfg.VADQSize, def.VADQSize),
+		IQ:      unlessDefault(cfg.IQSize, def.IQSize),
+		Jitter:  cfg.LatencyJitter,
+		Bypass:  cfg.Bypass && spec.Arch != DVA,
+	}
+	got, err := p.Resolve()
+	if err != nil {
+		return RunParams{}, fmt.Errorf("experiments: %s has no RunParams form: %w", cfg.Label(string(spec.Arch)), err)
+	}
+	got.Cfg.SlowTick = cfg.SlowTick
+	if got != spec {
+		// Name the first field that differs, as %+v prints it.
+		have, want := strings.Fields(fmt.Sprintf("%+v", spec)), strings.Fields(fmt.Sprintf("%+v", got))
+		i := 0
+		for i < len(have)-1 && have[i] == want[i] {
+			i++
+		}
+		return RunParams{}, fmt.Errorf("experiments: %s has no RunParams form: %s where the parameters resolve to %s", cfg.Label(string(spec.Arch)), strings.Trim(have[i], "{}"), strings.Trim(want[i], "{}"))
+	}
+	return p, nil
+}
+
+// unlessDefault is v, or 0 when v is the default def.
+func unlessDefault(v, def int) int {
+	if v == def {
+		return 0
+	}
+	return v
 }
 
 // ResolveArch resolves a REF, DVA or BYP run, the architecture named in any

@@ -28,20 +28,17 @@ type Table1Result struct {
 func Table1(ctx context.Context, s *Suite) (*Table1Result, error) {
 	res := &Table1Result{}
 	rows := make([]Table1Row, len(workload.All))
-	var jobs []func() error
-	for i, p := range workload.All {
-		i, p := i, p
-		jobs = append(jobs, func() error {
-			rows[i] = Table1Row{
-				Name:      p.Name,
-				Simulated: p.Simulated,
-				Paper:     p.Paper,
-				Measured:  s.Stats(p),
-			}
-			return nil
-		})
-	}
-	if err := parallelCtx(ctx, jobs); err != nil {
+	err := Parallel(ctx, len(rows), func(i int) error {
+		p := workload.All[i]
+		rows[i] = Table1Row{
+			Name:      p.Name,
+			Simulated: p.Simulated,
+			Paper:     p.Paper,
+			Measured:  s.Stats(p),
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	res.Rows = rows

@@ -14,7 +14,9 @@ import (
 // panic a handler, every answer must carry a status the handlers document,
 // and a request refused with a 4xx must not have run a simulation. The
 // cell cap is 8, so the committed nine-cell seed is refused, as are the
-// seeds in the removed grid and streaming-knob request shapes.
+// seeds in the removed grid and streaming-knob request shapes and the cells
+// with iq 1, iq -1 or jitter -1; a seed of cells carrying iq, jitter and
+// bypass, on DVA and on REF, runs.
 func FuzzServerRequests(f *testing.F) {
 	srv := New(Config{Scale: 0.01, MaxSweepPoints: 8})
 	f.Cleanup(func() {

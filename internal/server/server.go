@@ -6,11 +6,13 @@
 //
 //   - POST /v1/simulate — one (workload or uploaded trace) × arch × config
 //     run, answering the `dvasim -metrics-json` payload.
-//   - POST /v1/sweep — an explicit cell list (sweep.Request), answered as
-//     a stream of NDJSON rows (sweep.Row), one per cell in completion order
-//     carrying the canonical binary result encoding, then a trailer with the
-//     store's lifetime cache hit and miss counters. It is the dvasweep remote executor's one transport; a
-//     grid reaches dvad only as the cells dvasweep expands it into.
+//   - POST /v1/sweep — an explicit cell list (sweep.Request), each cell a
+//     program and the experiments.RunParams keys, resolved as /v1/simulate
+//     resolves its knobs, answered as a stream of NDJSON rows (sweep.Row),
+//     one per cell in completion order carrying the canonical binary result
+//     encoding, then a trailer with the store's lifetime cache hit and miss
+//     counters. It is the dvasweep remote executor's one transport; a grid
+//     reaches dvad only as the cells dvasweep expands it into.
 //   - GET  /healthz — liveness.
 //   - GET  /statsz — request counters, admission gauges, simulation count
 //     and cache counters (report.ServerMetric; ?format=table for ASCII).

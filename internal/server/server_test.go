@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"decvec/internal/experiments"
 	"decvec/internal/report"
 	"decvec/internal/sim"
 	"decvec/internal/simcache"
@@ -284,10 +285,10 @@ func TestCoalescedCountsRepeatRequests(t *testing.T) {
 func TestRestartedWorkerSweepFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	cells := []sweep.WireCell{
-		{Program: "BDNA", Arch: "DVA", Latency: 1},
-		{Program: "BDNA", Arch: "REF", Latency: 1},
-		{Program: "TRFD", Arch: "BYP", Latency: 50},
-		{Program: "TRFD", Arch: "DVA", Latency: 50, LoadQ: 8},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1}},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "REF", Latency: 1}},
+		{Program: "TRFD", RunParams: experiments.RunParams{Arch: "BYP", Latency: 50}},
+		{Program: "TRFD", RunParams: experiments.RunParams{Arch: "DVA", Latency: 50, LoadQ: 8}},
 	}
 	var st report.ServerMetric
 	for round := 0; round < 2; round++ {
@@ -593,7 +594,7 @@ func TestStatszAndSweep(t *testing.T) {
 	for _, prog := range []string{"BDNA", "TRFD"} {
 		for _, arch := range []string{"REF", "DVA"} {
 			for _, lat := range []int64{1, 50} {
-				cells = append(cells, sweep.WireCell{Program: prog, Arch: arch, Latency: lat})
+				cells = append(cells, sweep.WireCell{Program: prog, RunParams: experiments.RunParams{Arch: arch, Latency: lat}})
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 
 	"decvec/internal/experiments"
@@ -13,39 +12,44 @@ import (
 	"decvec/internal/workload"
 )
 
-// sweepJobs resolves a sweep request's cells into batch jobs, enforcing the
-// cell cap first. A cell that does not resolve is named by its position, so
-// a coordinator can log which shard member was malformed.
-func (s *Server) sweepJobs(req *sweep.Request) ([]experiments.BatchJob, error) {
+// checkSweep enforces the cell cap and checks that every cell resolves, so
+// a bad request answers 400 before anything runs. A cell that does not
+// resolve is named by its position, so a coordinator can log which shard
+// member was malformed.
+func (s *Server) checkSweep(req *sweep.Request) error {
 	if len(req.Cells) == 0 {
-		return nil, errors.New(`"cells" must list at least one cell`)
+		return errors.New(`"cells" must list at least one cell`)
 	}
 	if len(req.Cells) > s.cfg.MaxSweepPoints {
-		return nil, fmt.Errorf("sweep has %d cells, cap is %d", len(req.Cells), s.cfg.MaxSweepPoints)
+		return fmt.Errorf("sweep has %d cells, cap is %d", len(req.Cells), s.cfg.MaxSweepPoints)
 	}
-	jobs := make([]experiments.BatchJob, len(req.Cells))
-	for i, c := range req.Cells {
-		p, err := workload.Get(c.Program)
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
+	for i := range req.Cells {
+		if _, _, err := sweepCell(&req.Cells[i]); err != nil {
+			return fmt.Errorf("cell %d: %w", i, err)
 		}
-		spec, err := experiments.RunParams{Arch: c.Arch, Latency: c.Latency, LoadQ: c.LoadQ, StoreQ: c.StoreQ}.Resolve()
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		jobs[i] = experiments.BatchJob{Program: p, RunSpec: spec}
 	}
-	return jobs, nil
+	return nil
 }
 
-// handleSweep answers a sweep: the cells drain through a bounded worker
-// pool (the admission gate still meters the real simulator invocations
+// sweepCell resolves one cell to its program and run, through the
+// RunParams.Resolve that /v1/simulate uses too.
+func sweepCell(c *sweep.WireCell) (*workload.Program, experiments.RunSpec, error) {
+	p, err := workload.Get(c.Program)
+	if err != nil {
+		return nil, experiments.RunSpec{}, err
+	}
+	spec, err := c.Resolve()
+	return p, spec, err
+}
+
+// handleSweep answers a sweep: the cells drain through experiments.Parallel
+// (the admission gate still meters the real simulator invocations
 // underneath), each completion is written — and flushed — as one NDJSON row
 // the moment it lands, and a Done trailer closes the stream. A cell's row
 // carries the suite's canonical payload as it stands, the stored bytes on
-// a disk hit, appended by hand; error rows and the trailer go through
-// encoding/json. A timeout or
-// client disconnect stops feeding new cells; rows already written stay
+// a disk hit, appended by hand into the one line buffer the write lock
+// guards; error rows and the trailer go through json.Encoder. A timeout or
+// client disconnect stops starting new cells; rows already written stay
 // valid, so a coordinator retries exactly the cells it never received.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -57,8 +61,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	jobs, err := s.sweepJobs(&req)
-	if err != nil {
+	if err := s.checkSweep(&req); err != nil {
 		s.badRequest(w, err)
 		return
 	}
@@ -69,57 +72,38 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	writeLine := func(line []byte) {
+	enc := json.NewEncoder(w)
+	var (
+		mu   sync.Mutex
+		line []byte
+	)
+	// Every cell's outcome goes out as its row, so Parallel can only report
+	// the context's end, and a cell it skipped is one the client retries.
+	_ = experiments.Parallel(ctx, len(req.Cells), func(i int) error {
+		// Resolving the checked cell again costs less than holding every
+		// cell's RunSpec for the length of the request.
+		p, spec, err := sweepCell(&req.Cells[i])
+		var payload []byte
+		if err == nil {
+			payload, err = s.suite.RunBytesCtx(ctx, p, spec)
+		}
 		mu.Lock()
-		_, _ = w.Write(line)
+		defer mu.Unlock()
+		// A failed write means the client is gone; it retries what it
+		// never received.
+		if err != nil {
+			_ = enc.Encode(sweep.Row{I: i, Error: err.Error()})
+		} else {
+			line = sweep.AppendResultRow(line[:0], i, payload)
+			_, _ = w.Write(line)
+		}
 		if fl != nil {
 			fl.Flush()
 		}
-		mu.Unlock()
-	}
-	writeRow := func(row sweep.Row) {
-		line, _ := json.Marshal(row)
-		writeLine(append(line, '\n'))
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var line []byte // reused: writeLine is done with it when it returns
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain without running; the client retries these
-				}
-				payload, err := s.suite.RunBytesCtx(ctx, jobs[i].Program, jobs[i].RunSpec)
-				if err != nil {
-					writeRow(sweep.Row{I: i, Error: err.Error()})
-					continue
-				}
-				line = sweep.AppendResultRow(line[:0], i, payload)
-				writeLine(line)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		return nil
+	})
 
 	st := s.suite.CacheStats()
-	writeRow(sweep.Row{
-		I:           -1,
-		Done:        true,
-		CacheHits:   st.Hits,
-		CacheMisses: st.Misses,
-	})
+	_ = enc.Encode(sweep.Row{I: -1, Done: true, CacheHits: st.Hits, CacheMisses: st.Misses})
 	s.served.Add(1)
 }

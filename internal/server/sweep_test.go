@@ -73,9 +73,9 @@ func sweepRows(t *testing.T, body []byte) ([]*sim.Result, sweep.Row) {
 func TestSweepCellsMode(t *testing.T) {
 	srv, ts := testServer(t, Config{})
 	cells := []sweep.WireCell{
-		{Program: "BDNA", Arch: "DVA", Latency: 1},
-		{Program: "OCEAN", Arch: "REF", Latency: 50},
-		{Program: "BDNA", Arch: "BYP", Latency: 100, LoadQ: 8},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1}},
+		{Program: "OCEAN", RunParams: experiments.RunParams{Arch: "REF", Latency: 50}},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "BYP", Latency: 100, LoadQ: 8}},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
 	if resp.StatusCode != http.StatusOK {
@@ -93,16 +93,11 @@ func TestSweepCellsMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		core, bypass, err := sim.ParseArch(c.Arch)
+		spec, err := c.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.DefaultConfig(c.Latency)
-		if c.LoadQ > 0 {
-			cfg.AVDQSize = c.LoadQ
-		}
-		cfg.Bypass = bypass
-		want, err := srv.Suite().RunCtx(context.Background(), p, experiments.RunSpec{Arch: experiments.Arch(core), Cfg: cfg})
+		want, err := srv.Suite().RunCtx(context.Background(), p, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +116,8 @@ func TestSweepCellValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{
 		Cells: []sweep.WireCell{
-			{Program: "BDNA", Arch: "DVA", Latency: 1},
-			{Program: "NOSUCH", Arch: "DVA", Latency: 1},
+			{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1}},
+			{Program: "NOSUCH", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1}},
 		},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -133,10 +128,79 @@ func TestSweepCellValidation(t *testing.T) {
 	}
 	// A negative queue size is refused, not run at the default size.
 	resp, body = postJSON(t, ts.URL+"/v1/sweep", sweep.Request{
-		Cells: []sweep.WireCell{{Program: "BDNA", Arch: "DVA", Latency: 1, LoadQ: -1}},
+		Cells: []sweep.WireCell{{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1, LoadQ: -1}}},
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cell 0") {
 		t.Errorf("negative load queue: %s (%s), want 400 naming cell 0", resp.Status, body)
+	}
+}
+
+// A cell carries every RunParams knob: each row's payload is the canonical
+// encoding of the run RunParams.Resolve names for the same knobs, so an
+// iq, jitter or bypass the worker dropped would answer with a default run's
+// bytes. A knob dvad cannot run is refused with 400 before any simulation.
+func TestSweepHonoursEveryKnob(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	knob := func(edit func(*experiments.RunParams)) sweep.WireCell {
+		c := sweep.WireCell{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 20}}
+		edit(&c.RunParams)
+		return c
+	}
+	for _, bad := range []sweep.WireCell{
+		knob(func(p *experiments.RunParams) { p.IQ = 1 }),
+		knob(func(p *experiments.RunParams) { p.IQ = -1 }),
+		knob(func(p *experiments.RunParams) { p.Jitter = -1 }),
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: []sweep.WireCell{bad}})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cell 0") {
+			t.Errorf("cell %+v: %s (%s), want 400 naming cell 0", bad.RunParams, resp.Status, body)
+		}
+	}
+	if n := srv.Suite().Simulations(); n != 0 {
+		t.Fatalf("refused cells ran %d simulations", n)
+	}
+
+	cells := []sweep.WireCell{
+		knob(func(p *experiments.RunParams) { p.IQ = 4 }),
+		knob(func(p *experiments.RunParams) { p.Jitter = 7 }),
+		knob(func(p *experiments.RunParams) { p.Bypass = true }),
+		knob(func(p *experiments.RunParams) { p.Arch, p.Bypass = "REF", true }),
+		knob(func(p *experiments.RunParams) { p.LoadQ, p.StoreQ, p.IQ, p.Jitter = 4, 8, 3, 2 }),
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("knob sweep: %s (%s)", resp.Status, body)
+	}
+	rows, _ := sweepRows(t, body)
+	ref := experiments.NewSuite(srv.cfg.Scale)
+	p, err := workload.Get("BDNA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		spec, err := c.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.RunCtx(context.Background(), p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sim.AppendResult(nil, rows[i]), sim.AppendResult(nil, want)) {
+			t.Errorf("cell %d %+v: payload differs from the run Resolve names", i, c.RunParams)
+		}
+		// Each knob must show in the payload, or dropping it would pass.
+		spec, err = experiments.RunParams{Arch: c.Arch, Latency: c.Latency}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := ref.RunCtx(context.Background(), p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(sim.AppendResult(nil, plain), sim.AppendResult(nil, want)) {
+			t.Errorf("cell %d %+v: the knobs leave the payload unchanged", i, c.RunParams)
+		}
 	}
 }
 
@@ -146,7 +210,7 @@ func TestSweepCellsCap(t *testing.T) {
 	srv, ts := testServer(t, Config{MaxSweepPoints: 2})
 	cells := make([]sweep.WireCell, 3)
 	for i := range cells {
-		cells[i] = sweep.WireCell{Program: "BDNA", Arch: "DVA", Latency: int64(i + 1)}
+		cells[i] = sweep.WireCell{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: int64(i + 1)}}
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "3 cells") {
@@ -171,9 +235,9 @@ func TestSweepStreaming(t *testing.T) {
 	}
 	_, ts := testServer(t, Config{Store: store})
 	cells := []sweep.WireCell{
-		{Program: "BDNA", Arch: "DVA", Latency: 1},
-		{Program: "BDNA", Arch: "REF", Latency: 1},
-		{Program: "BDNA", Arch: "DVA", Latency: 50},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 1}},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "REF", Latency: 1}},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "DVA", Latency: 50}},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep.Request{Cells: cells})
 	if resp.StatusCode != http.StatusOK {
@@ -251,7 +315,7 @@ func TestWarmSweepCellBudget(t *testing.T) {
 	const n = 64
 	cells := make([]sweep.WireCell, n)
 	for i := range cells {
-		cells[i] = sweep.WireCell{Program: p.Name, Arch: "DVA", Latency: int64(i + 1)}
+		cells[i] = sweep.WireCell{Program: p.Name, RunParams: experiments.RunParams{Arch: "DVA", Latency: int64(i + 1)}}
 	}
 	body, err := json.Marshal(sweep.Request{Cells: cells})
 	if err != nil {

@@ -137,6 +137,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// Fingerprint returns the model fingerprint the store's keys are derived
+// under.
+func (s *Store) Fingerprint() string { return s.fingerprint }
+
 // Stats returns a snapshot of the lifetime counters.
 func (s *Store) Stats() Stats {
 	return Stats{
@@ -174,19 +178,13 @@ func (k Key) Prefix() string {
 	return string(k[:KeyPrefixLen])
 }
 
-// Key derives the cache key for (trace, arch, cfg) under this store's model
-// fingerprint. extra distinguishes runs whose parameters live outside
-// sim.Config (the OOO window/register sweep); pass "" for plain runs.
-func (s *Store) Key(traceHash [sha256.Size]byte, arch string, cfg sim.Config, extra string) Key {
-	return DeriveKey(s.fingerprint, traceHash, arch, cfg, extra)
-}
-
-// DeriveKey is the store-independent key derivation: the exact key a store
-// opened under the given model fingerprint would use for (trace, arch, cfg).
-// The sweep coordinator uses it to compute each cell's key — and so its
-// shard — without opening any store of its own: the keys it derives under
-// sim.ModelFingerprint are byte-for-byte the keys the workers' disk tiers
-// are organized by.
+// DeriveKey is the key derivation for (trace, arch, cfg) under a model
+// fingerprint; extra distinguishes runs whose parameters live outside
+// sim.Config (the OOO window and register pool). experiments.RunSpec.Key
+// calls it for the suite's disk tier and for the sweep coordinator alike,
+// so the keys a coordinator derives under sim.ModelFingerprint, without
+// opening any store of its own, are byte-for-byte the keys the workers'
+// disk tiers are organized by.
 //
 // The preimage is built in a stack buffer: format preamble, fingerprint,
 // trace hash, arch, the configuration as %+v formats it (appendConfig) with

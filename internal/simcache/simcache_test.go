@@ -52,7 +52,7 @@ func testStore(t *testing.T, opts Options) *Store {
 func testKey(s *Store, extra string) Key {
 	var th [sha256.Size]byte
 	copy(th[:], "trace-hash-for-tests")
-	return s.Key(th, "DVA", sim.DefaultConfig(30), extra)
+	return DeriveKey(s.Fingerprint(), th, "DVA", sim.DefaultConfig(30), extra)
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -355,7 +355,7 @@ func TestVerifySample(t *testing.T) {
 	var th [sha256.Size]byte
 	for i := 0; i < 256; i++ {
 		th[0] = byte(i)
-		keys = append(keys, s.Key(th, "DVA", sim.DefaultConfig(1), ""))
+		keys = append(keys, DeriveKey(s.Fingerprint(), th, "DVA", sim.DefaultConfig(1), ""))
 	}
 	for _, k := range keys {
 		if VerifySample(k, 0) {
@@ -384,14 +384,14 @@ func TestKeySeparatesInputs(t *testing.T) {
 	s := testStore(t, Options{})
 	var th, th2 [sha256.Size]byte
 	th2[0] = 1
-	base := s.Key(th, "DVA", sim.DefaultConfig(30), "")
+	base := DeriveKey(s.Fingerprint(), th, "DVA", sim.DefaultConfig(30), "")
 	cfg2 := sim.DefaultConfig(30)
 	cfg2.MemLatency = 31
 	distinct := []Key{
-		s.Key(th2, "DVA", sim.DefaultConfig(30), ""),
-		s.Key(th, "REF", sim.DefaultConfig(30), ""),
-		s.Key(th, "DVA", cfg2, ""),
-		s.Key(th, "DVA", sim.DefaultConfig(30), "window=16"),
+		DeriveKey(s.Fingerprint(), th2, "DVA", sim.DefaultConfig(30), ""),
+		DeriveKey(s.Fingerprint(), th, "REF", sim.DefaultConfig(30), ""),
+		DeriveKey(s.Fingerprint(), th, "DVA", cfg2, ""),
+		DeriveKey(s.Fingerprint(), th, "DVA", sim.DefaultConfig(30), "window=16"),
 	}
 	for i, k := range distinct {
 		if k == base {
@@ -401,7 +401,7 @@ func TestKeySeparatesInputs(t *testing.T) {
 	// SlowTick is normalized out: both tick modes share one entry.
 	slow := sim.DefaultConfig(30)
 	slow.SlowTick = true
-	if s.Key(th, "DVA", slow, "") != base {
+	if DeriveKey(s.Fingerprint(), th, "DVA", slow, "") != base {
 		t.Error("SlowTick changed the key; fast and slow tick must share entries")
 	}
 }

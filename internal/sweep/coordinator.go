@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"decvec/internal/sim"
-	"decvec/internal/simcache"
 )
 
 // Shard maps a cache-key prefix to one of n shards. The prefix is
@@ -32,13 +31,6 @@ func Shard(prefix string, n int) int {
 		}
 	}
 	return int(v % uint64(n))
-}
-
-// Key returns the cell's content-addressed simcache key under the given
-// model fingerprint and trace hash — exactly the key the worker's disk
-// tier stores the result under, which is what makes Shard cache-affine.
-func (c Cell) Key(fingerprint string, traceHash [32]byte) simcache.Key {
-	return simcache.DeriveKey(fingerprint, traceHash, string(c.Arch), c.Cfg, "")
 }
 
 // Options tune a coordinated sweep; the zero value is production-ready.
@@ -206,6 +198,8 @@ func Run(ctx context.Context, plan *Plan, execs []Executor, opts Options) ([]*si
 		// Memory here is one open chunk per worker, not O(points).
 		open := make([][]Cell, len(alive))
 		feed := func(c Cell) {
+			// c.Key is RunSpec.Key: the key the worker's disk tier stores
+			// the result under, which is what makes Shard cache-affine.
 			sh := Shard(c.Key(fp, traceHash[c.Program.Name]).Prefix(), len(alive))
 			open[sh] = append(open[sh], c)
 			if len(open[sh]) >= chunkSize {

@@ -66,7 +66,7 @@ func (l *Local) Name() string { return l.name }
 func (l *Local) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 	jobs := make([]experiments.BatchJob, len(cells))
 	for i, c := range cells {
-		jobs[i] = c.Job()
+		jobs[i] = c.BatchJob
 	}
 	return l.suite.RunBatch(ctx, jobs)
 }

@@ -1,12 +1,14 @@
 // Package sweep is the distributed sweep engine: it enumerates a
-// (program × arch × latency × queue) parameter grid as a streaming plan,
-// shards its cells cache-affinely by simcache key prefix — every cell with
+// (program × arch × latency × queue) parameter grid as a streaming plan of
+// cells, each an experiments.BatchJob and its plan index, shards the cells
+// cache-affinely by the prefix of RunSpec.Key — every cell with
 // the same key prefix routes to the same worker, so repeat sweeps land each
 // cell on the worker whose disk tier already holds it — and drains the
 // shards through pluggable executors: an in-process executor over
 // experiments.Suite.RunBatch, and a remote executor speaking the dvad
-// /v1/sweep protocol (wire.go) with bounded inflight, retry-with-
-// backoff on 429/5xx, and failover re-sharding when a worker drops.
+// /v1/sweep protocol (wire.go), each cell a program and the RunParams that
+// experiments.ParamsOf writes for its run, with bounded inflight, retry-
+// with-backoff on 429/5xx, and failover re-sharding when a worker drops.
 //
 // Results merge deterministically in plan order whatever the workers'
 // completion order, under the same errors.Join discipline as RunBatch: a
@@ -21,7 +23,6 @@ import (
 	"math"
 
 	"decvec/internal/experiments"
-	"decvec/internal/sim"
 	"decvec/internal/workload"
 )
 
@@ -37,21 +38,13 @@ type GridSpec struct {
 	StoreQs   []int    `json:"storeqs,omitempty"`
 }
 
-// archSpec is one resolved architecture dimension value: BYP arrives as
-// DVA with the bypass bit, so its cells share cache keys — and therefore
-// shards — with the equivalent DVA+bypass cells.
-type archSpec struct {
-	arch   experiments.Arch
-	bypass bool
-}
-
 // Plan is a compiled grid: the dimension arrays, never the cell product.
 // Cells are decoded on demand by index, so a million-point plan costs the
 // same memory as a ten-point one — O(points) appears only in the result
 // slice a run necessarily returns.
 type Plan struct {
 	programs []*workload.Program
-	archs    []archSpec
+	archs    []experiments.RunSpec // the core and bypass bit of each arch value
 	lats     []int64
 	loadQs   []int
 	storeQs  []int
@@ -74,43 +67,33 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 			p.programs = append(p.programs, prog)
 		}
 	}
-	archs := spec.Archs
-	if len(archs) == 0 {
-		archs = []string{"REF", "DVA"}
-	}
-	for _, a := range archs {
-		core, bypass, err := sim.ParseArch(a)
+	p.lats = orDefault(spec.Latencies, experiments.DefaultLatencies)
+	p.loadQs = orDefault(spec.LoadQs, []int{0})
+	p.storeQs = orDefault(spec.StoreQs, []int{0})
+	// Each dimension value must resolve as the one knob of a run: BYP
+	// arrives as DVA with the bypass bit, so its cells share cache keys —
+	// and therefore shards — with the equivalent DVA+bypass cells.
+	for _, a := range orDefault(spec.Archs, []string{"REF", "DVA"}) {
+		arch, err := experiments.RunParams{Arch: a, Latency: 1}.Resolve()
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		p.archs = append(p.archs, archSpec{arch: experiments.Arch(core), bypass: bypass})
+		p.archs = append(p.archs, arch)
 	}
-	p.lats = spec.Latencies
-	if len(p.lats) == 0 {
-		p.lats = experiments.DefaultLatencies
-	}
+	knobs := make([]experiments.RunParams, 0, len(p.lats)+len(p.loadQs)+len(p.storeQs))
 	for _, l := range p.lats {
-		if l <= 0 || l > sim.MaxMemLatency {
-			return nil, fmt.Errorf("sweep: latency must be in [1, %d], got %d", sim.MaxMemLatency, l)
+		knobs = append(knobs, experiments.RunParams{Arch: "DVA", Latency: l})
+	}
+	for _, q := range p.loadQs {
+		knobs = append(knobs, experiments.RunParams{Arch: "DVA", Latency: 1, LoadQ: q})
+	}
+	for _, q := range p.storeQs {
+		knobs = append(knobs, experiments.RunParams{Arch: "DVA", Latency: 1, StoreQ: q})
+	}
+	for _, k := range knobs {
+		if _, err := k.Resolve(); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
-	}
-	for _, q := range spec.LoadQs {
-		if q < 0 || q > sim.MaxQueueSlots {
-			return nil, fmt.Errorf("sweep: load queue size must be in [0, %d], got %d", sim.MaxQueueSlots, q)
-		}
-	}
-	for _, q := range spec.StoreQs {
-		if q < 0 || q > sim.MaxQueueSlots {
-			return nil, fmt.Errorf("sweep: store queue size must be in [0, %d], got %d", sim.MaxQueueSlots, q)
-		}
-	}
-	p.loadQs = spec.LoadQs
-	if len(p.loadQs) == 0 {
-		p.loadQs = []int{0}
-	}
-	p.storeQs = spec.StoreQs
-	if len(p.storeQs) == 0 {
-		p.storeQs = []int{0}
 	}
 	// A product that wrapped would slip past every point cap, negative or
 	// small; a grid that large cannot be enumerated anyway.
@@ -124,6 +107,14 @@ func NewPlan(spec GridSpec) (*Plan, error) {
 	return p, nil
 }
 
+// orDefault is v, or def when v is empty.
+func orDefault[T any](v, def []T) []T {
+	if len(v) == 0 {
+		return def
+	}
+	return v
+}
+
 // Points returns the plan's cell count.
 func (p *Plan) Points() int { return p.points }
 
@@ -131,22 +122,16 @@ func (p *Plan) Points() int { return p.points }
 // program's trace once for key derivation).
 func (p *Plan) Programs() []*workload.Program { return p.programs }
 
-// Cell is one (program, architecture, configuration) point of a plan,
-// carrying both the materialized sim.Config the executors run and the raw
-// dimension values the remote wire protocol speaks. Index is the cell's
-// position in plan order — the merge key: results land at out[Index]
-// whatever worker produced them, in whatever order.
+// Cell is one point of a plan: the batch job — program and RunSpec — that
+// every executor runs, Remote sending it in the form ParamsOf writes. Index
+// is the cell's position in plan order — the merge key: results land at
+// out[Index] whatever worker produced them, in whatever order. Latency is
+// Cfg.MemLatency again, kept only for cmd/dvaperf's diagnostics; nothing in
+// this module reads it.
 type Cell struct {
-	Index   int
-	Program *workload.Program
-	Arch    experiments.Arch
-	Cfg     sim.Config
-
-	// Raw dimension values for the dvad wire protocol, WireCell
-	// (0 = worker default).
+	Index int
+	experiments.BatchJob
 	Latency int64
-	LoadQ   int
-	StoreQ  int
 }
 
 // Cell decodes the i-th cell of plan order: programs outermost, then
@@ -161,22 +146,9 @@ func (p *Plan) Cell(i int) Cell {
 	n /= len(p.loadQs)
 	lat := p.lats[n%len(p.lats)]
 	n /= len(p.lats)
-	a := p.archs[n%len(p.archs)]
+	spec := p.archs[n%len(p.archs)]
 	n /= len(p.archs)
-	prog := p.programs[n]
 
-	return Cell{
-		Index:   i,
-		Program: prog,
-		Arch:    a.arch,
-		Cfg:     experiments.RunParams{Latency: lat, LoadQ: lq, StoreQ: sq, Bypass: a.bypass}.Config(),
-		Latency: lat,
-		LoadQ:   lq,
-		StoreQ:  sq,
-	}
-}
-
-// Job converts the cell to its batch-job form for the in-process executor.
-func (c Cell) Job() experiments.BatchJob {
-	return experiments.BatchJob{Program: c.Program, RunSpec: experiments.RunSpec{Arch: c.Arch, Cfg: c.Cfg}}
+	spec.Cfg = experiments.RunParams{Latency: lat, LoadQ: lq, StoreQ: sq, Bypass: spec.Cfg.Bypass}.Config()
+	return Cell{Index: i, BatchJob: experiments.BatchJob{Program: p.programs[n], RunSpec: spec}, Latency: lat}
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"decvec/internal/experiments"
@@ -49,14 +51,13 @@ func TestPlanCellOrder(t *testing.T) {
 						if c.Index != i {
 							t.Fatalf("cell %d: Index = %d", i, c.Index)
 						}
-						if c.Program.Name != prog || string(c.Arch) != arch ||
-							c.Latency != lat || c.LoadQ != lq || c.StoreQ != sq {
-							t.Fatalf("cell %d = (%s %s %d %d %d), want (%s %s %d %d %d)",
-								i, c.Program.Name, c.Arch, c.Latency, c.LoadQ, c.StoreQ,
-								prog, arch, lat, lq, sq)
+						want := experiments.RunParams{Latency: lat, LoadQ: lq, StoreQ: sq}.Config()
+						if c.Program.Name != prog || string(c.Arch) != arch || c.Cfg != want {
+							t.Fatalf("cell %d = (%s %s %+v), want (%s %s %+v)",
+								i, c.Program.Name, c.Arch, c.Cfg, prog, arch, want)
 						}
-						if c.Cfg.MemLatency != lat {
-							t.Fatalf("cell %d: Cfg.MemLatency = %d, want %d", i, c.Cfg.MemLatency, lat)
+						if c.Latency != lat {
+							t.Fatalf("cell %d: Latency = %d, want %d", i, c.Latency, lat)
 						}
 						i++
 					}
@@ -79,24 +80,40 @@ func TestPlanBypassCanonicalization(t *testing.T) {
 	}
 }
 
-// A cell's configuration is the one dvad resolves from the cell's wire
-// values, queue size 0 taking the default on both sides, and decoding a
-// cell allocates nothing.
+// A cell's run is the one dvad resolves from the cell's wire form: the
+// RunParams ParamsOf writes, sent as JSON and decoded as strictly as dvad
+// decodes a request body, resolve back to exactly the cell's RunSpec at
+// every default, edge and limit of the plan's dimensions. Decoding a cell
+// allocates nothing.
 func TestPlanCellResolvesAsDvad(t *testing.T) {
 	p, err := NewPlan(GridSpec{Programs: []string{"BDNA"}, Archs: []string{"REF", "DVA", "BYP"},
-		Latencies: []int64{1, 50}, LoadQs: []int{0, 4}, StoreQs: []int{0, 8}})
+		Latencies: []int64{1, 50, sim.MaxMemLatency},
+		LoadQs:    []int{0, 1, 4, 256, sim.MaxQueueSlots}, StoreQs: []int{0, 8, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.Points(); i++ {
 		c := p.Cell(i)
-		w := c.wire()
-		spec, err := experiments.RunParams{Arch: w.Arch, Latency: w.Latency, LoadQ: w.LoadQ, StoreQ: w.StoreQ}.Resolve()
+		params, err := experiments.ParamsOf(c.RunSpec)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		if spec != c.Job().RunSpec {
-			t.Errorf("cell %d: plan %+v, dvad %+v", i, c.Job().RunSpec, spec)
+		b, err := json.Marshal(WireCell{Program: c.Program.Name, RunParams: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w WireCell
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&w); err != nil {
+			t.Fatalf("cell %d: %s: %v", i, b, err)
+		}
+		spec, err := w.Resolve()
+		if err != nil {
+			t.Fatalf("cell %d: %s: %v", i, b, err)
+		}
+		if w.Program != c.Program.Name || spec != c.RunSpec {
+			t.Errorf("cell %d: plan %s %+v, dvad %s %+v", i, c.Program.Name, c.RunSpec, w.Program, spec)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = p.Cell(p.Points() - 1) }); n != 0 {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decvec/internal/experiments"
 	"decvec/internal/sim"
 )
 
@@ -130,16 +131,28 @@ func (r *Remote) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 	if len(cells) == 0 {
 		return out, nil
 	}
+	// A cell whose run has no wire form fails alone and is never posted:
+	// sending the nearest run the wire can carry would answer it wrongly.
+	var cellErrs []error
+	wire := make([]WireCell, len(cells))
+	pending := make([]int, 0, len(cells))
+	for i, c := range cells {
+		p, err := experiments.ParamsOf(c.RunSpec)
+		if err != nil {
+			cellErrs = append(cellErrs, fmt.Errorf("worker %s: cell %d (%s): %v", r.name, i, c.Program.Name, err))
+			continue
+		}
+		wire[i] = WireCell{Program: c.Program.Name, RunParams: p}
+		pending = append(pending, i)
+	}
+	if len(pending) == 0 {
+		return out, errors.Join(cellErrs...)
+	}
 	r.fetchBaseline(ctx)
 
-	pending := make([]int, len(cells))
-	for i := range pending {
-		pending[i] = i
-	}
-	var cellErrs []error
 	backoff := r.backoff
 	for attempt := 0; ; attempt++ {
-		still, err := r.post(ctx, cells, pending, out, &cellErrs)
+		still, err := r.post(ctx, cells, wire, pending, out, &cellErrs)
 		if err == nil && len(still) == 0 {
 			return out, errors.Join(cellErrs...)
 		}
@@ -166,14 +179,17 @@ func (r *Remote) Run(ctx context.Context, cells []Cell) ([]*sim.Result, error) {
 	}
 }
 
-// post sends one chunk attempt covering cells[pending...], fills out and
-// cellErrs from the rows received, and returns the indices (into cells)
-// still owed. A *retryError invites another attempt; other errors are
-// final.
-func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*sim.Result, cellErrs *[]error) ([]int, error) {
-	wreq := Request{Cells: make([]WireCell, len(pending)), TimeoutMs: r.timeoutMs}
-	for k, pi := range pending {
-		wreq.Cells[k] = cells[pi].wire()
+// post sends one chunk attempt covering cells[pending...], in their wire
+// forms, fills out and cellErrs from the rows received, and returns the
+// indices (into cells) still owed. A *retryError invites another attempt;
+// other errors are final.
+func (r *Remote) post(ctx context.Context, cells []Cell, wire []WireCell, pending []int, out []*sim.Result, cellErrs *[]error) ([]int, error) {
+	wreq := Request{Cells: wire, TimeoutMs: r.timeoutMs}
+	if len(pending) < len(wire) {
+		wreq.Cells = make([]WireCell, len(pending))
+		for k, pi := range pending {
+			wreq.Cells[k] = wire[pi]
+		}
 	}
 	body, err := json.Marshal(wreq)
 	if err != nil {
@@ -215,8 +231,8 @@ func (r *Remote) post(ctx context.Context, cells []Cell, pending []int, out []*s
 		filled[row.I] = true
 		if row.Error != "" {
 			c := cells[ci]
-			*cellErrs = append(*cellErrs, fmt.Errorf("worker %s: cell %d (%s %s lat=%d): %s",
-				r.name, ci, c.Program.Name, c.Arch, c.Latency, row.Error))
+			*cellErrs = append(*cellErrs, fmt.Errorf("worker %s: cell %d (%s %s): %s",
+				r.name, ci, c.Program.Name, c.Cfg.Label(string(c.Arch)), row.Error))
 			continue
 		}
 		res, err := sim.DecodeResultBytes(row.Result)

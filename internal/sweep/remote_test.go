@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -46,7 +47,7 @@ func dvadServer(t *testing.T, store *simcache.Store) *httptest.Server {
 // it — the byte-identity reference for whatever the wire returns.
 func canonical(t *testing.T, suite *experiments.Suite, c sweep.Cell) []byte {
 	t.Helper()
-	res, err := suite.RunCtx(context.Background(), c.Program, c.Job().RunSpec)
+	res, err := suite.RunCtx(context.Background(), c.Program, c.RunSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,12 @@ func TestRemoteRecoversFromMidStreamBreak(t *testing.T) {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
 				}
-				res, err := suite.RunCtx(r.Context(), p, experiments.RunSpec{Arch: experiments.Arch(req.Cells[i].Arch), Cfg: sim.DefaultConfig(req.Cells[i].Latency)})
+				spec, err := req.Cells[i].Resolve()
+				if err != nil {
+					t.Error(err)
+					panic(http.ErrAbortHandler)
+				}
+				res, err := suite.RunCtx(r.Context(), p, spec)
 				if err != nil {
 					t.Error(err)
 					panic(http.ErrAbortHandler)
@@ -310,7 +316,7 @@ func TestRemoteRejectsBadRowIndices(t *testing.T) {
 		{"negative", []string{row(-3) + done}, "sweep row index -3 out of range", false, []int{2}, []bool{false, false}},
 		{"repeated", []string{row(1) + row(1) + done}, "sweep row index 1 answered twice", false, []int{2}, []bool{false, true}},
 		{"cell error", []string{row(0) + `{"i":1,"error":"boom"}` + "\n" + done},
-			"cell 1 (BDNA DVA lat=2): boom", false, []int{2}, []bool{true, false}},
+			"cell 1 (BDNA DVA 256/16 L=2): boom", false, []int{2}, []bool{true, false}},
 		{"undecodable result", []string{row(1) + `{"i":0,"result":"AAAA"}` + "\n" + done},
 			"cell 0: undecodable result", false, []int{2}, []bool{false, true}},
 		{"no trailer", []string{""}, "sweep stream ended without trailer", true, []int{2, 2, 2, 2}, []bool{false, false}},
@@ -368,6 +374,105 @@ func TestRemoteRejectsBadRowIndices(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// erroringWorker is a worker that answers every posted cell with an error
+// row "boom" and then the trailer, recording each request's cells.
+func erroringWorker(t *testing.T) (*httptest.Server, func() [][]sweep.WireCell) {
+	t.Helper()
+	var mu sync.Mutex
+	var posted [][]sweep.WireCell
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/sweep" {
+			http.NotFound(w, r)
+			return
+		}
+		var req sweep.Request
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		posted = append(posted, req.Cells)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for i := range req.Cells {
+			enc.Encode(sweep.Row{I: i, Error: "boom"})
+		}
+		enc.Encode(sweep.Row{I: -1, Done: true})
+	}))
+	t.Cleanup(worker.Close)
+	return worker, func() [][]sweep.WireCell {
+		mu.Lock()
+		defer mu.Unlock()
+		return posted
+	}
+}
+
+// A cell whose run the wire cannot carry is never posted: it fails alone,
+// with an error naming the worker, the cell and the field, while the other
+// cells of its chunk go out as usual. A chunk of such cells alone posts
+// nothing. A failed cell the worker ran is labelled by its machine, as the
+// reports name it: BYP cells read as BYP with their queue sizes, so two
+// that differ only in load queue read differently.
+func TestRemoteRefusesRunsTheWireCannotCarry(t *testing.T) {
+	worker, posted := erroringWorker(t)
+	p, err := workload.Get("BDNA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(i int, spec experiments.RunSpec) sweep.Cell {
+		return sweep.Cell{Index: i, BatchJob: experiments.BatchJob{Program: p, RunSpec: spec}}
+	}
+	dva := func(edit func(*sim.Config)) experiments.RunSpec {
+		cfg := sim.DefaultConfig(50)
+		edit(&cfg)
+		return experiments.RunSpec{Arch: experiments.DVA, Cfg: cfg}
+	}
+	bad := []sweep.Cell{
+		cell(0, experiments.RunSpec{Arch: experiments.OOO, Cfg: sim.DefaultConfig(50), Window: 16, PhysRegs: 64}),
+		cell(1, dva(func(c *sim.Config) { c.MemPorts = 2 })),
+		cell(2, dva(func(c *sim.Config) { c.QMovUnits = 1 })),
+		cell(3, dva(func(c *sim.Config) { c.VSAQSize = 4 })),
+	}
+	fields := []string{"OOO", "MemPorts", "QMovUnits", "VSAQSize"}
+	rr := sweep.NewRemote(worker.URL, sweep.RemoteOptions{Name: "scripted-7", Retries: 1, Backoff: time.Millisecond})
+
+	out, err := rr.Run(context.Background(), bad)
+	if n := len(posted()); n != 0 {
+		t.Errorf("%d requests posted for cells the wire cannot carry, want none", n)
+	}
+	for i, f := range fields {
+		if out[i] != nil {
+			t.Errorf("cell %d has a result", i)
+		}
+		want := fmt.Sprintf("worker scripted-7: cell %d (BDNA): ", i)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), f) {
+			t.Errorf("error = %v, want one naming %q and %s", err, want, f)
+		}
+	}
+
+	plan, err := sweep.NewPlan(sweep.GridSpec{Programs: []string{"BDNA"}, Archs: []string{"BYP"}, Latencies: []int64{2}, LoadQs: []int{4, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rr.Run(context.Background(), []sweep.Cell{bad[1], plan.Cell(0), plan.Cell(1)})
+	want := []sweep.WireCell{
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "BYP", Latency: 2, LoadQ: 4}},
+		{Program: "BDNA", RunParams: experiments.RunParams{Arch: "BYP", Latency: 2, LoadQ: 8}},
+	}
+	if got := posted(); len(got) != 1 || !slices.Equal(got[0], want) {
+		t.Errorf("posted %+v, want the two wirable cells %+v", got, want)
+	}
+	for _, want := range []string{
+		"worker scripted-7: cell 0 (BDNA): experiments: DVA 256/16 L=50 has no RunParams form: MemPorts:2 where the parameters resolve to MemPorts:1",
+		"worker scripted-7: cell 1 (BDNA BYP 4/16 L=2): boom",
+		"worker scripted-7: cell 2 (BDNA BYP 8/16 L=2): boom",
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("error = %v, want it to contain %q", err, want)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"strconv"
 
-	"decvec/internal/sim"
+	"decvec/internal/experiments"
 )
 
 // The /v1/sweep wire protocol, defined once: the remote executor encodes
@@ -24,14 +24,14 @@ type Request struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
-// WireCell is one cell of a Request, by the raw dimension values of a Cell
-// (0 = the worker's default queue size).
+// WireCell is one cell of a Request: a program by name and the run's
+// parameters, {"program", "arch", "latency", "loadq", "storeq", "iq",
+// "jitter", "bypass"}, zero knobs omitted as the worker's defaults. The
+// coordinator writes it through experiments.ParamsOf and dvad reads it
+// through RunParams.Resolve, the resolver /v1/simulate and dvasim use.
 type WireCell struct {
 	Program string `json:"program"`
-	Arch    string `json:"arch"`
-	Latency int64  `json:"latency"`
-	LoadQ   int    `json:"loadq,omitempty"`
-	StoreQ  int    `json:"storeq,omitempty"`
+	experiments.RunParams
 }
 
 // Row is one line of the NDJSON /v1/sweep reply. Rows arrive in completion
@@ -82,15 +82,4 @@ func AppendResultRow(dst []byte, i int, payload []byte) []byte {
 		b = append(b, '"')
 	}
 	return append(b, "}\n"...)
-}
-
-// wire is the cell's Request form.
-func (c Cell) wire() WireCell {
-	return WireCell{
-		Program: c.Program.Name,
-		Arch:    sim.ArchName(string(c.Arch), c.Cfg.Bypass),
-		Latency: c.Latency,
-		LoadQ:   c.LoadQ,
-		StoreQ:  c.StoreQ,
-	}
 }

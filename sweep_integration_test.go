@@ -95,7 +95,7 @@ func TestDistributedSweepMatchesRunBatch(t *testing.T) {
 	suite := experiments.NewSuite(scale)
 	jobs := make([]experiments.BatchJob, plan.Points())
 	for i := range jobs {
-		jobs[i] = plan.Cell(i).Job()
+		jobs[i] = plan.Cell(i).BatchJob
 	}
 	local, err := suite.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestDistributedSweepSurvivesWorkerDeath(t *testing.T) {
 	suite := experiments.NewSuite(scale)
 	jobs := make([]experiments.BatchJob, plan.Points())
 	for i := range jobs {
-		jobs[i] = plan.Cell(i).Job()
+		jobs[i] = plan.Cell(i).BatchJob
 	}
 	local, err := suite.RunBatch(context.Background(), jobs)
 	if err != nil {
